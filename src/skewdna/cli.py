@@ -29,18 +29,7 @@ from . import codes as cd
 from . import dna
 from . import skewpoly as sp
 from . import verify
-from .algebra import ELEMENTS, gf4_token, gray, parse_element, r_token
-
-
-def _parse_generator(text: str) -> sp.Poly:
-    s = text.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ValueError("coefficient list must end with ']'")
-        inner = s[1:-1].strip()
-        items = [tok.strip() for tok in inner.split(",")] if inner else []
-        return sp.normalize(tuple(parse_element(tok) for tok in items))
-    return sp.parse_poly(s)
+from .algebra import ELEMENTS, gf4_token, gray, r_token
 
 
 def _coeff_tokens(f: sp.Poly) -> list[str]:
@@ -105,7 +94,7 @@ def _cmd_divisors(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    g = _parse_generator(args.gen)
+    g = sp.parse_poly(args.gen)
     code = cd.code_from_generator(args.n, g)
     k = cd.dimension(code)  # F2 dimension; no materialization needed
     info = dna.classify(code)
@@ -156,7 +145,7 @@ def _check_by_remainder(code: cd.SkewCyclicCode, prop: str) -> bool | None:
 
 
 def _cmd_check(args) -> int:
-    g = _parse_generator(args.gen)
+    g = sp.parse_poly(args.gen)
     code = cd.code_from_generator(args.n, g)
     prop = args.property
     via = "materialized"
@@ -190,7 +179,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dna(args) -> int:
-    g = _parse_generator(args.gen)
+    g = sp.parse_poly(args.gen)
     cs = cd.materialize(cd.code_from_generator(args.n, g), cap=args.cap)
     strings = dna.encode_codeset(cs)
     if args.fasta:
@@ -207,7 +196,7 @@ def _cmd_dna(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    g = _parse_generator(args.gen)
+    g = sp.parse_poly(args.gen)
     cs = cd.materialize(cd.code_from_generator(args.n, g), cap=args.cap)
     d = an.min_distance(cs, args.metric)
     doc = {"command": "distance", "n": args.n, "generator": _coeff_tokens(g),

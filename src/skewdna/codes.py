@@ -9,16 +9,18 @@ which at the polynomial level is left multiplication by x.  Codewords are
 tuples of ring element indices, identified with polynomials of degree < n in
 the usual way (index i <-> coefficient of x^i).
 
-Materialization computes the smallest set containing the generators that is
-closed under addition, left scalar multiplication by all 16 ring elements,
-and the skew shift.  Addition is GF(2)-linear, and both other rules are
-additive, so the closure is a GF(2)-subspace of the 4n-bit word space: the
-fixpoint runs over a row-echelon basis (at most 4n vectors) instead of a
-hash set of words, and the full set is then enumerated as the span of that
-basis.  Words are packed 4 bits per entry into a single integer while this
-runs.  A literal hash-set work queue computes the same closure and is kept
-as a test oracle; it is quadratic in the code size and unusable beyond a
-few thousand words.
+The code generated by some words is the smallest set containing them that
+is closed under addition, left scalar multiplication by all 16 ring
+elements, and the skew shift.  Addition is GF(2)-linear, and both other
+rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
+space.  span_basis computes a row-echelon basis of it (at most 4n vectors),
+with words packed 4 bits per entry into a single integer, and a CodeSet
+holds that basis.  Size and membership are read off the basis; the words
+themselves are enumerated from it only when a caller asks for them, and
+materialize refuses codes whose enumeration would exceed its cap.  A
+literal hash-set work queue computes the same closure and is kept as a test
+oracle; it is quadratic in the code size and unusable beyond a few thousand
+words.
 
 Generators are classified by shape:
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import skewpoly as sp
 from .algebra import _R_MUL as _MUL, _THETA as _TH, is_unit, r_token
@@ -201,10 +204,10 @@ def code_from_generator(n: int, g: sp.Poly) -> SkewCyclicCode:
 
 @dataclass(frozen=True)
 class CodeSet:
-    """A materialized code: the full set of codewords."""
+    """A code with its row-echelon GF(2) basis of packed words."""
 
     code: SkewCyclicCode
-    words: frozenset[Word]
+    basis: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -212,10 +215,22 @@ class CodeSet:
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return 1 << len(self.basis)
+
+    @cached_property
+    def words(self) -> frozenset[Word]:
+        """Every codeword, enumerated in Gray-code order on first use."""
+        n = self.n
+        words = {(0,) * n}
+        cur = 0
+        for i in range(1, self.size):
+            cur ^= self.basis[(i & -i).bit_length() - 1]
+            words.add(unpack(cur, n))
+        return frozenset(words)
 
 
 def materialize(code: SkewCyclicCode, cap: int = DEFAULT_CAP) -> CodeSet:
+    """The code's basis, refused when the code has more than cap words."""
     basis = span_basis(code.n, code.generator_words())
     k = len(basis)
     if 1 << k > cap:
@@ -223,13 +238,7 @@ def materialize(code: SkewCyclicCode, cap: int = DEFAULT_CAP) -> CodeSet:
             f"code has 2^{k} words, above the cap of {cap}; "
             "raise the cap to materialize anyway"
         )
-    n = code.n
-    words = {(0,) * n}
-    cur = 0
-    for i in range(1, 1 << k):
-        cur ^= basis[((i & -i).bit_length()) - 1]
-        words.add(unpack(cur, n))
-    return CodeSet(code, frozenset(words))
+    return CodeSet(code, tuple(basis))
 
 
 def dimension(code: SkewCyclicCode) -> int:
@@ -240,7 +249,7 @@ def dimension(code: SkewCyclicCode) -> int:
 def membership(codeset: CodeSet, word: Word) -> bool:
     if len(word) != codeset.n:
         raise ValueError("word length does not match the code length")
-    return word in codeset.words
+    return in_span(pack(word), codeset.basis)
 
 
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
@@ -250,11 +259,6 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
     if len(word) != code.n:
         raise ValueError("word length does not match the code length")
     return sp.right_divides(code.generators[0], word_to_poly(word))
-
-
-def all_ones_in(codeset: CodeSet) -> bool:
-    """Whether 1 + x + ... + x^(n-1) is a codeword."""
-    return (1,) * codeset.n in codeset.words
 
 
 def export_words(codeset: CodeSet) -> list[str]:

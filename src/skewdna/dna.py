@@ -10,9 +10,9 @@ Reversing the encoded DNA string also swaps the two bases inside each block,
 and swapping the coordinate pair of x is exactly the pair of theta(x).  So
 string reversal pulls back to the ring as "apply theta entrywise, then
 reverse the word" (theta_reverse below), and string reverse-complement
-additionally adds the all-ones word.  The checkers for reversible and
-reverse-complement closed codes work on ring words through this translation;
-encode/decode round-trip tests pin it to the string level.
+additionally adds the all-ones word.  The closure checks work on ring words
+through this translation; encode/decode round-trip tests pin it to the
+string level.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import skewpoly as sp
-from .algebra import _THETA as _TH, gray, gray_inverse, is_unit, r_inv, theta
+from .algebra import _THETA as _TH, gray, is_unit, r_inv
 from .codes import (
     FORM_UNIT,
     FORM_V,
@@ -28,10 +28,11 @@ from .codes import (
     CodeSet,
     SkewCyclicCode,
     Word,
+    in_span,
+    pack,
     poly_to_word,
     remainder_membership,
-    skew_shift,
-    word_to_poly,
+    unpack,
 )
 
 BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
@@ -93,41 +94,44 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 # ---------------------------------------------------------------------------
 # closure checks
 #
-# All three run on the materialized set and are pure definitions.  The map
-# c -> theta_reverse(c) is additive, and theta_reverse(lam * c) equals
-# theta(lam) * theta_reverse(c); codes are closed under scalars, so checking
-# the skew-shift orbit of the generators suffices for reversibility.  That
-# shortcut (reversible_by_remainder) avoids materializing and is cross-checked
-# against the exhaustive version in the tests.
+# Every code is a GF(2)-subspace, and theta_reverse and adding the all-ones
+# word are the two maps to test it against.  theta_reverse is GF(2)-linear,
+# so it maps the code into itself exactly when it maps each basis vector
+# into the span.  A subspace contains c + 1 for every c exactly when it
+# contains 1 = 0 + 1.  Reverse-complement closure, c -> theta_reverse(c) + 1,
+# follows: applied to 0 it demands the all-ones word, and then subtracting
+# that word leaves reversibility.  So all three decisions run on the basis
+# of the CodeSet and never enumerate its words; set-based definitions stay
+# in the tests as oracles.
 
 
 def is_reversible(codeset: CodeSet) -> bool:
-    words = codeset.words
-    return all(theta_reverse(w) in words for w in words)
-
-
-def is_reverse_complement_closed(codeset: CodeSet) -> bool:
-    words = codeset.words
-    return all(complement_word(theta_reverse(w)) in words for w in words)
+    n, basis = codeset.n, codeset.basis
+    return all(in_span(pack(theta_reverse(unpack(b, n))), basis) for b in basis)
 
 
 def is_complement_closed(codeset: CodeSet) -> bool:
-    words = codeset.words
-    return all(complement_word(w) in words for w in words)
+    return in_span(pack((1,) * codeset.n), codeset.basis)
+
+
+def is_reverse_complement_closed(codeset: CodeSet) -> bool:
+    return is_complement_closed(codeset) and is_reversible(codeset)
 
 
 def reversible_by_remainder(code: SkewCyclicCode) -> bool:
-    """Reversibility for a single unit-form generator, without materializing.
+    """Reversibility for a single unit-form generator g, without a basis.
 
-    Checks theta_reverse on the skew-shift orbit of the generator word; each
-    image is tested for membership by right remainder.
+    With sigma the skew shift, theta_reverse(sigma(c)) equals
+    sigma^-1(theta_reverse(c)), and theta_reverse(lam * c) equals
+    theta(lam) * theta_reverse(c).  The code <g> is the set of sums of
+    lam_j * sigma^j(g), so theta_reverse(<g>) is the set of sums of
+    theta(lam_j) * sigma^-j(theta_reverse(g)): the code generated by
+    theta_reverse(g), as sigma has finite order.  Both codes have the same
+    size, so <g> is reversible exactly when it contains theta_reverse(g),
+    which one right remainder decides.
     """
-    w = poly_to_word(code.generators[0], code.n)
-    for _ in range(code.n):
-        if not remainder_membership(code, theta_reverse(w)):
-            return False
-        w = skew_shift(w)
-    return True
+    g = poly_to_word(code.generators[0], code.n)
+    return remainder_membership(code, theta_reverse(g))
 
 
 # ---------------------------------------------------------------------------

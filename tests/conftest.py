@@ -1,14 +1,17 @@
-"""Shared fixtures: a deliberately naive closure oracle and reference data.
+"""Shared fixtures: deliberately naive oracles and reference data.
 
-The oracle rebuilds a code as a literal work-queue fixpoint (skew shift,
-all 16 scalar multiples, pairwise sums).  It is quadratic and slow on
+The closure oracle rebuilds a code as a literal work-queue fixpoint (skew
+shift, all 16 scalar multiples, pairwise sums).  It is quadratic and slow on
 purpose; the packed span engine is validated against it, never the other
-way around.
+way around.  The set oracles decide the DNA closure properties by their
+definitions, word by word over the enumerated code; the package decides
+them on the code's basis and is validated against these.
 """
 
 import pytest
 
 from skewdna import codes as cd
+from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna.algebra import r_mul
 
@@ -40,9 +43,34 @@ def naive_closure_impl(n, gens, cap=5000):
     return frozenset(words)
 
 
+def set_is_reversible(codeset):
+    words = codeset.words
+    return all(dna.theta_reverse(w) in words for w in words)
+
+
+def set_is_complement_closed(codeset):
+    words = codeset.words
+    return all(dna.complement_word(w) in words for w in words)
+
+
+def set_is_reverse_complement_closed(codeset):
+    words = codeset.words
+    return all(dna.complement_word(dna.theta_reverse(w)) in words for w in words)
+
+
 @pytest.fixture
 def naive_closure():
     return naive_closure_impl
+
+
+@pytest.fixture
+def set_oracles():
+    """(decision under test, set oracle) for each closure property."""
+    return (
+        (dna.is_reversible, set_is_reversible),
+        (dna.is_complement_closed, set_is_complement_closed),
+        (dna.is_reverse_complement_closed, set_is_reverse_complement_closed),
+    )
 
 
 @pytest.fixture

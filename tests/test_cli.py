@@ -1,6 +1,7 @@
 """CLI plumbing: output shapes, exit codes, fault injection."""
 
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,25 @@ def test_check_assert_exit_codes(capsys):
     # without --assert a failed property still exits 0: it is a report
     rc, out, _ = run(capsys, ["check"] + EX3 + ["--property", "reverse-complement"])
     assert rc == 0 and "fails" in out
+
+
+def test_coefficient_list_generator_matches_polynomial_text(capsys):
+    as_list = ["--n", "10", "--gen", "[1, 0, w+v, 0, 1]"]
+    for argv in (["build"], ["check", "--property", "reversible"]):
+        rc_list, doc_list = run_json(capsys, argv + as_list)
+        rc_text, doc_text = run_json(capsys, argv + EX1)
+        assert rc_list == rc_text == 0
+        assert doc_list == doc_text
+
+
+def test_check_at_the_default_cap_decides_on_the_basis(capsys):
+    # a v-shaped code of exactly 2^24 words: decided without enumerating it
+    argv = ["check", "--n", "14", "--gen", "v*x^2+v", "--property", "reversible"]
+    t0 = time.perf_counter()
+    rc, doc = run_json(capsys, argv)
+    assert time.perf_counter() - t0 < 5
+    assert rc == 0
+    assert doc["holds"] is True and doc["size"] == 1 << 24
 
 
 def test_check_quasi_cyclic(capsys):

@@ -155,11 +155,6 @@ def test_minimal_degree_scan_sixteen_words(sixteen_word_code):
     assert scan.all_factor
 
 
-def test_all_ones_membership(sixteen_word_code):
-    assert cd.all_ones_in(cd.materialize(cd.code_from_generator(2, (1, 1))))
-    assert not cd.all_ones_in(sixteen_word_code)
-
-
 def test_code_dict_round_trip():
     code = cd.code_from_generator(6, EX3)
     doc = cd.code_to_dict(code)

@@ -103,12 +103,39 @@ def test_plain_unit_code_not_reversible():
     assert not dna.is_reversible(cs)
 
 
-def test_remainder_reversibility_agrees_with_exhaustive():
-    for n in (2, 3, 4):
+def _oracle_sweep():
+    """Every single-generator code at n = 2..5 and the v and v+1 codes at
+    n = 6; then two-generator codes: <v*g1, (v+1)*g2> at n = 4, seeded
+    random pairs at n = 3, and <v(x+1), x^2+x+1> at n = 3."""
+    for n in (2, 3, 4, 5, 6):
+        shapes = ("v", "v1") if n == 6 else ("unit", "v", "v1")
         for t in range(1, n):
-            for g in cd.enumerate_right_divisors(n, t):
-                code = cd.code_from_generator(n, g)
-                assert dna.reversible_by_remainder(code) == dna.is_reversible(cd.materialize(code))
+            for shape in shapes:
+                for g in cd.enumerate_right_divisors(n, t, leading=shape):
+                    yield cd.code_from_generator(n, g)
+    for t1, t2 in itertools.product(range(1, 4), repeat=2):
+        for g1 in cd.enumerate_right_divisors(4, t1, leading=cd.FORM_V):
+            for g2 in cd.enumerate_right_divisors(4, t2, leading=cd.FORM_V1):
+                yield cd.code_from_generators(4, [g1, g2])
+    rng = random.Random(17)
+    for _ in range(40):
+        gens = [sp.normalize(rng.randrange(16) for _ in range(3)) for _ in range(2)]
+        if all(gens):
+            yield cd.code_from_generators(3, gens)
+    yield cd.code_from_generators(3, [(4, 4), (1, 1, 1)])
+
+
+def test_basis_closure_decisions_agree_with_set_oracles(set_oracles):
+    disagreements = []
+    for code in _oracle_sweep():
+        cs = cd.materialize(code)
+        for decide, oracle in set_oracles:
+            if decide(cs) != oracle(cs):
+                disagreements.append((code, decide.__name__))
+        if code.forms == (cd.FORM_UNIT,):
+            if dna.reversible_by_remainder(code) != dna.is_reversible(cs):
+                disagreements.append((code, "reversible_by_remainder"))
+    assert disagreements == []
 
 
 # classification: frozen outputs for the worked examples
