@@ -48,10 +48,6 @@ def lee_distance(u: Word, w: Word) -> int:
     return sum(LEE_WEIGHT[a ^ b] for a, b in zip(u, w))
 
 
-def gf4_hamming_weight(img: Gf4Word) -> int:
-    return sum(1 for c in img if c)
-
-
 def _weigher(metric: str):
     try:
         return {"hamming": hamming_weight, "lee": lee_weight}[metric]
@@ -62,14 +58,7 @@ def _weigher(metric: str):
 def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     """Minimum distance of an F2-additive code: least nonzero-word weight."""
     weigh = _weigher(metric)
-    zero = (0,) * codeset.n
-    best = None
-    for w in codeset.words:
-        if w == zero:
-            continue
-        wt = weigh(w)
-        if best is None or wt < best:
-            best = wt
+    best = min((weigh(w) for w in codeset.words if any(w)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best
@@ -132,7 +121,7 @@ def gray_image_report(codeset: CodeSet) -> GrayImageReport:
     identity = all(image_shift_commutes(w) for w in codeset.words)
     closed = all(swap_adjacent_pairs(rotate_right2(img)) in images for img in images)
     zero = (0,) * (2 * codeset.n)
-    gmin = min(gf4_hamming_weight(img) for img in images if img != zero)
+    gmin = min(hamming_weight(img) for img in images if img != zero)
     return GrayImageReport(
         n=codeset.n,
         size=codeset.size,

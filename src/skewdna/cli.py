@@ -237,12 +237,13 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _add_code_args(p: argparse.ArgumentParser) -> None:
+def _add_code_args(p: argparse.ArgumentParser, cap: bool = True) -> None:
     p.add_argument("--n", type=int, required=True, help="code length")
     p.add_argument("--gen", required=True,
                    help="generator polynomial text or ascending coefficient list")
-    p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
-                   help="largest code size to materialize")
+    if cap:
+        p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
+                       help="largest code size to materialize")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--format", choices=("text", "structured"), default="text",
                        help="output format (structured = JSON)")
         return p
@@ -268,8 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
                    help="largest candidate count to search")
 
-    p = add("build", "construct a code and report its shape and size")
-    _add_code_args(p)
+    p = add("build", "construct a code and report its shape, its size and what "
+                     "the paper's rules predict; the predictions include the two "
+                     "refuted rules, and check decides each property exactly")
+    _add_code_args(p, cap=False)
 
     p = add("check", "test a DNA property of a code")
     _add_code_args(p)

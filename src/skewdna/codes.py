@@ -252,6 +252,15 @@ def membership(codeset: CodeSet, word: Word) -> bool:
     return in_span(pack(word), codeset.basis)
 
 
+def is_plain_cyclic(codeset: CodeSet) -> bool:
+    """Closure under the plain cyclic shift (no theta).  The rotation is a
+    GF(2)-linear permutation of packed words, so it maps the code into
+    itself exactly when it maps each basis vector into the span."""
+    n, basis = codeset.n, codeset.basis
+    mask = (1 << (4 * n)) - 1
+    return all(in_span(((b << 4) | (b >> (4 * (n - 1)))) & mask, basis) for b in basis)
+
+
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
     """Fast membership for a single unit-form generator: remainder == 0."""
     if len(code.generators) != 1 or code.forms[0] != FORM_UNIT:
@@ -353,20 +362,29 @@ class MinimalDegreeReport:
 
 
 def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:
-    best: int | None = None
-    found: list[sp.Poly] = []
-    for w in codeset.words:
-        f = word_to_poly(w)
-        if not f or is_unit(f[-1]):
-            continue
-        d = len(f) - 1
-        if best is None or d < best:
-            best, found = d, [f]
-        elif d == best:
-            found.append(f)
-    if best is None:
+    """The minimal-degree words with a non-unit leading coefficient, read
+    off the basis without enumerating the code.
+
+    The basis pivots (top bits) are distinct, so a nonzero sum of basis
+    vectors has the top bit of its highest pivot, and its degree is that
+    pivot's entry.  Let d be the least pivot entry: no nonzero word has
+    degree below d, and the words of degree d are exactly the nonzero sums
+    of the basis vectors whose pivot lies in entry d, at most 4 of them.
+    If such a word has a unit leading coefficient u, v times it is a word
+    of degree d led by the nonzero non-unit v*u, so d is also the least
+    degree of a word with a non-unit leading coefficient.  Only the zero
+    code has none.
+    """
+    basis, n = codeset.basis, codeset.n
+    if not basis:
         return MinimalDegreeReport(False, None, (), (), None)
-    found.sort()
+    best = min(b.bit_length() - 1 for b in basis) // 4
+    sums = [0]
+    for b in basis:
+        if (b.bit_length() - 1) // 4 == best:
+            sums += [s ^ b for s in sums]
+    found = sorted(f for f in (word_to_poly(unpack(s, n)) for s in sums[1:])
+                   if not is_unit(f[-1]))
     forms = tuple(_nonunit_factor_form(f) for f in found)
     return MinimalDegreeReport(
         True, best, tuple(found), forms, all(fm is not None for fm in forms)

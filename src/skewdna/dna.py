@@ -143,12 +143,15 @@ class DnaClassification:
     """What the structural rules predict for a single-generator code.
 
     predicted_* fields are "yes", "no" or "unknown"; "unknown" means no rule
-    with matching hypotheses applies.  The predictions come from the
-    generator's shape alone (plus cheap remainder membership for the
-    all-ones word); they are NOT verified against the materialized code
-    here.  The verification sweeps do exactly that comparison, and the
-    impossibility rule for v-shaped generators is known to disagree with
-    brute force on collapsing instances; see the verify module.
+    with matching hypotheses applies.  The predictions follow the paper's
+    rules from the generator's shape alone (plus cheap remainder membership
+    for the all-ones word), including the two rules the verification sweeps
+    refute: that v- and (v+1)-shaped generators give no reversible code at
+    odd length or odd degree, and no complement-closed code at all.  So a
+    prediction can be wrong: <v*x^2 + v*x + v> at n = 3 is predicted "no"
+    twice, yet is reversible and reverse-complement closed.
+    is_reversible, is_complement_closed and is_reverse_complement_closed
+    (the check command) decide each property exactly.
     """
 
     n: int

@@ -28,6 +28,11 @@ from .algebra import (
 
 Poly = tuple[int, ...]
 
+# The largest degree a parsed power or product may have.  It bounds the
+# parser's work (a product costs at most the product of its factors'
+# lengths), so hostile text such as "x^100000000" is refused at once.
+MAX_PARSE_DEGREE = 1 << 12
+
 
 def normalize(coeffs) -> Poly:
     """Tuple with trailing zeros stripped; () is the zero polynomial."""
@@ -249,32 +254,43 @@ def _parse_expr(ts: _Tokens) -> Poly:
     return acc
 
 
+def _check_degree(deg: int) -> None:
+    if deg > MAX_PARSE_DEGREE:
+        raise ValueError(f"degree {deg} exceeds the parser's limit of {MAX_PARSE_DEGREE}")
+
+
 def _parse_term(ts: _Tokens) -> Poly:
     acc = _parse_factor(ts)
     while True:
         nxt = ts.peek()
         if nxt == "*":
             ts.take()
-            acc = mul(acc, _parse_factor(ts))
-        elif nxt == "(" or (nxt is not None and nxt[0].isalnum() and nxt not in ("^",)):
-            # implicit product, e.g. "v(x^4 + x^2 + 1)"
-            acc = mul(acc, _parse_factor(ts))
-        else:
+        elif not (nxt == "(" or (nxt is not None and nxt[0].isalnum())):
             return acc
+        # explicit or implicit product, e.g. "v(x^4 + x^2 + 1)"
+        factor = _parse_factor(ts)
+        _check_degree(len(acc) + len(factor) - 2)
+        acc = mul(acc, factor)
 
 
 def _parse_factor(ts: _Tokens) -> Poly:
     base = _parse_atom(ts)
-    if ts.peek() == "^":
-        ts.take()
-        exp_tok = ts.take()
-        if not exp_tok.isdigit():
-            raise ValueError(f"bad exponent {exp_tok!r}")
-        out: Poly = (1,)
-        for _ in range(int(exp_tok)):
+    if ts.peek() != "^":
+        return base
+    ts.take()
+    exp_tok = ts.take()
+    if not exp_tok.isdigit():
+        raise ValueError(f"bad exponent {exp_tok!r}")
+    e = int(exp_tok)
+    _check_degree(max(len(base) - 1, 0) * e)
+    out: Poly = (1,)  # base^e by repeated squaring
+    while e:
+        if e & 1:
             out = mul(out, base)
-        return out
-    return base
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
 
 
 def _parse_atom(ts: _Tokens) -> Poly:

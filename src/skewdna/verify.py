@@ -26,6 +26,7 @@ counterexamples they find:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -35,7 +36,8 @@ from . import analysis as an
 from . import codes as cd
 from . import dna
 from . import skewpoly as sp
-from .algebra import ELEMENTS, UNITS, gf4_token, gray, parts, r_mul, r_token
+from .algebra import (ELEMENTS, UNITS, from_parts, gf4_inv, gf4_mul, gf4_token, gray,
+                      parts, r_mul, r_token)
 
 DEFAULT_SEED = 20902
 
@@ -90,20 +92,30 @@ def _timed(func):
 # ---------------------------------------------------------------------------
 # sweep inventory
 #
-# Checks 6, 7, 8, 9 and 12 all quantify over "every single-generator code"
-# of some shape at small lengths.  The inventory enumerates (n, t, shape,
-# generator) tuples.  Closure properties are decided on each code's basis,
-# whatever its size.  Checks 9 and 12 also walk every word of each code, so
-# they sweep only codes of at most MATERIALIZE_LIMIT words; that bound fixes
-# their inventories.
+# Checks 6, 7, 8, 9 and 12 sweep every single-generator code of some shapes
+# at small lengths, sharing (n, t, shape) divisor lists that run_all
+# enumerates once.  CodeSets are rebuilt per check, so words one check walks
+# are not kept alive.  MATERIALIZE_LIMIT only fixes the frozen inventories of
+# checks 9 and 12 (290 and 326 codes), the codes of at most that many words.
 
 MATERIALIZE_LIMIT = 1 << 16
 
 
-def iter_generators(n: int, t: int, shapes=("unit", "v", "v1")):
-    for shape in shapes:
-        for g in cd.enumerate_right_divisors(n, t, leading=shape):
-            yield shape, g
+@functools.cache
+def _divisors(n: int, t: int, shape: str) -> tuple[sp.Poly, ...]:
+    # resolved on cd at call time, so a wrapper put there sees each enumeration
+    return tuple(cd.enumerate_right_divisors(n, t, leading=shape))
+
+
+def _sweep(spots, shapes=("unit", "v", "v1"), limit=None):
+    """(n, shape, g, codeset) for each divisor g of each (n, t) spot and
+    shape, codes of more than limit words left out."""
+    for n, t in spots:
+        for shape in shapes:
+            for g in _divisors(n, t, shape):
+                cs = cd.materialize(cd.code_from_generator(n, g))
+                if limit is None or cs.size <= limit:
+                    yield n, shape, g, cs
 
 
 def _g_desc(n: int, shape: str, g: sp.Poly) -> str:
@@ -139,8 +151,6 @@ def check_unit_inverse_formula() -> CheckResult:
     expected_units = {x for x in ELEMENTS if parts(x)[0] and parts(x)[0] ^ parts(x)[1]}
     if expected_units != set(UNITS) or len(UNITS) != 9:
         bad.append(f"unit set mismatch: {sorted(UNITS)}")
-    from .algebra import gf4_inv, gf4_mul, from_parts
-
     for lam in sorted(UNITS):
         a, b = parts(lam)
         formula = from_parts(gf4_inv(a), gf4_mul(b, b))
@@ -154,46 +164,36 @@ def check_unit_inverse_formula() -> CheckResult:
     )
 
 
+def _worked_divisor(name: str, n: int, text: str, kind: str, is_kind) -> CheckResult:
+    g = sp.parse_poly(text)
+    code = cd.code_from_generator(n, g)
+    bad = []
+    if not sp.right_divides(g, sp.x_pow_minus_one(n)):
+        bad.append(f"does not right-divide x^{n} - 1")
+    if not is_kind(g):
+        bad.append(f"not {kind}")
+    if code.forms != (cd.FORM_UNIT,):
+        bad.append(f"unexpected form {code.forms}")
+    # 16^(n-t) words: reversibility via the remainder membership path
+    if not dna.reversible_by_remainder(code):
+        bad.append("remainder-path reversibility check failed")
+    summary = f"length-{n} {kind} generator: divisibility + reversibility"
+    return CheckResult(name, not bad, summary, bad)
+
+
 @_timed
 def check_palindromic_divisor_length10() -> CheckResult:
     """x^4+(v+w)x^2+1 right-divides x^10-1, is palindromic, code reversible."""
-    g = sp.parse_poly("x^4 + (v+w)*x^2 + 1")
-    bad = []
-    if not sp.right_divides(g, sp.x_pow_minus_one(10)):
-        bad.append("does not right-divide x^10 - 1")
-    if not sp.is_palindromic(g):
-        bad.append("not palindromic")
-    code = cd.code_from_generator(10, g)
-    if code.forms != (cd.FORM_UNIT,):
-        bad.append(f"unexpected form {code.forms}")
-    # 16^6 words: reversibility via the remainder membership path
-    if not dna.reversible_by_remainder(code):
-        bad.append("remainder-path reversibility check failed")
-    return CheckResult(
-        name="palindromic-divisor-length-10",
-        passed=not bad,
-        summary="length-10 palindromic generator: divisibility + reversibility",
-        details=bad,
-    )
+    return _worked_divisor("palindromic-divisor-length-10", 10, "x^4 + (v+w)*x^2 + 1",
+                           "palindromic", sp.is_palindromic)
 
 
 @_timed
 def check_theta_palindromic_divisor_length12() -> CheckResult:
     """x^3+(v+w2)x^2+(v+w)x+1 right-divides x^12-1 and is theta-palindromic."""
-    g = sp.parse_poly("x^3 + (v+w2)*x^2 + (v+w)*x + 1")
-    bad = []
-    if not sp.right_divides(g, sp.x_pow_minus_one(12)):
-        bad.append("does not right-divide x^12 - 1")
-    if not sp.is_theta_palindromic(g):
-        bad.append("not theta-palindromic")
-    if not dna.reversible_by_remainder(cd.code_from_generator(12, g)):
-        bad.append("remainder-path reversibility check failed")
-    return CheckResult(
-        name="theta-palindromic-divisor-length-12",
-        passed=not bad,
-        summary="length-12 theta-palindromic generator: divisibility + reversibility",
-        details=bad,
-    )
+    return _worked_divisor("theta-palindromic-divisor-length-12", 12,
+                           "x^3 + (v+w2)*x^2 + (v+w)*x + 1",
+                           "theta-palindromic", sp.is_theta_palindromic)
 
 
 @_timed
@@ -226,13 +226,10 @@ def check_even_length_even_degree_rule() -> CheckResult:
     """Even n, even degree, every shape: reversible iff generator palindromic."""
     bad = []
     total = 0
-    for n in (2, 4, 6):
-        for t in range(2, n, 2):
-            for shape, g in iter_generators(n, t):
-                code = cd.code_from_generator(n, g)
-                total += 1
-                if dna.is_reversible(cd.materialize(code)) != sp.is_palindromic(g):
-                    bad.append(_g_desc(n, shape, g))
+    for n, shape, g, cs in _sweep((n, t) for n in (2, 4, 6) for t in range(2, n, 2)):
+        total += 1
+        if dna.is_reversible(cs) != sp.is_palindromic(g):
+            bad.append(_g_desc(n, shape, g))
     return CheckResult(
         name="even-length-even-degree-rule",
         passed=not bad,
@@ -246,15 +243,12 @@ def check_even_length_odd_degree_rule() -> CheckResult:
     """Even n, odd degree, unit-monic: reversible iff a0*g is theta-palindromic."""
     bad = []
     total = 0
-    for n in (4, 6):
-        for t in range(1, n, 2):
-            for g in cd.enumerate_right_divisors(n, t):
-                code = cd.code_from_generator(n, g)
-                total += 1
-                rev = dna.is_reversible(cd.materialize(code))
-                tpal = sp.is_theta_palindromic(sp.scale(g[0], g))
-                if rev != tpal:
-                    bad.append(_g_desc(n, "unit", g) + f": reversible={rev}")
+    spots = [(n, t) for n in (4, 6) for t in range(1, n, 2)]
+    for n, shape, g, cs in _sweep(spots, shapes=("unit",)):
+        total += 1
+        rev = dna.is_reversible(cs)
+        if rev != sp.is_theta_palindromic(sp.scale(g[0], g)):
+            bad.append(_g_desc(n, shape, g) + f": reversible={rev}")
     return CheckResult(
         name="even-length-odd-degree-rule",
         passed=not bad,
@@ -273,28 +267,21 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
     the code contains g1 and can be reversible; similar cofactor accidents
     exist at even lengths.  Counterexamples are listed in the details.
     """
+    odd = [(n, t) for n in (3, 5) for t in range(1, n)]
     bad_cyclic = []
     total_cyclic = 0
-    for n in (3, 5):
-        for t in range(1, n):
-            for shape, g in iter_generators(n, t):
-                cs = cd.materialize(cd.code_from_generator(n, g))
-                total_cyclic += 1
-                for w in cs.words:
-                    if (w[-1],) + w[:-1] not in cs.words:
-                        bad_cyclic.append(_g_desc(n, shape, g))
-                        break
+    for n, shape, g, cs in _sweep(odd):
+        total_cyclic += 1
+        if not cd.is_plain_cyclic(cs):
+            bad_cyclic.append(_g_desc(n, shape, g))
 
     bad_rev = []
     total_rev = 0
-    spots = [(n, t) for n in (3, 5) for t in range(1, n)]
-    spots += [(n, t) for n in (4, 6) for t in range(1, n, 2)]
-    for n, t in spots:
-        for shape, g in iter_generators(n, t, shapes=("v", "v1")):
-            cs = cd.materialize(cd.code_from_generator(n, g))
-            total_rev += 1
-            if dna.is_reversible(cs):
-                bad_rev.append(_g_desc(n, shape, g) + f" is reversible ({cs.size} words)")
+    spots = odd + [(n, t) for n in (4, 6) for t in range(1, n, 2)]
+    for n, shape, g, cs in _sweep(spots, shapes=("v", "v1")):
+        total_rev += 1
+        if dna.is_reversible(cs):
+            bad_rev.append(_g_desc(n, shape, g) + f" is reversible ({cs.size} words)")
 
     details = [f"plain-shift closure: {total_cyclic} codes, {len(bad_cyclic)} failures"]
     details += bad_cyclic
@@ -331,24 +318,17 @@ def check_reverse_complement_rules() -> CheckResult:
     bad_iff = []
     bad_comp = []
     total = 0
-    for n in (2, 4, 6):
-        for t in range(1, n):
-            for shape, g in iter_generators(n, t):
-                try:
-                    cs = cd.materialize(cd.code_from_generator(n, g), cap=MATERIALIZE_LIMIT)
-                except cd.SizeCapExceeded:
-                    continue
-                total += 1
-                # no local alias of cs.words, so each code's words are freed
-                # before the next code's are enumerated
-                rc = all(dna.complement_word(dna.theta_reverse(w)) in cs.words
-                         for w in cs.words)
-                rev = dna.is_reversible(cs)
-                ones = dna.is_complement_closed(cs)
-                if rc != (rev and ones):
-                    bad_iff.append(_g_desc(n, shape, g))
-                if shape != "unit" and ones:
-                    bad_comp.append(_g_desc(n, shape, g) + " is complement-closed")
+    spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
+    for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
+        total += 1
+        # no local alias of cs.words, so each code's words are freed before
+        # the next code's are enumerated
+        rc = all(dna.complement_word(dna.theta_reverse(w)) in cs.words for w in cs.words)
+        ones = dna.is_complement_closed(cs)
+        if rc != (dna.is_reversible(cs) and ones):
+            bad_iff.append(_g_desc(n, shape, g))
+        if shape != "unit" and ones:
+            bad_comp.append(_g_desc(n, shape, g) + " is complement-closed")
     details = [f"{total} codes; equivalence failures: {len(bad_iff)}"]
     details += bad_iff
     details.append(f"complement-closed non-unit codes: {len(bad_comp)}")
@@ -430,22 +410,15 @@ def check_minimal_degree_forms() -> CheckResult:
     bad = []
     total = 0
     scanned = 0
-    for n in (2, 3, 4, 5, 6):
-        for t in range(1, n):
-            for shape, g in iter_generators(n, t):
-                try:
-                    cs = cd.materialize(cd.code_from_generator(n, g), cap=MATERIALIZE_LIMIT)
-                except cd.SizeCapExceeded:
-                    continue
-                total += 1
-                report = cd.minimal_degree_scan(cs)
-                if report.exists:
-                    scanned += 1
-                    if not report.all_factor:
-                        bad.append(
-                            _g_desc(n, shape, g)
-                            + f": degree {report.degree} offenders {report.forms}"
-                        )
+    spots = [(n, t) for n in range(2, 7) for t in range(1, n)]
+    for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
+        total += 1
+        report = cd.minimal_degree_scan(cs)
+        if report.exists:
+            scanned += 1
+            if not report.all_factor:
+                bad.append(_g_desc(n, shape, g)
+                           + f": degree {report.degree} offenders {report.forms}")
     return CheckResult(
         name="minimal-degree-forms",
         passed=not bad,
@@ -471,10 +444,6 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    results = []
-    for check in ALL_CHECKS:
-        if check in (check_image_rotation_identity, check_distance_preservation):
-            results.append(check(seed=seed))
-        else:
-            results.append(check())
-    return results
+    _divisors.cache_clear()  # each run enumerates each divisor list once
+    seeded = (check_image_rotation_identity, check_distance_preservation)
+    return [check(seed=seed) if check in seeded else check() for check in ALL_CHECKS]

@@ -5,7 +5,9 @@ shift, all 16 scalar multiples, pairwise sums).  It is quadratic and slow on
 purpose; the packed span engine is validated against it, never the other
 way around.  The set oracles decide the DNA closure properties by their
 definitions, word by word over the enumerated code; the package decides
-them on the code's basis and is validated against these.
+them on the code's basis and is validated against these, as are the
+plain-shift decision and the minimal-degree scan, which read the basis; their
+oracles walk every word.
 """
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import r_mul
+from skewdna.algebra import is_unit, r_mul
 
 # transcribed by hand: the sixteen DNA strings of the length-6 code
 # generated by v(x^4 + x^2 + 1)
@@ -58,6 +60,33 @@ def set_is_reverse_complement_closed(codeset):
     return all(dna.complement_word(dna.theta_reverse(w)) in words for w in words)
 
 
+def set_is_plain_cyclic(codeset):
+    words = codeset.words
+    return all((w[-1],) + w[:-1] in words for w in words)
+
+
+def naive_minimal_degree_scan(codeset):
+    """minimal_degree_scan by its definition: every codeword is walked."""
+    best = None
+    found = []
+    for w in codeset.words:
+        f = cd.word_to_poly(w)
+        if not f or is_unit(f[-1]):
+            continue
+        d = len(f) - 1
+        if best is None or d < best:
+            best, found = d, [f]
+        elif d == best:
+            found.append(f)
+    if best is None:
+        return cd.MinimalDegreeReport(False, None, (), (), None)
+    found.sort()
+    forms = tuple(cd._nonunit_factor_form(f) for f in found)
+    return cd.MinimalDegreeReport(
+        True, best, tuple(found), forms, all(fm is not None for fm in forms)
+    )
+
+
 @pytest.fixture
 def naive_closure():
     return naive_closure_impl
@@ -71,6 +100,12 @@ def set_oracles():
         (dna.is_complement_closed, set_is_complement_closed),
         (dna.is_reverse_complement_closed, set_is_reverse_complement_closed),
     )
+
+
+@pytest.fixture(scope="session")
+def word_walk_oracles():
+    """(minimal-degree scan, plain-shift closure), each walking every word."""
+    return naive_minimal_degree_scan, set_is_plain_cyclic
 
 
 @pytest.fixture

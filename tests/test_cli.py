@@ -124,6 +124,39 @@ def test_check_falls_back_to_remainder_above_cap(capsys):
     assert doc["holds"] is True and doc["via"] == "remainder"
 
 
+def test_hostile_power_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, ["build", "--n", "6", "--gen", "x^100000000+1"])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 2
+    assert "limit" in err
+
+
+def test_cap_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build"] + EX3 + ["--cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+    # the other three read it: the 16-word code fits a cap of 16, not of 15
+    for argv in (["check"] + EX3 + ["--property", "complement"], ["dna"] + EX3,
+                 ["distance"] + EX3):
+        assert run(capsys, argv + ["--cap", "16"])[0] == 0
+        assert run(capsys, argv + ["--cap", "15"])[0] == 3
+
+
+def test_build_predictions_can_disagree_with_check(capsys):
+    # build follows the paper's rules, refuted ones included; check decides
+    gen = ["--n", "3", "--gen", "v*x^2+v*x+v"]
+    rc, doc = run_json(capsys, ["build"] + gen)
+    assert rc == 0
+    assert doc["leading_form"] == "v" and doc["size"] == 16
+    assert doc["predicted_reversible"] == "no"
+    assert doc["predicted_reverse_complement"] == "no"
+    for prop in ("reversible", "reverse-complement"):
+        rc, doc = run_json(capsys, ["check"] + gen + ["--property", prop, "--assert"])
+        assert rc == 0 and doc["holds"] is True
+
+
 def test_parse_error_exit(capsys):
     rc, _, err = run(capsys, ["check", "--n", "6", "--gen", "v(x^4+", "--property", "reversible"])
     assert rc == 2

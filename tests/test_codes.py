@@ -155,6 +155,59 @@ def test_minimal_degree_scan_sixteen_words(sixteen_word_code):
     assert scan.all_factor
 
 
+def _word_walk_codes():
+    """Every single-generator code of at most 2^16 words at n = 1..6 in all
+    three shapes (degree 0 included, so n = 1 has codes), then seeded random
+    two-generator codes of at most 2^12 words at n = 2..4."""
+    constants = {cd.FORM_UNIT: (1,), cd.FORM_V: (4,), cd.FORM_V1: (5,)}
+    for n in range(1, 7):
+        for t in range(n):
+            for shape in (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1):
+                gens = cd.enumerate_right_divisors(n, t, leading=shape) if t else [constants[shape]]
+                for g in gens:
+                    yield cd.code_from_generator(n, g), 1 << 16
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        gens = [sp.normalize(rng.randrange(16) for _ in range(n)) for _ in range(2)]
+        if all(gens):
+            yield cd.code_from_generators(n, gens), 1 << 12
+
+
+@pytest.fixture(scope="module")
+def word_walks(word_walk_oracles):
+    """(code, naive minimal-degree report, naive plain-shift closure); each
+    code's words are walked once, on a CodeSet that is then dropped."""
+    naive_scan, naive_cyclic = word_walk_oracles
+    walks = []
+    for code, limit in _word_walk_codes():
+        cs = cd.materialize(code)
+        if cs.size <= limit:
+            walks.append((code, naive_scan(cs), naive_cyclic(cs)))
+    return walks
+
+
+def test_minimal_degree_scan_agrees_with_word_walk(word_walks):
+    assert len(word_walks) == 375  # 340 single-generator, 35 random two-generator
+    bad = [code for code, report, _ in word_walks
+           if cd.minimal_degree_scan(cd.materialize(code)) != report]
+    assert bad == []
+
+
+def test_plain_cyclic_decision_agrees_with_set_definition(word_walks):
+    verdicts = [(code.n, cd.is_plain_cyclic(cd.materialize(code)), closed)
+                for code, _, closed in word_walks if code.n >= 2]
+    assert [v for v in verdicts if v[1] != v[2]] == []
+    # odd lengths are always closed; even lengths give the negative control
+    assert all(closed for n, _, closed in verdicts if n % 2)
+    assert {closed for n, _, closed in verdicts if n % 2 == 0} == {True, False}
+
+
+def test_minimal_degree_scan_of_the_zero_code():
+    zero = cd.CodeSet(cd.code_from_generator(2, (1, 1)), ())
+    assert cd.minimal_degree_scan(zero) == cd.MinimalDegreeReport(False, None, (), (), None)
+
+
 def test_code_dict_round_trip():
     code = cd.code_from_generator(6, EX3)
     doc = cd.code_to_dict(code)

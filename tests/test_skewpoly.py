@@ -1,6 +1,7 @@
 """Skew polynomial arithmetic: the twist, right division, palindromes, text."""
 
 import random
+import time
 
 import pytest
 
@@ -173,3 +174,30 @@ def test_parse_errors(bad):
 
 def test_coeff_list_str():
     assert sp.coeff_list_str((V, 0, V, 0, V)) == "[v, 0, v, 0, v]"
+
+
+def test_parse_powers_match_repeated_products():
+    # a noncommuting base, so the squaring order matters if anything does
+    base = sp.parse_poly("v*x + w")
+    expected = (1,)
+    for e in range(20):
+        assert sp.parse_poly(f"(v*x + w)^{e}") == expected
+        expected = sp.mul(expected, base)
+
+
+def test_parse_degree_limit():
+    limit = sp.MAX_PARSE_DEGREE
+    assert len(sp.parse_poly(f"x^{limit}")) == limit + 1
+    for text in (f"x^{limit + 1}", f"(x^2 + 1)^{limit // 2 + 1}", f"x^{limit} * x",
+                 f"x^{limit}(x + 1)", "x^100000000 + 1"):
+        with pytest.raises(ValueError, match="limit"):
+            sp.parse_poly(text)
+
+
+def test_largest_dense_power_parses_quickly():
+    e = sp.MAX_PARSE_DEGREE - 1  # x + w + v to a power of two is sparse
+    t0 = time.perf_counter()
+    f = sp.parse_poly(f"(x + w+v)^{e}")
+    assert time.perf_counter() - t0 < 2
+    assert len(f) == e + 1
+    assert sum(1 for c in f if c) > e // 2
