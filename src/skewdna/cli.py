@@ -12,8 +12,13 @@ Generators are written either as polynomial text in x over the ring
 (tokens 0, 1, w, w2, v, products like w2*v, parentheses, ^ for powers)
 or as an ascending coefficient list such as "[1, w+v, 1]".
 
+check decides on the code's GF(2) basis at any size; dna and distance walk
+every word and refuse codes above --cap.  --n is at most
+skewpoly.MAX_PARSE_DEGREE (4096), checked before any work.
+
 Exit codes: 0 success; 1 a requested property or verification check
-failed; 2 input could not be parsed; 3 a size or search cap was hit.
+failed; 2 input could not be parsed or is out of range; 3 a size or search
+cap was hit.
 Every subcommand takes --format structured to emit JSON instead of text.
 All output is deterministic; the one randomized sweep takes --seed.
 """
@@ -125,62 +130,37 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _check_by_remainder(code: cd.SkewCyclicCode, prop: str) -> bool | None:
-    """Cap-free fallback for single unit-form generators.
-
-    Complement closure of an additive code is equivalent to containing the
-    all-ones word, and reverse-complement closure to that plus
-    reversibility, so everything reduces to remainder membership.
-    """
-    if code.forms != (cd.FORM_UNIT,):
-        return None
-    ones = (1,) * code.n
-    if prop == "reversible":
-        return dna.reversible_by_remainder(code)
-    if prop == "complement":
-        return cd.remainder_membership(code, ones)
-    if prop == "reverse-complement":
-        return dna.reversible_by_remainder(code) and cd.remainder_membership(code, ones)
-    return None
-
-
 def _cmd_check(args) -> int:
     g = sp.parse_poly(args.gen)
-    code = cd.code_from_generator(args.n, g)
+    cs = cd.materialize(cd.code_from_generator(args.n, g))
     prop = args.property
-    via = "materialized"
-    size = None
-    try:
-        cs = cd.materialize(code, cap=args.cap)
-    except cd.SizeCapExceeded:
-        holds = _check_by_remainder(code, prop)
-        if holds is None:
-            raise
-        via = "remainder"
-    else:
-        size = cs.size
-        if prop == "reversible":
-            holds = dna.is_reversible(cs)
-        elif prop == "complement":
-            holds = dna.is_complement_closed(cs)
-        elif prop == "reverse-complement":
-            holds = dna.is_reverse_complement_closed(cs)
-        else:  # quasi-cyclic: the image identity plus image closure
-            report = an.gray_image_report(cs)
-            holds = report.identity_holds and report.image_closed
+    holds = {  # quasi-cyclic: the image identity plus image closure
+        "reversible": dna.is_reversible, "complement": dna.is_complement_closed,
+        "reverse-complement": dna.is_reverse_complement_closed,
+        "quasi-cyclic": lambda c: all(an.image_rotation_on_basis(c)),
+    }[prop](cs)
     doc = {"command": "check", "n": args.n, "generator": _coeff_tokens(g),
-           "property": prop, "holds": holds, "via": via, "size": size}
+           "property": prop, "holds": holds, "size": cs.size}
     verdict = "holds" if holds else "fails"
-    text = [f"{prop} {verdict} for <{sp.format_poly(g)}> at length {args.n} ({via})"]
+    text = [f"{prop} {verdict} for <{sp.format_poly(g)}> at length {args.n}"]
     _emit(args, doc, text)
     if getattr(args, "assert_") and not holds:
         return 1
     return 0
 
 
-def _cmd_dna(args) -> int:
+def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
+    """Generator and code for dna and distance, which walk every word."""
     g = sp.parse_poly(args.gen)
-    cs = cd.materialize(cd.code_from_generator(args.n, g), cap=args.cap)
+    cs = cd.materialize(cd.code_from_generator(args.n, g))
+    if cs.size > args.cap:
+        raise cd.SizeCapExceeded(f"code has 2^{len(cs.basis)} words, above the cap of "
+                                 f"{args.cap}; raise --cap to enumerate anyway")
+    return g, cs
+
+
+def _cmd_dna(args) -> int:
+    g, cs = _enumerable(args)
     strings = dna.encode_codeset(cs)
     if args.fasta:
         text = []
@@ -196,8 +176,7 @@ def _cmd_dna(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    g = sp.parse_poly(args.gen)
-    cs = cd.materialize(cd.code_from_generator(args.n, g), cap=args.cap)
+    g, cs = _enumerable(args)
     d = an.min_distance(cs, args.metric)
     doc = {"command": "distance", "n": args.n, "generator": _coeff_tokens(g),
            "metric": args.metric, "min_distance": d, "size": cs.size}
@@ -237,13 +216,20 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def code_length(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= sp.MAX_PARSE_DEGREE:
+        raise argparse.ArgumentTypeError(f"length {n} is outside 1..{sp.MAX_PARSE_DEGREE}")
+    return n
+
+
 def _add_code_args(p: argparse.ArgumentParser, cap: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True, help="code length")
+    p.add_argument("--n", type=code_length, required=True, help="code length")
     p.add_argument("--gen", required=True,
                    help="generator polynomial text or ascending coefficient list")
     if cap:
         p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
-                       help="largest code size to materialize")
+                       help="largest code size to enumerate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("table1", "print the 16-row element / Gray pair / DNA 2-base table")
 
     p = add("divisors", "list right divisors of x^n - 1 of a given degree")
-    p.add_argument("--n", type=int, required=True, help="code length")
+    p.add_argument("--n", type=code_length, required=True, help="code length")
     p.add_argument("--degree", type=int, required=True, help="divisor degree")
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
                    help="leading coefficient shape")
@@ -274,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "refuted rules, and check decides each property exactly")
     _add_code_args(p, cap=False)
 
-    p = add("check", "test a DNA property of a code")
-    _add_code_args(p)
+    p = add("check", "decide a DNA property of a code on its GF(2) basis, "
+                     "for any code size")
+    _add_code_args(p, cap=False)
     p.add_argument("--property", required=True, dest="property",
                    choices=("reversible", "complement", "reverse-complement",
                             "quasi-cyclic"))

@@ -15,12 +15,11 @@ elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
 space.  span_basis computes a row-echelon basis of it (at most 4n vectors),
 with words packed 4 bits per entry into a single integer, and a CodeSet
-holds that basis.  Size and membership are read off the basis; the words
-themselves are enumerated from it only when a caller asks for them, and
-materialize refuses codes whose enumeration would exceed its cap.  A
-literal hash-set work queue computes the same closure and is kept as a test
-oracle; it is quadratic in the code size and unusable beyond a few thousand
-words.
+holds that basis.  Size, membership and every property decision are read
+off the basis, for every code shape and size; the words themselves are
+enumerated from it only when a caller asks for them.  A literal hash-set
+work queue computes the same closure and is kept as a test oracle; it is
+quadratic in the code size and unusable beyond a few thousand words.
 
 Generators are classified by shape:
 
@@ -29,9 +28,9 @@ Generators are classified by shape:
     "v1"     (v+1) * g1, same condition on g1
     "other"  anything else
 
-For a single "unit" generator g, membership has a fast path: a word lies in
-<g> exactly when g right-divides its polynomial, so large codes never need
-to be materialized to answer membership queries.
+For a single "unit" generator g, a word lies in <g> exactly when g
+right-divides its polynomial; remainder_membership answers that way and is
+kept as an independent cross-check of the basis.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ FORM_OTHER = "other"
 
 
 class SizeCapExceeded(RuntimeError):
-    """Materializing would enumerate more words than the requested cap."""
+    """A search or a walk over every word would exceed the requested cap."""
 
 
 def word_to_poly(word: Word) -> sp.Poly:
@@ -229,16 +228,9 @@ class CodeSet:
         return frozenset(words)
 
 
-def materialize(code: SkewCyclicCode, cap: int = DEFAULT_CAP) -> CodeSet:
-    """The code's basis, refused when the code has more than cap words."""
-    basis = span_basis(code.n, code.generator_words())
-    k = len(basis)
-    if 1 << k > cap:
-        raise SizeCapExceeded(
-            f"code has 2^{k} words, above the cap of {cap}; "
-            "raise the cap to materialize anyway"
-        )
-    return CodeSet(code, tuple(basis))
+def materialize(code: SkewCyclicCode) -> CodeSet:
+    """The code with its basis; no word is enumerated."""
+    return CodeSet(code, tuple(span_basis(code.n, code.generator_words())))
 
 
 def dimension(code: SkewCyclicCode) -> int:
@@ -253,16 +245,17 @@ def membership(codeset: CodeSet, word: Word) -> bool:
 
 
 def is_plain_cyclic(codeset: CodeSet) -> bool:
-    """Closure under the plain cyclic shift (no theta).  The rotation is a
-    GF(2)-linear permutation of packed words, so it maps the code into
-    itself exactly when it maps each basis vector into the span."""
-    n, basis = codeset.n, codeset.basis
-    mask = (1 << (4 * n)) - 1
-    return all(in_span(((b << 4) | (b >> (4 * (n - 1)))) & mask, basis) for b in basis)
+    """Closure under the plain cyclic shift rho (no theta), tested on the
+    generators, whose words the basis must span.  rho commutes with the skew
+    shift and with the scalars, so it maps each sum of terms
+    lam * sigma^j(g_i) to the sum of lam * sigma^j(rho(g_i)): the code is
+    closed exactly when it contains each rho(g_i)."""
+    words = codeset.code.generator_words()
+    return all(in_span(pack(w[-1:] + w[:-1]), codeset.basis) for w in words)
 
 
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
-    """Fast membership for a single unit-form generator: remainder == 0."""
+    """Membership for a single unit-form generator: remainder == 0."""
     if len(code.generators) != 1 or code.forms[0] != FORM_UNIT:
         raise ValueError("remainder membership needs a single unit-form generator")
     if len(word) != code.n:

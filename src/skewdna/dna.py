@@ -32,7 +32,6 @@ from .codes import (
     pack,
     poly_to_word,
     remainder_membership,
-    unpack,
 )
 
 BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
@@ -94,20 +93,30 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 # ---------------------------------------------------------------------------
 # closure checks
 #
-# Every code is a GF(2)-subspace, and theta_reverse and adding the all-ones
-# word are the two maps to test it against.  theta_reverse is GF(2)-linear,
-# so it maps the code into itself exactly when it maps each basis vector
-# into the span.  A subspace contains c + 1 for every c exactly when it
-# contains 1 = 0 + 1.  Reverse-complement closure, c -> theta_reverse(c) + 1,
-# follows: applied to 0 it demands the all-ones word, and then subtracting
-# that word leaves reversibility.  So all three decisions run on the basis
-# of the CodeSet and never enumerate its words; set-based definitions stay
-# in the tests as oracles.
+# Every code is a GF(2)-subspace spanned by its CodeSet's basis, and
+# theta_reverse and adding the all-ones word are the two maps to test it
+# against.  A subspace contains c + 1 for every c exactly when it contains
+# 1 = 0 + 1.  Reverse-complement closure, c -> theta_reverse(c) + 1, follows:
+# applied to 0 it demands the all-ones word, and then subtracting that word
+# leaves reversibility.  So all three decisions are membership tests in the
+# span, for every code shape and size, and none enumerates words; set-based
+# definitions stay in the tests as oracles.
 
 
 def is_reversible(codeset: CodeSet) -> bool:
-    n, basis = codeset.n, codeset.basis
-    return all(in_span(pack(theta_reverse(unpack(b, n))), basis) for b in basis)
+    """Closure under theta_reverse, tested on the generators, whose words
+    the basis must span.
+
+    With sigma the skew shift, theta_reverse(sigma(c)) equals
+    sigma^-1(theta_reverse(c)), and theta_reverse(lam * c) equals
+    theta(lam) * theta_reverse(c).  Every codeword is a sum of terms
+    lam * sigma^j(g_i), so theta_reverse maps it to a sum of terms
+    theta(lam) * sigma^-j(theta_reverse(g_i)), a codeword whenever each
+    theta_reverse(g_i) is, as sigma^-1 is a power of sigma (Boucher,
+    Geiselmann and Ulmer, "Skew-cyclic codes", AAECC 2007).
+    """
+    words = codeset.code.generator_words()
+    return all(in_span(pack(theta_reverse(w)), codeset.basis) for w in words)
 
 
 def is_complement_closed(codeset: CodeSet) -> bool:
@@ -119,17 +128,9 @@ def is_reverse_complement_closed(codeset: CodeSet) -> bool:
 
 
 def reversible_by_remainder(code: SkewCyclicCode) -> bool:
-    """Reversibility for a single unit-form generator g, without a basis.
-
-    With sigma the skew shift, theta_reverse(sigma(c)) equals
-    sigma^-1(theta_reverse(c)), and theta_reverse(lam * c) equals
-    theta(lam) * theta_reverse(c).  The code <g> is the set of sums of
-    lam_j * sigma^j(g), so theta_reverse(<g>) is the set of sums of
-    theta(lam_j) * sigma^-j(theta_reverse(g)): the code generated by
-    theta_reverse(g), as sigma has finite order.  Both codes have the same
-    size, so <g> is reversible exactly when it contains theta_reverse(g),
-    which one right remainder decides.
-    """
+    """is_reversible for a single unit-form generator g, by one right
+    remainder instead of the basis: <g> contains theta_reverse(g) exactly
+    when g right-divides it.  Kept as an independent cross-check."""
     g = poly_to_word(code.generators[0], code.n)
     return remainder_membership(code, theta_reverse(g))
 

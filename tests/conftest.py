@@ -1,21 +1,23 @@
 """Shared fixtures: deliberately naive oracles and reference data.
 
 The closure oracle rebuilds a code as a literal work-queue fixpoint (skew
-shift, all 16 scalar multiples, pairwise sums).  It is quadratic and slow on
-purpose; the packed span engine is validated against it, never the other
-way around.  The set oracles decide the DNA closure properties by their
-definitions, word by word over the enumerated code; the package decides
-them on the code's basis and is validated against these, as are the
-plain-shift decision and the minimal-degree scan, which read the basis; their
-oracles walk every word.
+shift, all 16 scalar multiples, pairwise sums) over packed words.  It is
+quadratic and slow on purpose; the packed span engine is validated against
+it, never the other way around.  The set oracles decide the DNA closure
+properties and the Gray-image rotation by their definitions, word by word
+over the enumerated code; the package decides them on the code's basis or
+generators and is validated against these, as are the plain-shift decision
+and the minimal-degree scan, which read the basis; their oracles walk every
+word.
 """
 
 import pytest
 
+from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import is_unit, r_mul
+from skewdna.algebra import is_unit, r_mul, theta
 
 # transcribed by hand: the sixteen DNA strings of the length-6 code
 # generated by v(x^4 + x^2 + 1)
@@ -28,21 +30,31 @@ REFERENCE_DNA_STRINGS = (
 
 
 def naive_closure_impl(n, gens, cap=5000):
-    words = {(0,) * n}
-    queue = [cd.poly_to_word(g, n) for g in gens]
-    words.update(queue)
+    """Words packed 4 bits per entry into ints, as in codes.pack, and kept
+    in an int set; the result is unpacked to a set of tuples."""
+
+    def entries(p):
+        return [(p >> (4 * i)) & 15 for i in range(n)]
+
+    def packed(values):
+        return sum(c << (4 * i) for i, c in enumerate(values))
+
+    start = [cd.pack(cd.poly_to_word(g, n)) for g in gens]
+    words = {0, *start}
+    queue = list(start)
     while queue:
         c = queue.pop()
-        new = [cd.skew_shift(c)]
-        new += [tuple(r_mul(lam, x) for x in c) for lam in range(16)]
-        new += [tuple(a ^ b for a, b in zip(c, other)) for other in list(words)]
+        e = entries(c)
+        new = [packed(theta(x) for x in e[-1:] + e[:-1])]
+        new += [packed(r_mul(lam, x) for x in e) for lam in range(16)]
+        new += [c ^ other for other in list(words)]
         for wd in new:
             if wd not in words:
                 words.add(wd)
                 queue.append(wd)
                 if len(words) > cap:
                     raise RuntimeError("naive closure grew past the cap")
-    return frozenset(words)
+    return frozenset(cd.unpack(p, n) for p in words)
 
 
 def set_is_reversible(codeset):
@@ -63,6 +75,17 @@ def set_is_reverse_complement_closed(codeset):
 def set_is_plain_cyclic(codeset):
     words = codeset.words
     return all((w[-1],) + w[:-1] in words for w in words)
+
+
+def set_image_rotation(codeset):
+    """(identity_holds, image_closed) of analysis.GrayImageReport by their
+    definitions: the per-word identity on every codeword, and the image set
+    fixed by swap-pairs o rotate-right-2."""
+    words = codeset.words
+    images = {an.gray_image(w) for w in words}
+    identity = all(an.image_shift_commutes(w) for w in words)
+    closed = all(an.swap_adjacent_pairs(an.rotate_right2(img)) in images for img in images)
+    return identity, closed
 
 
 def naive_minimal_degree_scan(codeset):
@@ -100,6 +123,11 @@ def set_oracles():
         (dna.is_complement_closed, set_is_complement_closed),
         (dna.is_reverse_complement_closed, set_is_reverse_complement_closed),
     )
+
+
+@pytest.fixture
+def image_rotation_oracle():
+    return set_image_rotation
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from skewdna import analysis as an
 from skewdna import cli, dna, verify
+from skewdna import codes as cd
+from skewdna import skewpoly as sp
 
 EX3 = ["--n", "6", "--gen", "v(x^4+x^2+1)"]
 EX1 = ["--n", "10", "--gen", "x^4+(v+w)*x^2+1"]
@@ -114,14 +117,26 @@ def test_check_at_the_default_cap_decides_on_the_basis(capsys):
 def test_check_quasi_cyclic(capsys):
     rc, doc = run_json(capsys, ["check"] + EX3 + ["--property", "quasi-cyclic"])
     assert rc == 0
-    assert doc["holds"] is True and doc["via"] == "materialized"
+    assert doc["holds"] is True
 
 
-def test_check_falls_back_to_remainder_above_cap(capsys):
-    argv = ["check"] + EX1 + ["--property", "reversible", "--cap", "65536", "--assert"]
-    rc, doc = run_json(capsys, argv)
-    assert rc == 0
-    assert doc["holds"] is True and doc["via"] == "remainder"
+def test_check_decides_every_property_at_any_size(capsys):
+    # a 2^796-word v-shaped code and the 2^24-word EX1 code, on the basis
+    deciders = {
+        "reversible": dna.is_reversible,
+        "complement": dna.is_complement_closed,
+        "reverse-complement": dna.is_reverse_complement_closed,
+        "quasi-cyclic": lambda cs: all(an.image_rotation_on_basis(cs)),
+    }
+    for argv in (["--n", "402", "--gen", "v*x^4+v*x^2+v"], EX1):
+        n, gen = int(argv[1]), argv[3]
+        cs = cd.materialize(cd.code_from_generator(n, sp.parse_poly(gen)))
+        for prop, decide in deciders.items():
+            rc, doc = run_json(capsys, ["check"] + argv + ["--property", prop])
+            assert rc == 0
+            assert "via" not in doc
+            assert type(doc["size"]) is int and doc["size"] == cs.size
+            assert doc["holds"] is decide(cs)
 
 
 def test_hostile_power_exits_2_at_once(capsys):
@@ -132,14 +147,27 @@ def test_hostile_power_exits_2_at_once(capsys):
     assert "limit" in err
 
 
+def test_hostile_length_exits_2_at_once(capsys):
+    for argv in (["build", "--n", "100000", "--gen", "x+1"],
+                 ["divisors", "--n", "100000000", "--degree", "1"]):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert time.perf_counter() - t0 < 1
+        assert exc.value.code == 2
+        assert "outside 1..4096" in capsys.readouterr().err
+
+
 def test_cap_only_where_it_is_read(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["build"] + EX3 + ["--cap", "3"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
-    # the other three read it: the 16-word code fits a cap of 16, not of 15
-    for argv in (["check"] + EX3 + ["--property", "complement"], ["dna"] + EX3,
-                 ["distance"] + EX3):
+    for argv, cap in ((["build"] + EX3, "3"),
+                      (["check"] + EX3 + ["--property", "complement"], "15")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--cap", cap])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --cap {cap}" in capsys.readouterr().err
+    # the two that walk every word read it: the 16-word code fits a cap of
+    # 16, not of 15
+    for argv in (["dna"] + EX3, ["distance"] + EX3):
         assert run(capsys, argv + ["--cap", "16"])[0] == 0
         assert run(capsys, argv + ["--cap", "15"])[0] == 3
 

@@ -126,12 +126,6 @@ def test_classify_generator_forms():
         cd.classify_generator(3, ())
 
 
-def test_materialize_cap():
-    code = cd.code_from_generator(10, sp.parse_poly("x^4 + (v+w)*x^2 + 1"))
-    with pytest.raises(cd.SizeCapExceeded):
-        cd.materialize(code, cap=65536)
-
-
 def test_generator_reduced_modulo_length():
     # x^n - 1 reduces to zero, which generates nothing
     with pytest.raises(ValueError):
@@ -201,6 +195,17 @@ def test_plain_cyclic_decision_agrees_with_set_definition(word_walks):
     # odd lengths are always closed; even lengths give the negative control
     assert all(closed for n, _, closed in verdicts if n % 2)
     assert {closed for n, _, closed in verdicts if n % 2 == 0} == {True, False}
+
+
+def test_plain_cyclic_decision_reads_every_generator(word_walk_oracles):
+    # at n = 4 each first generator alone gives a plain-cyclic code; the
+    # second generator's rotation is what leaves these 256-word codes
+    _, naive_cyclic = word_walk_oracles
+    for gens in ([(4, 4, 4, 4), (5, 5)], [(1, 1, 1, 1), (4, 4)]):
+        assert cd.is_plain_cyclic(cd.materialize(cd.code_from_generators(4, gens[:1])))
+        cs = cd.materialize(cd.code_from_generators(4, gens))
+        assert cs.size == 256
+        assert cd.is_plain_cyclic(cs) is naive_cyclic(cs) is False
 
 
 def test_minimal_degree_scan_of_the_zero_code():

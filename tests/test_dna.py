@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
@@ -136,6 +137,20 @@ def test_basis_closure_decisions_agree_with_set_oracles(set_oracles):
             if dna.reversible_by_remainder(code) != dna.is_reversible(cs):
                 disagreements.append((code, "reversible_by_remainder"))
     assert disagreements == []
+
+
+def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,
+                                                        sixteen_word_code):
+    checked = [cs for cs in map(cd.materialize, _oracle_sweep()) if cs.size <= 1 << 12]
+    # sets that are not skew-shift closed, so their image is not rotation
+    # closed: one unshifted word, and the shift-closed all-ones word
+    # followed by an unshifted one
+    ones, one = cd.pack((1,) * 6), cd.pack((1, 0, 0, 0, 0, 0))
+    fakes = [cd.CodeSet(sixteen_word_code.code, basis) for basis in ((one,), (ones, one))]
+    disagreements = [cs.code for cs in checked + fakes
+                     if an.image_rotation_on_basis(cs) != image_rotation_oracle(cs)]
+    assert disagreements == []
+    assert [an.image_rotation_on_basis(cs) for cs in fakes] == [(True, False)] * 2
 
 
 # classification: frozen outputs for the worked examples
