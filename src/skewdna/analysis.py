@@ -11,8 +11,8 @@ The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
 by two places and then swapping each adjacent pair of coordinates gives the
 image of the skew shift of c.  That identity is coordinate algebra, proved
-per word; image_rotation_on_basis decides it, and the image's closure under
-the permutation, on a code's basis.
+per word; gray_image_report decides it, and image_closed_on_basis the
+image's closure under the permutation, on a code's basis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import gray, gray_inverse
-from .codes import CodeSet, Word, in_span, pack, skew_shift, unpack
+from .codes import CodeSet, SkewCyclicCode, Word, in_span, pack, skew_shift, unpack
 
 Gf4Word = tuple[int, ...]
 
@@ -116,34 +116,27 @@ class GrayImageReport:
         return self.lee_min == self.gray_hamming_min
 
 
-def image_rotation_on_basis(codeset: CodeSet) -> tuple[bool, bool]:
-    """(identity_holds, image_closed) of GrayImageReport, on the basis.
-
-    The Gray map, the coordinate permutation and the skew shift are all
-    GF(2)-linear, so the identity holds on the code exactly when it holds on
-    each basis vector b, and the image is closed exactly when each
-    gray^-1(swap-pairs(rotate-right-2(gray(b)))) lies in the span.
-    """
-    words = [unpack(b, codeset.n) for b in codeset.basis]
-
-    def permuted(word: Word) -> int:
-        img = swap_adjacent_pairs(rotate_right2(gray_image(word)))
+def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
+    """image_closed of GrayImageReport: the Gray map and the permutation are
+    GF(2)-linear, so the image is closed exactly when each basis vector's
+    gray^-1(swap-pairs(rotate-right-2(gray(b)))) lies in the span."""
+    def permuted(b: int) -> int:
+        img = swap_adjacent_pairs(rotate_right2(gray_image(unpack(b, code.n))))
         return pack(tuple(gray_inverse(img[i : i + 2]) for i in range(0, len(img), 2)))
 
-    identity = all(image_shift_commutes(w) for w in words)
-    closed = all(in_span(permuted(w), codeset.basis) for w in words)
-    return identity, closed
+    return all(in_span(permuted(b), basis) for b in basis)
 
 
 def gray_image_report(codeset: CodeSet) -> GrayImageReport:
     """Check the quasi-cyclic equivalence and Lee/Hamming agreement at once."""
-    identity, closed = image_rotation_on_basis(codeset)
+    # the identity is GF(2)-linear on both sides, so the basis decides it
+    identity = all(image_shift_commutes(unpack(b, codeset.n)) for b in codeset.basis)
     gmin = min(hamming_weight(gray_image(w)) for w in codeset.words if any(w))
     return GrayImageReport(
         n=codeset.n,
         size=codeset.size,
         identity_holds=identity,
-        image_closed=closed,
+        image_closed=image_closed_on_basis(codeset.code, codeset.basis),
         lee_min=min_distance(codeset, "lee"),
         gray_hamming_min=gmin,
     )

@@ -14,12 +14,13 @@ is closed under addition, left scalar multiplication by all 16 ring
 elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
 space.  span_basis computes a row-echelon basis of it (at most 4n vectors),
-with words packed 4 bits per entry into a single integer, and a CodeSet
-holds that basis.  Size, membership and every property decision are read
-off the basis, for every code shape and size; the words themselves are
-enumerated from it only when a caller asks for them.  A literal hash-set
-work queue computes the same closure and is kept as a test oracle; it is
-quadratic in the code size and unusable beyond a few thousand words.
+with words packed 4 bits per entry into a single integer; code_basis
+returns it, and a CodeSet holds it together with the code.  Size,
+membership and every property decision are read off the basis, for every
+code shape and size; the words themselves are enumerated from a CodeSet
+only when a caller asks for them.  A literal hash-set work queue computes
+the same closure and is kept as a test oracle; it is quadratic in the code
+size and unusable beyond a few thousand words.
 
 Generators are classified by shape:
 
@@ -228,14 +229,14 @@ class CodeSet:
         return frozenset(words)
 
 
+def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
+    """The code's row-echelon GF(2) basis; its length is log2 of the size."""
+    return tuple(span_basis(code.n, code.generator_words()))
+
+
 def materialize(code: SkewCyclicCode) -> CodeSet:
-    """The code with its basis; no word is enumerated."""
-    return CodeSet(code, tuple(span_basis(code.n, code.generator_words())))
-
-
-def dimension(code: SkewCyclicCode) -> int:
-    """log2 of the code size."""
-    return len(span_basis(code.n, code.generator_words()))
+    """The code with its basis, for callers that may walk its words."""
+    return CodeSet(code, code_basis(code))
 
 
 def membership(codeset: CodeSet, word: Word) -> bool:

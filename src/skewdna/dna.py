@@ -93,38 +93,44 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 # ---------------------------------------------------------------------------
 # closure checks
 #
-# Every code is a GF(2)-subspace spanned by its CodeSet's basis, and
-# theta_reverse and adding the all-ones word are the two maps to test it
-# against.  A subspace contains c + 1 for every c exactly when it contains
-# 1 = 0 + 1.  Reverse-complement closure, c -> theta_reverse(c) + 1, follows:
-# applied to 0 it demands the all-ones word, and then subtracting that word
-# leaves reversibility.  So all three decisions are membership tests in the
-# span, for every code shape and size, and none enumerates words; set-based
-# definitions stay in the tests as oracles.
+# Every code is a GF(2)-subspace spanned by its basis: it contains c + 1 for
+# every c exactly when it contains 1 = 0 + 1, and c -> theta_reverse(c) + 1
+# maps it into itself exactly when it contains 1 and is reversible.  So each
+# decision is a few span membership tests, at any size; the tests keep set
+# oracles.  The *_on_basis forms need no CodeSet, only the code's basis.
 
 
-def is_reversible(codeset: CodeSet) -> bool:
-    """Closure under theta_reverse, tested on the generators, whose words
-    the basis must span.
+def reversible_on_basis(code: SkewCyclicCode, basis) -> bool:
+    """Closure under theta_reverse, tested on the generators g_i.
 
-    With sigma the skew shift, theta_reverse(sigma(c)) equals
-    sigma^-1(theta_reverse(c)), and theta_reverse(lam * c) equals
-    theta(lam) * theta_reverse(c).  Every codeword is a sum of terms
-    lam * sigma^j(g_i), so theta_reverse maps it to a sum of terms
+    With sigma the skew shift, theta_reverse(sigma(c)) = sigma^-1(theta_reverse(c))
+    and theta_reverse(lam * c) = theta(lam) * theta_reverse(c).  So theta_reverse
+    maps each codeword, a sum of terms lam * sigma^j(g_i), to the sum of
     theta(lam) * sigma^-j(theta_reverse(g_i)), a codeword whenever each
     theta_reverse(g_i) is, as sigma^-1 is a power of sigma (Boucher,
     Geiselmann and Ulmer, "Skew-cyclic codes", AAECC 2007).
     """
-    words = codeset.code.generator_words()
-    return all(in_span(pack(theta_reverse(w)), codeset.basis) for w in words)
+    return all(in_span(pack(theta_reverse(w)), basis) for w in code.generator_words())
+
+
+def complement_on_basis(code: SkewCyclicCode, basis) -> bool:
+    return in_span(pack((1,) * code.n), basis)
+
+
+def reverse_complement_on_basis(code: SkewCyclicCode, basis) -> bool:
+    return complement_on_basis(code, basis) and reversible_on_basis(code, basis)
+
+
+def is_reversible(codeset: CodeSet) -> bool:
+    return reversible_on_basis(codeset.code, codeset.basis)
 
 
 def is_complement_closed(codeset: CodeSet) -> bool:
-    return in_span(pack((1,) * codeset.n), codeset.basis)
+    return complement_on_basis(codeset.code, codeset.basis)
 
 
 def is_reverse_complement_closed(codeset: CodeSet) -> bool:
-    return is_complement_closed(codeset) and is_reversible(codeset)
+    return reverse_complement_on_basis(codeset.code, codeset.basis)
 
 
 def reversible_by_remainder(code: SkewCyclicCode) -> bool:
@@ -150,9 +156,8 @@ class DnaClassification:
     refute: that v- and (v+1)-shaped generators give no reversible code at
     odd length or odd degree, and no complement-closed code at all.  So a
     prediction can be wrong: <v*x^2 + v*x + v> at n = 3 is predicted "no"
-    twice, yet is reversible and reverse-complement closed.
-    is_reversible, is_complement_closed and is_reverse_complement_closed
-    (the check command) decide each property exactly.
+    twice, yet is reversible and reverse-complement closed, as the
+    *_on_basis decisions (the check command) find exactly.
     """
 
     n: int

@@ -28,10 +28,13 @@ from .algebra import (
 
 Poly = tuple[int, ...]
 
-# The largest degree a parsed power or product may have.  It bounds the
-# parser's work (a product costs at most the product of its factors'
-# lengths), so hostile text such as "x^100000000" is refused at once.
-MAX_PARSE_DEGREE = 1 << 12
+# The largest degree a parsed power or product may have, and the longest
+# code length the command line takes.  It bounds the parser's work (a
+# product costs at most the product of its factors' lengths), so hostile
+# text such as "x^100000000" is refused at once; and a code of length n has
+# at most 16^n words, so at n = 2048 its size, 2^8192, has 2,467 digits,
+# under the 4,300 that Python prints by default.
+MAX_PARSE_DEGREE = 1 << 11
 
 
 def normalize(coeffs) -> Poly:

@@ -1,5 +1,6 @@
 """CLI plumbing: output shapes, exit codes, fault injection."""
 
+import argparse
 import json
 import time
 
@@ -121,22 +122,24 @@ def test_check_quasi_cyclic(capsys):
 
 
 def test_check_decides_every_property_at_any_size(capsys):
-    # a 2^796-word v-shaped code and the 2^24-word EX1 code, on the basis
-    deciders = {
-        "reversible": dna.is_reversible,
-        "complement": dna.is_complement_closed,
-        "reverse-complement": dna.is_reverse_complement_closed,
-        "quasi-cyclic": lambda cs: all(an.image_rotation_on_basis(cs)),
-    }
-    for argv in (["--n", "402", "--gen", "v*x^4+v*x^2+v"], EX1):
-        n, gen = int(argv[1]), argv[3]
-        cs = cd.materialize(cd.code_from_generator(n, sp.parse_poly(gen)))
-        for prop, decide in deciders.items():
-            rc, doc = run_json(capsys, ["check"] + argv + ["--property", prop])
-            assert rc == 0
+    # Expected verdicts, fixed independently of the decisions under test.
+    # v(x^4+x^2+1) at n = 402 has 2^796 words: reversible (even n and degree,
+    # palindromic generator), no all-ones word (every word is a v-multiple,
+    # the code being v times a GF(4) code of 4^398 words), and quasi-cyclic
+    # like every skew cyclic code.  EX1, the paper's unit-form example, holds
+    # all four; a right remainder confirms its reversibility and all-ones word.
+    ex1 = cd.code_from_generator(10, sp.parse_poly(EX1[3]))
+    assert dna.reversible_by_remainder(ex1) and cd.remainder_membership(ex1, (1,) * 10)
+    props = ("reversible", "complement", "reverse-complement", "quasi-cyclic")
+    cases = ((["--n", "402", "--gen", "v*x^4+v*x^2+v"], 796, (True, False, False, True)),
+             (EX1, 24, (True, True, True, True)))
+    for argv, log2_size, verdicts in cases:
+        for prop, holds in zip(props, verdicts):
+            rc, doc = run_json(capsys, ["check"] + argv + ["--property", prop, "--assert"])
+            assert rc == (0 if holds else 1)
+            assert doc["holds"] is holds
+            assert doc["size"] == 1 << log2_size
             assert "via" not in doc
-            assert type(doc["size"]) is int and doc["size"] == cs.size
-            assert doc["holds"] is decide(cs)
 
 
 def test_hostile_power_exits_2_at_once(capsys):
@@ -155,7 +158,20 @@ def test_hostile_length_exits_2_at_once(capsys):
             cli.main(argv)
         assert time.perf_counter() - t0 < 1
         assert exc.value.code == 2
-        assert "outside 1..4096" in capsys.readouterr().err
+        assert f"outside 1..{sp.MAX_PARSE_DEGREE}" in capsys.readouterr().err
+
+
+def test_every_admitted_size_prints(capsys):
+    # the largest code at the longest admitted length holds all 16^n words;
+    # its size must print in both formats (text prints str(size))
+    n = sp.MAX_PARSE_DEGREE
+    assert cli.build_parser().parse_args(["build", "--n", str(n), "--gen", "x+1"]).n == n
+    size = 1 << (4 * n)
+    cli._emit(argparse.Namespace(format="structured"), {"size": size}, [str(size)])
+    assert json.loads(capsys.readouterr().out)["size"] == size
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["build", "--n", str(n + 1), "--gen", "x+1"])
+    assert exc.value.code == 2
 
 
 def test_cap_only_where_it_is_read(capsys):

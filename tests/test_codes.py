@@ -75,12 +75,12 @@ def test_membership_matches_remainder_sampled():
 
 def test_code_sizes_are_powers_of_two(sixteen_word_code):
     assert sixteen_word_code.size == 16
-    assert cd.dimension(sixteen_word_code.code) == 4
+    assert len(cd.code_basis(sixteen_word_code.code)) == 4
 
 
 def test_dimension_without_materializing():
     g = sp.parse_poly("x^4 + (v+w)*x^2 + 1")
-    assert cd.dimension(cd.code_from_generator(10, g)) == 24  # 16^6 words
+    assert len(cd.code_basis(cd.code_from_generator(10, g))) == 24  # 16^6 words
 
 
 def test_enumerate_counts_are_frozen():

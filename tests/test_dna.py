@@ -147,10 +147,12 @@ def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,
     # followed by an unshifted one
     ones, one = cd.pack((1,) * 6), cd.pack((1, 0, 0, 0, 0, 0))
     fakes = [cd.CodeSet(sixteen_word_code.code, basis) for basis in ((one,), (ones, one))]
-    disagreements = [cs.code for cs in checked + fakes
-                     if an.image_rotation_on_basis(cs) != image_rotation_oracle(cs)]
+    # the per-word identity always holds, so the oracle's first half is True
+    closed = [an.image_closed_on_basis(cs.code, cs.basis) for cs in checked + fakes]
+    disagreements = [cs.code for cs, c in zip(checked + fakes, closed)
+                     if (True, c) != image_rotation_oracle(cs)]
     assert disagreements == []
-    assert [an.image_rotation_on_basis(cs) for cs in fakes] == [(True, False)] * 2
+    assert closed[-2:] == [False, False]
 
 
 # classification: frozen outputs for the worked examples
