@@ -13,9 +13,9 @@ The code generated by some words is the smallest set containing them that
 is closed under addition, left scalar multiplication by all 16 ring
 elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
-space.  span_basis computes a row-echelon basis of it (at most 4n vectors),
-with words packed 4 bits per entry into a single integer; code_basis
-returns it, and a CodeSet holds it together with the code.  Size,
+space.  span_basis computes a basis of it (at most 4n vectors, each with its
+own pivot, or top bit), with words packed 4 bits per entry into a single
+integer; code_basis returns it, and a CodeSet holds it with the code.  Size,
 membership and every property decision are read off the basis, for every
 code shape and size; the words themselves are enumerated from a CodeSet
 only when a caller asks for them.  A literal hash-set work queue computes
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import skewpoly as sp
-from .algebra import _R_MUL as _MUL, _THETA as _TH, is_unit, r_token
+from .algebra import _THETA as _TH, is_unit, r_token
 
 Word = tuple[int, ...]
 
@@ -97,53 +97,45 @@ def unpack(p: int, n: int) -> Word:
     return tuple((p >> (4 * i)) & 15 for i in range(n))
 
 
-def _skew_shift_packed(p: int, n: int) -> int:
-    out = _TH[(p >> (4 * (n - 1))) & 15]
-    for i in range(n - 1):
-        out |= _TH[(p >> (4 * i)) & 15] << (4 * (i + 1))
-    return out
-
-
-def _scale_packed(lam: int, p: int, n: int) -> int:
-    row = _MUL[lam]
-    out = 0
-    for i in range(n):
-        c = (p >> (4 * i)) & 15
-        if c:
-            out |= row[c] << (4 * i)
-    return out
-
-
-def _reduce(vec: int, basis: list[int]) -> int:
-    for b in basis:
-        if vec & (1 << (b.bit_length() - 1)):
-            vec ^= b
+def _reduce(vec: int, pivots: dict[int, int]) -> int:
+    """Clear vec's top bit while it is a pivot: 0 exactly when vec is in the span."""
+    while vec and (b := pivots.get(vec.bit_length() - 1)):
+        vec ^= b
     return vec
 
 
-def in_span(vec: int, basis: list[int]) -> bool:
-    return _reduce(vec, basis) == 0
+def in_span(vec: int, basis) -> bool:
+    return not _reduce(vec, {b.bit_length() - 1: b for b in basis})
 
 
 def span_basis(n: int, generator_words) -> list[int]:
-    """Row-echelon GF(2) basis of the generated skew cyclic code.
+    """GF(2) basis of the generated skew cyclic code, one pivot per vector.
 
     Fixpoint over basis vectors only: the three closure rules are additive,
     so once every basis vector's image under the skew shift and under the
-    scalars lies in the span, the whole span is closed.  Scalars w, v and
-    w*v suffice because together with 1 they span R over GF(2).
+    scalars lies in the span, the whole span is closed.  The scalars w and
+    v suffice: a span closed under both is closed under their sums and
+    products, which give every element of R.  Each map acts on all n
+    entries a | b << 2 of a packed word at once: theta is a -> a + b, the
+    skew shift is theta and then a rotation by one entry, w sends each
+    GF(4) part x0 + x1*w to x1 + (x0 + x1)*w, and v sends a + b*v to
+    (a + b)*v.
     """
-    basis: list[int] = []
+    ones = int("1" * n, 16)
+    m3, m5, top = 3 * ones, 5 * ones, 4 * (n - 1)
+    low = (1 << top) - 1  # every entry but the last
+    pivots: dict[int, int] = {}
     queue = [pack(w) for w in generator_words]
     while queue:
-        vec = _reduce(queue.pop(), basis)
+        vec = _reduce(queue.pop(), pivots)
         if not vec:
             continue
-        basis.append(vec)
-        queue.append(_skew_shift_packed(vec, n))
-        for lam in (2, 4, 8):  # w, v, w*v
-            queue.append(_scale_packed(lam, vec, n))
-    return basis
+        pivots[vec.bit_length() - 1] = vec
+        th = vec ^ ((vec >> 2) & m3)
+        queue += ((th & low) << 4 | th >> top,
+                  (vec >> 1) & m5 | ((vec ^ vec >> 1) & m5) << 1,
+                  ((vec ^ vec >> 2) & m3) << 2)
+    return list(pivots.values())
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def code_from_generator(n: int, g: sp.Poly) -> SkewCyclicCode:
 
 @dataclass(frozen=True)
 class CodeSet:
-    """A code with its row-echelon GF(2) basis of packed words."""
+    """A code with its GF(2) basis of packed words, as span_basis gives it."""
 
     code: SkewCyclicCode
     basis: tuple[int, ...]
@@ -230,7 +222,7 @@ class CodeSet:
 
 
 def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
-    """The code's row-echelon GF(2) basis; its length is log2 of the size."""
+    """The code's GF(2) basis; its length is log2 of the size."""
     return tuple(span_basis(code.n, code.generator_words()))
 
 

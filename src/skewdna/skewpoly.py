@@ -35,6 +35,8 @@ Poly = tuple[int, ...]
 # at most 16^n words, so at n = 2048 its size, 2^8192, has 2,467 digits,
 # under the 4,300 that Python prints by default.
 MAX_PARSE_DEGREE = 1 << 11
+# The deepest parenthesis nesting parsed, inside Python's recursion limit.
+MAX_PARSE_NESTING = 100
 
 
 def normalize(coeffs) -> Poly:
@@ -217,13 +219,16 @@ def coeff_list_str(f: Poly) -> str:
 class _Tokens:
     def __init__(self, text: str):
         self.toks: list[str] = []
-        i, n = 0, len(text)
+        i, n, depth = 0, len(text), 0
         while i < n:
             ch = text[i]
             if ch.isspace():
                 i += 1
             elif ch in "+*^()[],":
                 self.toks.append(ch)
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_PARSE_NESTING:
+                    raise ValueError(f"parentheses nested deeper than {MAX_PARSE_NESTING}")
                 i += 1
             elif ch.isalnum():
                 j = i

@@ -72,9 +72,20 @@ def set_is_reverse_complement_closed(codeset):
     return all(dna.complement_word(dna.theta_reverse(w)) in words for w in words)
 
 
+def packed_words(codeset):
+    """Every codeword as a packed int (4 bits per entry, as in codes.pack),
+    walked in the Gray-code order of CodeSet.words into an int set."""
+    words, cur = {0}, 0
+    for i in range(1, codeset.size):
+        cur ^= codeset.basis[(i & -i).bit_length() - 1]
+        words.add(cur)
+    return words
+
+
 def set_is_plain_cyclic(codeset):
-    words = codeset.words
-    return all((w[-1],) + w[:-1] in words for w in words)
+    """Every word's plain rotation (last entry first, no theta) is a word."""
+    words, top = packed_words(codeset), 4 * (codeset.n - 1)
+    return all((p & ((1 << top) - 1)) << 4 | p >> top in words for p in words)
 
 
 def set_image_rotation(codeset):
@@ -89,21 +100,21 @@ def set_image_rotation(codeset):
 
 
 def naive_minimal_degree_scan(codeset):
-    """minimal_degree_scan by its definition: every codeword is walked."""
+    """minimal_degree_scan by its definition: every codeword is walked, its
+    degree and leading coefficient read off its highest nonzero entry."""
     best = None
     found = []
-    for w in codeset.words:
-        f = cd.word_to_poly(w)
-        if not f or is_unit(f[-1]):
+    for p in packed_words(codeset) - {0}:
+        d = (p.bit_length() - 1) // 4
+        if is_unit((p >> (4 * d)) & 15):
             continue
-        d = len(f) - 1
         if best is None or d < best:
-            best, found = d, [f]
+            best, found = d, [p]
         elif d == best:
-            found.append(f)
+            found.append(p)
     if best is None:
         return cd.MinimalDegreeReport(False, None, (), (), None)
-    found.sort()
+    found = sorted(cd.word_to_poly(cd.unpack(p, codeset.n)) for p in found)
     forms = tuple(cd._nonunit_factor_form(f) for f in found)
     return cd.MinimalDegreeReport(
         True, best, tuple(found), forms, all(fm is not None for fm in forms)

@@ -161,11 +161,29 @@ def test_hostile_length_exits_2_at_once(capsys):
         assert f"outside 1..{sp.MAX_PARSE_DEGREE}" in capsys.readouterr().err
 
 
+def test_deep_nesting_exits_2_at_once(capsys):
+    for depth in (250, 100_000):
+        gen = "(" * depth + "x+1" + ")" * depth
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["check", "--n", "6", "--gen", gen, "--property", "reversible"])
+        assert time.perf_counter() - t0 < 1
+        assert (rc, out) == (2, "")
+        assert f"nested deeper than {sp.MAX_PARSE_NESTING}" in err
+        assert "Traceback" not in err
+
+
 def test_every_admitted_size_prints(capsys):
-    # the largest code at the longest admitted length holds all 16^n words;
-    # its size must print in both formats (text prints str(size))
+    # the longest admitted length builds, decides and prints in bounded time
     n = sp.MAX_PARSE_DEGREE
-    assert cli.build_parser().parse_args(["build", "--n", str(n), "--gen", "x+1"]).n == n
+    gen = ["--n", str(n), "--gen", "x+1"]
+    t0 = time.perf_counter()
+    rc, doc = run_json(capsys, ["build"] + gen)
+    assert rc == 0 and doc["log2_size"] == 4 * (n - 1) == 8188
+    rc, doc = run_json(capsys, ["check"] + gen + ["--property", "reverse-complement"])
+    assert rc == 0 and doc["size"] == 1 << 8188
+    assert time.perf_counter() - t0 < 10
+    # the largest code at that length holds all 16^n words; its size must
+    # print in both formats (text prints str(size))
     size = 1 << (4 * n)
     cli._emit(argparse.Namespace(format="structured"), {"size": size}, [str(size)])
     assert json.loads(capsys.readouterr().out)["size"] == size

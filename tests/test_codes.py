@@ -19,10 +19,35 @@ EX3 = sp.parse_poly("v(x^4+x^2+1)")
     (4, [sp.parse_poly("v(x+1)^3")]),
     (6, [EX3]),
     (3, [(4, 4), (1, 1, 1)]),      # two generators
+    (1, [(1,)]),                   # n = 1: the rotation wraps onto itself
+    (1, [(4,)]),                   # v: the shift's theta alone reaches 1 + v
+    (1, [(10,)]),                  # w(1 + v)
+    (5, [sp.parse_poly("x^3 + w*x^2 + w*x + 1")]),  # (x+1)(x^2+w2*x+1), 256 words
 ])
 def test_span_engine_matches_naive_closure(n, gens, naive_closure):
     code = cd.code_from_generators(n, gens)
     assert cd.materialize(code).words == naive_closure(n, gens)
+
+
+# unit generators of the cli-large benchmark pools, far beyond the naive
+# closure's reach
+@pytest.mark.parametrize("n,text", [
+    (400, "x^4 + (w+v)*x^2 + 1"),
+    (400, "x^4 + v*x^3 + (w+v)*x^2 + v*x + 1"),
+    (408, "x^3 + (w2+v)*x^2 + (w+v)*x + 1"),
+    (408, "x^3 + x^2 + x + 1"),
+])
+def test_span_engine_at_large_lengths(n, text):
+    # g is a unit-form right divisor of x^n - 1, so <g> holds 16^(n - t)
+    # words, exactly those right-divisible by g; 4(n - t) independent
+    # vectors (distinct pivots), each right-divisible by g, span all of it
+    g = sp.parse_poly(text)
+    code = cd.code_from_generator(n, g)
+    assert code.forms == (cd.FORM_UNIT,)
+    basis = cd.code_basis(code)
+    assert len(basis) == 4 * (n - sp.degree(g))
+    assert len({b.bit_length() for b in basis}) == len(basis)
+    assert all(sp.right_divides(g, cd.word_to_poly(cd.unpack(b, n))) for b in basis)
 
 
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 4), (6, 5)])

@@ -194,6 +194,14 @@ def test_parse_degree_limit():
             sp.parse_poly(text)
 
 
+def test_parse_nesting_limit():
+    depth = sp.MAX_PARSE_NESTING
+    assert sp.parse_poly("(" * depth + "w*x+1" + ")" * depth) == (1, 2)
+    assert sp.parse_poly("+".join(["(x)"] * (2 * depth + 1))) == (0, 1)  # depth 1
+    with pytest.raises(ValueError, match="nested deeper"):
+        sp.parse_poly("(" * (depth + 1) + "x" + ")" * (depth + 1))
+
+
 def test_largest_dense_power_parses_quickly():
     e = sp.MAX_PARSE_DEGREE - 1  # x + w + v to a power of two is sparse
     t0 = time.perf_counter()
