@@ -5,7 +5,9 @@ weight counts nonzero GF(4) coordinates of each entry (0 for zero, 1 for the
 six nonzero zero divisors, 2 for the nine units), so the Lee weight of a word
 equals the Hamming weight of its Gray image over GF(4).  Both induce
 distances through XOR differences, and every code produced by this package
-is an F2-subspace, so minimum distance is minimum nonzero weight.
+is an F2-subspace, so minimum distance is minimum nonzero weight.  The
+word-level functions take tuples; the code-level ones walk packed words
+(CodeSet.walk) and weigh each with a few masks and one popcount.
 
 The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
@@ -19,9 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
-from .algebra import gray, gray_inverse
-from .codes import CodeSet, SkewCyclicCode, Word, in_span, pack, skew_shift, unpack
+from .algebra import gray
+from .codes import CodeSet, SkewCyclicCode, Word, _pivots, _reduce, skew_shift, unpack
 
 Gf4Word = tuple[int, ...]
 
@@ -49,25 +52,42 @@ def lee_distance(u: Word, w: Word) -> int:
     return sum(LEE_WEIGHT[a ^ b] for a, b in zip(u, w))
 
 
-def _weigher(metric: str):
-    try:
-        return {"hamming": hamming_weight, "lee": lee_weight}[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}; use 'hamming' or 'lee'") from None
+def packed_weigher(n: int, metric: str):
+    """Weight function on packed words of length n (codes.pack).
+
+    Hamming weight is one popcount of each entry's four bits OR-folded onto
+    its lowest.  Lee weight counts the nonzero GF(4) parts of the Gray pair
+    (a + b, a) of each entry a | b << 2: z = p ^ (a << 2) holds a in bits
+    0-1 and a + b in bits 2-3, and each part folds onto its low bit.
+    """
+    ones = int("1" * n, 16)  # bit 0 of every entry
+    if metric == "hamming":
+        def weigh(p: int) -> int:
+            p |= p >> 2
+            return ((p | p >> 1) & ones).bit_count()
+    elif metric == "lee":
+        m3, m5 = 3 * ones, 5 * ones
+
+        def weigh(p: int) -> int:
+            z = p ^ (p & m3) << 2
+            return ((z | z >> 1) & m5).bit_count()
+    else:
+        raise ValueError(f"unknown metric {metric!r}; use 'hamming' or 'lee'")
+    return weigh
 
 
 def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     """Minimum distance of an F2-additive code: least nonzero-word weight."""
-    weigh = _weigher(metric)
-    best = min((weigh(w) for w in codeset.words if any(w)), default=None)
+    weigh = packed_weigher(codeset.n, metric)
+    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best
 
 
 def weight_distribution(codeset: CodeSet, metric: str = "hamming") -> dict[int, int]:
-    weigh = _weigher(metric)
-    return dict(sorted(Counter(weigh(w) for w in codeset.words).items()))
+    weigh = packed_weigher(codeset.n, metric)
+    return dict(sorted(Counter(map(weigh, codeset.walk())).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -116,27 +136,51 @@ class GrayImageReport:
         return self.lee_min == self.gray_hamming_min
 
 
+def image_permutation(n: int):
+    """gray^-1 o swap-pairs o rotate-right-2 o gray on packed words of
+    length n, as masks.  The rotation moves each entry's Gray pair
+    (a + b, a) up one entry, and swapping the pair and inverting the Gray
+    map gives the element (a + b) + b*v, which is theta of the entry: theta
+    entrywise, then a one-entry rotation."""
+    m3, top = 3 * int("1" * n, 16), 4 * (n - 1)
+    low = (1 << top) - 1  # every entry but the last
+
+    def permute(p: int) -> int:
+        p ^= (p >> 2) & m3
+        return (p & low) << 4 | p >> top
+
+    return permute
+
+
 def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
     """image_closed of GrayImageReport: the Gray map and the permutation are
     GF(2)-linear, so the image is closed exactly when each basis vector's
-    gray^-1(swap-pairs(rotate-right-2(gray(b)))) lies in the span."""
-    def permuted(b: int) -> int:
-        img = swap_adjacent_pairs(rotate_right2(gray_image(unpack(b, code.n))))
-        return pack(tuple(gray_inverse(img[i : i + 2]) for i in range(0, len(img), 2)))
-
-    return all(in_span(permuted(b), basis) for b in basis)
+    image_permutation lies in the span."""
+    permute, pivots = image_permutation(code.n), _pivots(basis)
+    return not any(_reduce(permute(b), pivots) for b in basis)
 
 
 def gray_image_report(codeset: CodeSet) -> GrayImageReport:
-    """Check the quasi-cyclic equivalence and Lee/Hamming agreement at once."""
+    """Check the quasi-cyclic equivalence and Lee/Hamming agreement at once.
+
+    gray_hamming_min weighs the packed Gray image, two bits per GF(4)
+    coordinate: the pair (a + b, a) of entry a | b << 2 lands in bits 0-1
+    and 2-3 of its nibble."""
+    ones = int("1" * codeset.n, 16)
+    m3, m5 = 3 * ones, 5 * ones
+
+    def image_weight(p: int) -> int:
+        img = (p ^ p >> 2) & m3 | (p & m3) << 2
+        return ((img | img >> 1) & m5).bit_count()
+
+    lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code
     # the identity is GF(2)-linear on both sides, so the basis decides it
     identity = all(image_shift_commutes(unpack(b, codeset.n)) for b in codeset.basis)
-    gmin = min(hamming_weight(gray_image(w)) for w in codeset.words if any(w))
     return GrayImageReport(
         n=codeset.n,
         size=codeset.size,
         identity_holds=identity,
         image_closed=image_closed_on_basis(codeset.code, codeset.basis),
-        lee_min=min_distance(codeset, "lee"),
-        gray_hamming_min=gmin,
+        lee_min=lee_min,
+        gray_hamming_min=min(map(image_weight, islice(codeset.walk(), 1, None))),
     )

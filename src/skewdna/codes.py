@@ -17,8 +17,8 @@ space.  span_basis computes a basis of it (at most 4n vectors, each with its
 own pivot, or top bit), with words packed 4 bits per entry into a single
 integer; code_basis returns it, and a CodeSet holds it with the code.  Size,
 membership and every property decision are read off the basis, for every
-code shape and size; the words themselves are enumerated from a CodeSet
-only when a caller asks for them.  A literal hash-set work queue computes
+code shape and size; a caller that needs the words walks them as packed
+integers (CodeSet.walk), in memory proportional to the basis.  A literal hash-set work queue computes
 the same closure and is kept as a test oracle; it is quadratic in the code
 size and unusable beyond a few thousand words.
 
@@ -37,6 +37,7 @@ kept as an independent cross-check of the basis.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,8 +105,13 @@ def _reduce(vec: int, pivots: dict[int, int]) -> int:
     return vec
 
 
+def _pivots(basis) -> dict[int, int]:
+    """The basis indexed by pivot bit, as _reduce reads it."""
+    return {b.bit_length() - 1: b for b in basis}
+
+
 def in_span(vec: int, basis) -> bool:
-    return not _reduce(vec, {b.bit_length() - 1: b for b in basis})
+    return not _reduce(vec, _pivots(basis))
 
 
 def span_basis(n: int, generator_words) -> list[int]:
@@ -209,16 +215,20 @@ class CodeSet:
     def size(self) -> int:
         return 1 << len(self.basis)
 
+    def walk(self) -> Iterator[int]:
+        """Every codeword as a packed word, in Gray-code order from 0: step i
+        adds the basis vector indexed by the lowest set bit of i, so each
+        word is visited once, nonzero after the first, in O(basis) memory."""
+        basis, cur = self.basis, 0
+        yield 0
+        for i in range(1, self.size):
+            cur ^= basis[(i & -i).bit_length() - 1]
+            yield cur
+
     @cached_property
     def words(self) -> frozenset[Word]:
-        """Every codeword, enumerated in Gray-code order on first use."""
-        n = self.n
-        words = {(0,) * n}
-        cur = 0
-        for i in range(1, self.size):
-            cur ^= self.basis[(i & -i).bit_length() - 1]
-            words.add(unpack(cur, n))
-        return frozenset(words)
+        """Every codeword as a tuple, kept for tests; the package walks."""
+        return frozenset(unpack(p, self.n) for p in self.walk())
 
 
 def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
@@ -257,8 +267,9 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
 
 
 def export_words(codeset: CodeSet) -> list[str]:
-    """One line per codeword, element tokens comma-separated, sorted."""
-    return [word_line(w) for w in sorted(codeset.words)]
+    """One line per codeword, element tokens comma-separated, sorted as
+    tuples (first entry first; packed ints would sort by the last)."""
+    return [word_line(w) for w in sorted(unpack(p, codeset.n) for p in codeset.walk())]
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +299,39 @@ def enumerate_right_divisors(
     unit multiple of exactly one of them, generating the same code).  "v" and
     "v1" list v * g1 resp. (v+1) * g1 for monic g1 over GF(4) dividing
     x^n - 1 in GF(4)[x].
+
+    The "unit" search runs over whichever factor is shorter.  A monic right
+    divisor g has x^n - 1 = h * g for exactly one h, which is monic of
+    degree n - t (its leading coefficient is that of h * g, as g is monic)
+    with a unit constant term (h_0 * g_0 = 1, R being commutative).
+    Conversely, a monic h of degree n - t that left-divides x^n - 1 leaves
+    the quotient q of x^n - 1 = h * q, monic of degree t; left division by
+    a monic h is unique, so g -> h is a bijection (Boucher, Geiselmann and
+    Ulmer, "Skew-cyclic codes", AAECC 2007).  So for t > n - t the search
+    tries the 16^(n-t) cofactors h by left division instead of the 16^t
+    candidates g by right division, and the budget counts the side searched.
     """
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
-    candidates = 16 ** t if leading == FORM_UNIT else 4 ** t
+    candidates = 16 ** min(t, n - t) if leading == FORM_UNIT else 4 ** t
     if candidates > budget:
         raise SizeCapExceeded(
-            f"{candidates} degree-{t} candidates exceed the search budget {budget}"
+            f"{candidates} candidates for degree-{t} divisors exceed the search budget {budget}"
         )
     if leading == FORM_UNIT:
         xn1 = sp.x_pow_minus_one(n)
         out = []
-        for lower in itertools.product(range(16), repeat=t):
-            if not is_unit(lower[0]):
-                continue  # constant term of a divisor of x^n - 1 is a unit
-            cand = lower + (1,)
-            if not sp.right_divmod(xn1, cand)[1]:
-                out.append(cand)
+        # the constant term of a divisor of x^n - 1, or of its cofactor, is a unit
+        if t <= n - t:
+            for lower in itertools.product(range(16), repeat=t):
+                if is_unit(lower[0]) and not sp.right_divmod(xn1, lower + (1,))[1]:
+                    out.append(lower + (1,))
+        else:
+            for lower in itertools.product(range(16), repeat=n - t):
+                if is_unit(lower[0]):
+                    q, r = sp.left_divmod(xn1, lower + (1,))
+                    if not r:
+                        out.append(q)
         return sorted(out)
     if leading == FORM_V:
         return sorted(tuple(c << 2 for c in g1) for g1 in _monic_gf4_divisors(n, t))

@@ -41,6 +41,8 @@ _BLOCK_OF_R = tuple(
     BASE_OF_GF4[gray(x)[0]] + BASE_OF_GF4[gray(x)[1]] for x in range(16)
 )
 _R_OF_BLOCK = {block: x for x, block in enumerate(_BLOCK_OF_R)}
+# the four bases of a byte of a packed word: its low entry, then its high one
+_BLOCKS_OF_BYTE = tuple(_BLOCK_OF_R[b & 15] + _BLOCK_OF_R[b >> 4] for b in range(256))
 
 _WCC = str.maketrans("ATCG", "TAGC")
 
@@ -85,9 +87,31 @@ def complement_word(word: Word) -> Word:
     return tuple(c ^ 1 for c in word)
 
 
+def theta_reverse_complement(n: int):
+    """complement_word(theta_reverse(w)) on packed words of length n
+    (codes.pack): theta as a mask, then the entry order reversed by
+    reversing the bytes and swapping the two nibbles of each, which for odd
+    n leaves the empty padding entry at the bottom to shift out, then the
+    all-ones word added."""
+    ones = int("1" * n, 16)
+    m3, nbytes, pad = 3 * ones, (n + 1) // 2, 4 * (n % 2)
+    lo = int("0f" * nbytes, 16)
+
+    def rc(p: int) -> int:
+        p ^= (p >> 2) & m3
+        p = int.from_bytes(p.to_bytes(nbytes, "little"), "big")
+        return ((p & lo) << 4 | (p >> 4) & lo) >> pad ^ ones
+
+    return rc
+
+
 def encode_codeset(codeset: CodeSet) -> list[str]:
-    """Sorted DNA strings of all codewords."""
-    return sorted(encode_word(w) for w in codeset.words)
+    """Sorted DNA strings of all codewords, walked as packed words, whose
+    little-endian bytes hold two entries each (odd n pads one, cut off)."""
+    nbytes, length = (codeset.n + 1) // 2, 2 * codeset.n
+    blocks = _BLOCKS_OF_BYTE.__getitem__
+    return sorted("".join(map(blocks, p.to_bytes(nbytes, "little")))[:length]
+                  for p in codeset.walk())
 
 
 # ---------------------------------------------------------------------------

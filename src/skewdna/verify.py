@@ -94,9 +94,10 @@ def _timed(func):
 #
 # Checks 6, 7, 8, 9 and 12 sweep every single-generator code of some shapes
 # at small lengths, sharing (n, t, shape) divisor lists that run_all
-# enumerates once.  CodeSets are rebuilt per check, so words one check walks
-# are not kept alive.  MATERIALIZE_LIMIT only fixes the frozen inventories of
-# checks 9 and 12 (290 and 326 codes), the codes of at most that many words.
+# enumerates once.  A CodeSet holds only a basis, and a check that walks a
+# code's words keeps them no longer than that code.  MATERIALIZE_LIMIT only
+# fixes the frozen inventories of checks 9 and 12 (290 and 326 codes), the
+# codes of at most that many words.
 
 MATERIALIZE_LIMIT = 1 << 16
 
@@ -204,7 +205,7 @@ def check_sixteen_codeword_table() -> CheckResult:
     bad = []
     if cs.size != 16:
         bad.append(f"expected 16 codewords, got {cs.size}")
-    got = frozenset(dna.encode_word(w) for w in cs.words)
+    got = frozenset(dna.encode_codeset(cs))
     if got != SIXTEEN_WORD_TABLE:
         bad.append(f"missing: {sorted(SIXTEEN_WORD_TABLE - got)}")
         bad.append(f"extra: {sorted(got - SIXTEEN_WORD_TABLE)}")
@@ -308,12 +309,13 @@ def check_reverse_complement_rules() -> CheckResult:
 
     The equivalence is a consequence of additivity and holds.  The package's
     reverse-complement decision is built on it, so this check tests the
-    closure word by word instead.  The no-complement claim fails; the
-    counterexamples are listed.  Half of them are collapsing generators
-    whose code contains g1, as in the impossibility rule.  The other half
-    do not contain g1 but reach the all-ones word, because x^j * v
-    alternates between v * x^j and (1+v) * x^j: at n = 4 the sum of
-    x^j * v(1+x) over j = 0..3 is the all-ones word.
+    closure word by word instead, on each code's packed words in an int set.
+    The no-complement claim fails; the counterexamples are listed.  Half of
+    them are collapsing generators whose code contains g1, as in the
+    impossibility rule.  The other half do not contain g1 but reach the
+    all-ones word, because x^j * v alternates between v * x^j and
+    (1+v) * x^j: at n = 4 the sum of x^j * v(1+x) over j = 0..3 is the
+    all-ones word.
     """
     bad_iff = []
     bad_comp = []
@@ -321,9 +323,8 @@ def check_reverse_complement_rules() -> CheckResult:
     spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
     for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
         total += 1
-        # no local alias of cs.words, so each code's words are freed before
-        # the next code's are enumerated
-        rc = all(dna.complement_word(dna.theta_reverse(w)) in cs.words for w in cs.words)
+        words, rc_map = set(cs.walk()), dna.theta_reverse_complement(n)
+        rc = all(rc_map(p) in words for p in words)
         ones = dna.is_complement_closed(cs)
         if rc != (dna.is_reversible(cs) and ones):
             bad_iff.append(_g_desc(n, shape, g))

@@ -8,7 +8,9 @@ import pytest
 
 from skewdna import analysis as an
 from skewdna import codes as cd
-from skewdna.algebra import gray
+from skewdna import dna
+from skewdna import skewpoly as sp
+from skewdna.algebra import gray, gray_inverse
 
 
 def test_lee_weight_table():
@@ -41,6 +43,32 @@ def test_distance_is_translation_invariant():
         assert an.hamming_distance(*shifted) == an.hamming_distance(u, w)
 
 
+@pytest.mark.parametrize("metric,weight", [("hamming", an.hamming_weight),
+                                           ("lee", an.lee_weight)])
+def test_packed_weights_match_word_weights(metric, weight):
+    # exhaustive for n <= 2, sampled up to n = 9
+    rng = random.Random(31)
+    for n in range(1, 10):
+        weigh = an.packed_weigher(n, metric)
+        words = (itertools.product(range(16), repeat=n) if n <= 2 else
+                 (tuple(rng.randrange(16) for _ in range(n)) for _ in range(2000)))
+        for w in words:
+            assert weigh(cd.pack(w)) == weight(w)
+
+
+def test_word_walks_cache_no_words():
+    cs = cd.materialize(cd.code_from_generator(8, sp.parse_poly("x^4 + 1")))
+    assert cs.size == 1 << 16
+    lee = an.min_distance(cs, "lee")
+    dist = an.weight_distribution(cs, "hamming")
+    strings = dna.encode_codeset(cs)
+    assert "words" not in cs.__dict__  # no tuple set was built and cached
+    # the walks against the tuple words
+    assert lee == min(an.lee_weight(w) for w in cs.words if any(w))
+    assert dist == dict(sorted(collections.Counter(map(an.hamming_weight, cs.words)).items()))
+    assert strings == sorted(map(dna.encode_word, cs.words))
+
+
 def test_min_distance_equals_pairwise_minimum():
     cs = cd.materialize(cd.code_from_generator(2, (6, 1)))
     for metric, dist in (("hamming", an.hamming_distance), ("lee", an.lee_distance)):
@@ -59,6 +87,8 @@ def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):
     zero_only = cd.CodeSet(sixteen_word_code.code, ())
     with pytest.raises(ValueError):
         an.min_distance(zero_only, "lee")
+    with pytest.raises(ValueError, match="zero code"):
+        an.gray_image_report(zero_only)
 
 
 def test_weight_distribution_against_dna_strings(sixteen_word_code, reference_dna_strings):
@@ -87,6 +117,17 @@ def test_rotate_and_pair_swap():
     assert an.swap_adjacent_pairs((1, 2, 3, 0)) == (2, 1, 0, 3)
     with pytest.raises(ValueError):
         an.swap_adjacent_pairs((1, 2, 3))
+
+
+def test_image_permutation_masks_match_tuple_maps():
+    rng = random.Random(37)
+    for n in range(1, 10):
+        permute = an.image_permutation(n)
+        for _ in range(500):
+            w = tuple(rng.randrange(16) for _ in range(n))
+            img = an.swap_adjacent_pairs(an.rotate_right2(an.gray_image(w)))
+            expect = tuple(gray_inverse(img[i : i + 2]) for i in range(0, 2 * n, 2))
+            assert permute(cd.pack(w)) == cd.pack(expect)
 
 
 def test_image_shift_identity_exhaustive_short():

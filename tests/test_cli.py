@@ -10,6 +10,7 @@ from skewdna import analysis as an
 from skewdna import cli, dna, verify
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
+from skewdna.algebra import parse_element
 
 EX3 = ["--n", "6", "--gen", "v(x^4+x^2+1)"]
 EX1 = ["--n", "10", "--gen", "x^4+(v+w)*x^2+1"]
@@ -65,9 +66,19 @@ def test_divisors_include_reference_polynomials(capsys):
 
 
 def test_divisors_budget_exit(capsys):
-    rc, _, err = run(capsys, ["divisors", "--n", "12", "--degree", "9"])
+    # 16^10 candidates on either side of x^20 - 1 = h * g
+    rc, _, err = run(capsys, ["divisors", "--n", "20", "--degree", "10"])
     assert rc == 3
     assert "budget" in err
+
+
+def test_divisors_search_the_shorter_cofactor(capsys):
+    # 16^9 divisor candidates, but only 16^3 cofactors of degree 3
+    rc, doc = run_json(capsys, ["divisors", "--n", "12", "--degree", "9"])
+    assert rc == 0
+    gens = [sp.normalize(parse_element(c) for c in d["coeffs"]) for d in doc["divisors"]]
+    assert gens and all(len(g) == 10 and g[-1] == 1 for g in gens)
+    assert all(sp.right_divides(g, sp.x_pow_minus_one(12)) for g in gens)
 
 
 def test_build_report(capsys):
@@ -190,6 +201,15 @@ def test_every_admitted_size_prints(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["build", "--n", str(n + 1), "--gen", "x+1"])
     assert exc.value.code == 2
+
+
+def test_quasi_cyclic_at_the_longest_length(capsys):
+    argv = ["check", "--n", str(sp.MAX_PARSE_DEGREE), "--gen", "x+1",
+            "--property", "quasi-cyclic"]
+    t0 = time.perf_counter()
+    rc, doc = run_json(capsys, argv)
+    assert time.perf_counter() - t0 < 10
+    assert rc == 0 and doc["holds"] is True
 
 
 def test_cap_only_where_it_is_read(capsys):

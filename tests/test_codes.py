@@ -1,12 +1,13 @@
 """Code construction: span engine, membership, enumeration, serialization."""
 
+import itertools
 import random
 
 import pytest
 
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
-from skewdna.algebra import theta
+from skewdna.algebra import is_unit, theta
 
 EX3 = sp.parse_poly("v(x^4+x^2+1)")
 
@@ -135,9 +136,28 @@ def test_enumerate_includes_reference_divisors():
     assert tuple(EX3) in cd.enumerate_right_divisors(6, 4, leading=cd.FORM_V)
 
 
+def _brute_force_divisors(n, t):
+    """Every monic degree-t g with a unit constant term that right-divides
+    x^n - 1, all 9 * 16^(t-1) candidates tried."""
+    xn1 = sp.x_pow_minus_one(n)
+    return sorted(low + (1,) for low in itertools.product(range(16), repeat=t)
+                  if is_unit(low[0]) and sp.right_divides(low + (1,), xn1))
+
+
+def test_cofactor_search_matches_brute_force():
+    # every (n, t) that searches the cofactor (t > n - t) with n <= 8 and
+    # t <= 4, and the 16^5-candidate case (6, 5)
+    for n, t in ((3, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (6, 5)):
+        assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
+
+
 def test_enumerate_budget():
+    # the budget counts the shorter side: 16^10 at (20, 10), 16^3 at (12, 9)
     with pytest.raises(cd.SizeCapExceeded):
-        cd.enumerate_right_divisors(12, 9)
+        cd.enumerate_right_divisors(20, 10)
+    with pytest.raises(cd.SizeCapExceeded):
+        cd.enumerate_right_divisors(12, 9, budget=16 ** 3 - 1)
+    assert cd.enumerate_right_divisors(12, 9, budget=16 ** 3)
     with pytest.raises(cd.SizeCapExceeded):
         cd.enumerate_right_divisors(6, 2, budget=10)
 
@@ -257,4 +277,5 @@ def test_word_lines_round_trip(sixteen_word_code):
     lines = cd.export_words(sixteen_word_code)
     assert len(lines) == 16
     assert lines == cd.export_words(sixteen_word_code)  # stable order
+    assert lines == [cd.word_line(w) for w in sorted(sixteen_word_code.words)]
     assert {cd.parse_word_line(line) for line in lines} == sixteen_word_code.words

@@ -73,6 +73,17 @@ def test_theta_reverse_is_an_involution():
         assert dna.theta_reverse(dna.theta_reverse(word)) == word
 
 
+def test_packed_theta_reverse_complement_matches_word_maps():
+    # exhaustive for n <= 2, sampled above; odd n exercises the padding entry
+    rng = random.Random(23)
+    for n in range(1, 9):
+        rc = dna.theta_reverse_complement(n)
+        words = (itertools.product(range(16), repeat=n) if n <= 2 else
+                 (tuple(rng.randrange(16) for _ in range(n)) for _ in range(2000)))
+        for w in words:
+            assert rc(cd.pack(w)) == cd.pack(dna.complement_word(dna.theta_reverse(w)))
+
+
 def test_encode_codeset_matches_reference(sixteen_word_code, reference_dna_strings):
     assert dna.encode_codeset(sixteen_word_code) == sorted(reference_dna_strings)
 

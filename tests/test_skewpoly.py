@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewdna import skewpoly as sp
 from skewdna.algebra import UNITS, V, theta
@@ -70,6 +72,20 @@ def test_right_divmod_reconstructs():
         q, r = sp.right_divmod(f, d)
         assert sp.add(sp.mul(q, d), r) == f
         assert sp.is_zero(r) or sp.degree(r) < sp.degree(d)
+
+
+@given(st.lists(st.integers(0, 15), max_size=14).map(sp.normalize),
+       st.lists(st.integers(0, 15), max_size=7).map(lambda low: tuple(low) + (1,)))
+def test_left_divmod_reconstructs(f, h):
+    q, r = sp.left_divmod(f, h)
+    assert sp.add(sp.mul(h, q), r) == f
+    assert len(r) < len(h)
+
+
+def test_left_division_needs_monic():
+    for h in ((), (1, V), (1, 2)):
+        with pytest.raises(ValueError):
+            sp.left_divmod((1, 0, 1), h)
 
 
 def test_right_division_needs_unit_leading():
