@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import skewpoly as sp
-from .algebra import _THETA as _TH, is_unit, r_token
+from .algebra import UNITS, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv, r_token
 
 Word = tuple[int, ...]
 
@@ -290,6 +290,48 @@ def _monic_gf4_divisors(n: int, t: int) -> list[sp.Poly]:
     return found
 
 
+def _balanced_divisors(t: int, xn1: sp.Poly) -> list[sp.Poly]:
+    """The monic degree-t right divisors of xn1 = x^(2t) - 1, t >= 2, met in
+    the middle coefficient g_m; enumerate_right_divisors has the argument."""
+    m = max(1, t // 2)
+
+    def tw(i: int, c: int) -> int:  # theta^i(c)
+        return _TH[c] if i % 2 else c
+
+    preimages = {}  # u -> c -> every x with u * x + theta^t(x) = c
+    for u in UNITS:
+        lists = [[] for _ in range(16)]
+        for x in range(16):
+            lists[_MUL[u][x] ^ tw(t, x)].append(x)
+        preimages[u] = lists
+    highs = []  # (K_hi, (g_(m+1), ..., g_(t-1)))
+    for high in itertools.product(range(16), repeat=t - 1 - m):
+        g = (0,) * (m + 1) + high + (1,)
+        h = [0] * t + [1]
+        for k in range(t - 1, m - 1, -1):
+            acc = 0
+            for i in range(k + 1, t + (k > m)):  # at k = m, all but the i = t term
+                acc ^= _MUL[h[i]][tw(i, g[t + k - i])]
+            h[k] = acc
+        highs.append((h[m], high))
+    out = []
+    for low in itertools.product(UNITS, *[range(16)] * (m - 1)):
+        h = [r_inv(low[0])]
+        for k in range(1, m + 1):
+            acc = 0
+            for i in range(1 if k == m else 0, k):  # at k = m, all but the i = 0 term
+                acc ^= _MUL[h[i]][tw(i, low[k - i])]
+            h.append(_MUL[r_inv(tw(k, low[0]))][acc])
+        u = _MUL[r_inv(tw(m, low[0]))][h[0]]
+        lists = preimages[u]
+        for k_hi, high in highs:
+            for gm in lists[h[m] ^ k_hi]:
+                g = low + (gm,) + high + (1,)
+                if not sp.right_divmod(xn1, g)[1]:
+                    out.append(g)
+    return out
+
+
 def enumerate_right_divisors(
     n: int, t: int, leading: str = FORM_UNIT, budget: int = DEFAULT_CAP
 ) -> list[sp.Poly]:
@@ -309,7 +351,33 @@ def enumerate_right_divisors(
     a monic h is unique, so g -> h is a bijection (Boucher, Geiselmann and
     Ulmer, "Skew-cyclic codes", AAECC 2007).  So for t > n - t the search
     tries the 16^(n-t) cofactors h by left division instead of the 16^t
-    candidates g by right division, and the budget counts the side searched.
+    candidates g by right division.
+
+    At n = 2t with t >= 2 both sides cost 16^t, and the search solves
+    h * g = x^n - 1 from both ends instead (Boucher and Ulmer, "Coding with
+    skew polynomial rings", J. Symb. Comput. 2009).  The coefficients of
+    h * g are P_k = sum over i + j = k of h_i * theta^i(g_j), with g and h
+    monic of degree t, and P_0 = 1 while P_k = 0 for 0 < k < n:
+
+    - bottom: h_0 = g_0^-1, and for 1 <= k < t, P_k = 0 gives
+      h_k = theta^k(g_0)^-1 * sum_(i<k) h_i * theta^i(g_(k-i)),
+      so h_k depends on g_0..g_k only;
+    - top: for k = t-1 down to 0, P_(t+k) = 0 gives
+      h_k = sum_(i=k+1..t) h_i * theta^i(g_(t+k-i)), whose i = t term is
+      theta^t(g_k), so h_k depends on g_k..g_(t-1) only;
+    - meet: at m = max(1, t // 2) both give h_m, each affine in g_m: the
+      bottom as u * g_m + K_lo with the unit u = theta^m(g_0)^-1 * g_0^-1,
+      the top as theta^t(g_m) + K_hi.  So g_m solves
+      u * x + theta^t(x) = K_lo + K_hi, a GF(2)-linear map on the 16
+      elements, whose preimage lists are built once per call for each u.
+
+    The 9 * 16^(m-1) low halves g_0..g_(m-1) (with K_lo and u) and the
+    16^(t-1-m) high halves g_(m+1)..g_(t-1) (with K_hi) are each listed
+    once, and every pair is completed by each preimage g_m: 9 * 16^(t-2)
+    pairs.  Every divisor's coefficients satisfy both formulas, so it is
+    among the candidates, and each candidate is kept only when it passes
+    the exact right-division test.  The budget counts 16^min(t, n-t), an
+    upper bound on the candidates tried.
     """
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
@@ -322,7 +390,9 @@ def enumerate_right_divisors(
         xn1 = sp.x_pow_minus_one(n)
         out = []
         # the constant term of a divisor of x^n - 1, or of its cofactor, is a unit
-        if t <= n - t:
+        if t == n - t >= 2:
+            out = _balanced_divisors(t, xn1)
+        elif t <= n - t:
             for lower in itertools.product(range(16), repeat=t):
                 if is_unit(lower[0]) and not sp.right_divmod(xn1, lower + (1,))[1]:
                     out.append(lower + (1,))

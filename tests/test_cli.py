@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -63,6 +66,25 @@ def test_divisors_include_reference_polynomials(capsys):
     assert rc == 0
     hit = next(d for d in doc["divisors"] if d["coeffs"] == ["1", "w+v", "w2+v", "1"])
     assert hit["theta_palindromic"] and not hit["palindromic"]
+
+
+def test_divisors_balanced_case_is_fast(capsys):
+    # t = n - t = 5 was 16^5 right divisions; the two-ended search pairs
+    # 9 * 16^3 halves
+    start = time.perf_counter()
+    rc, doc = run_json(capsys, ["divisors", "--n", "10", "--degree", "5"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0
+    assert len(doc["divisors"]) == 873
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "skewdna", "table1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.strip().splitlines()) == 17
 
 
 def test_divisors_budget_exit(capsys):

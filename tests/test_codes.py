@@ -1,5 +1,6 @@
 """Code construction: span engine, membership, enumeration, serialization."""
 
+import hashlib
 import itertools
 import random
 
@@ -149,6 +150,20 @@ def test_cofactor_search_matches_brute_force():
     # t <= 4, and the 16^5-candidate case (6, 5)
     for n, t in ((3, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (6, 5)):
         assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
+
+
+def test_balanced_search_matches_brute_force():
+    # n = 2t: the search meets in the middle coefficient of g
+    for n, t in ((4, 2), (6, 3), (8, 4)):
+        assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
+
+
+def test_balanced_search_is_frozen_at_10_5():
+    # count and hash computed by the 16^5-candidate direct search
+    found = cd.enumerate_right_divisors(10, 5)
+    assert len(found) == 873
+    assert hashlib.sha256(repr(found).encode()).hexdigest() \
+        == "8db57a3b35f9345348fbf0e0567e2c374aef577022a40dc444e1f6dd4fea212f"
 
 
 def test_enumerate_budget():
