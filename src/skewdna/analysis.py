@@ -8,6 +8,8 @@ distances through XOR differences, and every code produced by this package
 is an F2-subspace, so minimum distance is minimum nonzero weight.  The
 word-level functions take tuples; the code-level ones walk packed words
 (CodeSet.walk) and weigh each with a few masks and one popcount.
+min_distance walks only a code's components vC and (1+v)C, where Lee and
+Hamming weight agree, so every code's Lee and Hamming minima are equal.
 
 The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
@@ -77,9 +79,30 @@ def packed_weigher(n: int, metric: str):
 
 
 def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
-    """Minimum distance of an F2-additive code: least nonzero-word weight."""
-    weigh = packed_weigher(codeset.n, metric)
-    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
+    """Minimum distance of an F2-additive code: least nonzero-word weight,
+    read off the components vC and (1+v)C, 2^k1 + 2^k2 words for 2^k.
+
+    For c = a + b*v, v*c = (a + b)*v and (1+v)*c = a + a*v.  A code is
+    closed under scalars, so both components lie in C, c = v*c + (1+v)*c,
+    and C = vC + (1+v)C with k1 + k2 = k.  Each nonzero entry of a component
+    word has Lee weight 1, so there Lee and Hamming agree, and for c != 0,
+    Lee(c) >= Ham(c) >= max(Ham(v*c), Ham((1+v)*c)).  So in both metrics the
+    minimum is the least weight of a nonzero component word.  A set whose
+    component dimensions do not add up to k is not closed under v: no code,
+    so every word of it is walked.
+    """
+    weigh, m3 = packed_weigher(codeset.n, metric), 3 * int("1" * codeset.n, 16)
+    parts = []
+    for image in (lambda p: ((p ^ p >> 2) & m3) << 2, lambda p: p & m3 | (p & m3) << 2):
+        pivots: dict[int, int] = {}
+        for vec in map(image, codeset.basis):
+            if vec := _reduce(vec, pivots):
+                pivots[vec.bit_length() - 1] = vec
+        parts.append(tuple(pivots.values()))
+    if sum(map(len, parts)) != len(codeset.basis):
+        parts = [codeset.basis]
+    best = min((weigh(p) for basis in parts
+                for p in islice(CodeSet(codeset.code, basis).walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best

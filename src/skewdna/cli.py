@@ -12,8 +12,9 @@ Generators are written either as polynomial text in x over the ring
 (tokens 0, 1, w, w2, v, products like w2*v, parentheses, ^ for powers)
 or as an ascending coefficient list such as "[1, w+v, 1]".
 
-check decides on the code's GF(2) basis at any size; dna and distance walk
-every word and refuse codes above --cap.  --n is at most
+check decides on the code's GF(2) basis at any size; dna walks every word,
+distance walks the components vC and (1+v)C (about 2*sqrt(size) words),
+and both refuse codes above --cap.  --n is at most
 skewpoly.MAX_PARSE_DEGREE (2048), checked before any work, so every size
 printed has under 4,300 digits.
 
@@ -155,7 +156,7 @@ def _cmd_check(args) -> int:
 
 
 def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
-    """Generator and code for dna and distance, which walk every word."""
+    """Generator and code for dna and distance, which walk the words."""
     g = sp.parse_poly(args.gen)
     cs = cd.materialize(cd.code_from_generator(args.n, g))
     if cs.size > args.cap:
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p)
     p.add_argument("--fasta", action="store_true", help="FASTA headers >w<index>")
 
-    p = add("distance", "minimum distance of the materialized code")
+    p = add("distance", "minimum distance of the code")
     _add_code_args(p)
     p.add_argument("--metric", choices=("hamming", "lee"), default="lee")
 

@@ -7,9 +7,13 @@ it, never the other way around.  The set oracles decide the DNA closure
 properties and the Gray-image rotation by their definitions, word by word
 over the enumerated code; the package decides them on the code's basis or
 generators and is validated against these, as are the plain-shift decision
-and the minimal-degree scan, which read the basis; their oracles walk every
+and the minimal-degree scan, which read the basis, and the minimum distance,
+which walks the two components vC and (1+v)C; their oracles walk every
 word.
 """
+
+import random
+from itertools import islice
 
 import pytest
 
@@ -121,6 +125,35 @@ def naive_minimal_degree_scan(codeset):
     )
 
 
+def naive_min_distance(codeset, metric):
+    """min_distance by its definition: the least weight of every nonzero
+    word, each one walked."""
+    weigh = an.packed_weigher(codeset.n, metric)
+    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
+    if best is None:
+        raise ValueError("zero code has no minimum distance")
+    return best
+
+
+def _word_walk_codes():
+    """Every single-generator code of at most 2^16 words at n = 1..6 in all
+    three shapes (degree 0 included, so n = 1 has codes), then seeded random
+    two-generator codes of at most 2^12 words at n = 2..4."""
+    constants = {cd.FORM_UNIT: (1,), cd.FORM_V: (4,), cd.FORM_V1: (5,)}
+    for n in range(1, 7):
+        for t in range(n):
+            for shape in (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1):
+                gens = cd.enumerate_right_divisors(n, t, leading=shape) if t else [constants[shape]]
+                for g in gens:
+                    yield cd.code_from_generator(n, g), 1 << 16
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        gens = [sp.normalize(rng.randrange(16) for _ in range(n)) for _ in range(2)]
+        if all(gens):
+            yield cd.code_from_generators(n, gens), 1 << 12
+
+
 @pytest.fixture
 def naive_closure():
     return naive_closure_impl
@@ -137,6 +170,11 @@ def set_oracles():
 
 
 @pytest.fixture
+def min_distance_oracle():
+    return naive_min_distance
+
+
+@pytest.fixture
 def image_rotation_oracle():
     return set_image_rotation
 
@@ -145,6 +183,13 @@ def image_rotation_oracle():
 def word_walk_oracles():
     """(minimal-degree scan, plain-shift closure), each walking every word."""
     return naive_minimal_degree_scan, set_is_plain_cyclic
+
+
+@pytest.fixture(scope="session")
+def word_walk_codes():
+    """(code, size limit) for the word-walk inventory; the codes at or under
+    their limit are the 375 that the walk oracles are compared on."""
+    return list(_word_walk_codes())
 
 
 @pytest.fixture

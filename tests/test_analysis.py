@@ -1,10 +1,13 @@
 """Distances, weight distributions, and the 2-quasi-cyclic image identity."""
 
 import collections
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewdna import analysis as an
 from skewdna import codes as cd
@@ -81,6 +84,57 @@ def test_min_distance_of_sixteen_word_code(sixteen_word_code):
     assert an.min_distance(sixteen_word_code, "hamming") == 3
 
 
+def _random_codes(rng, count):
+    """Seeded codes of one to three generators at n = 2..8, each a left
+    multiple of a random right divisor of x^n - 1, of at most 2^18 words."""
+    right_divisors = functools.cache(cd.enumerate_right_divisors)
+    while count:
+        n = rng.randrange(2, 9)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            t = rng.randrange(1, n)
+            divisors = right_divisors(n, t, rng.choice((cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)))
+            if divisors:
+                h = sp.normalize(rng.randrange(16) for _ in range(n - t))
+                gens.append(sp.mul(h, rng.choice(divisors)))
+        if gens and all(gens):
+            cs = cd.materialize(cd.code_from_generators(n, gens))
+            if cs.size <= 1 << 18:
+                count -= 1
+                yield cs
+
+
+def test_min_distance_equals_full_walk(word_walk_codes, min_distance_oracle, monkeypatch):
+    # the skew shift maps vC onto (1+v)C, so each component has half of the
+    # code's dimension: every call must walk two bases of k/2 vectors
+    walked, walk = [], cd.CodeSet.walk
+    monkeypatch.setattr(cd.CodeSet, "walk", lambda cs: walked.append(len(cs.basis)) or walk(cs))
+
+    def split(cs, metric):
+        walked.clear()
+        return an.min_distance(cs, metric), walked == [len(cs.basis) // 2] * 2
+
+    inventory = [cs for code, limit in word_walk_codes
+                 if (cs := cd.materialize(code)).size <= limit]
+    assert len(inventory) == 375
+    codesets = inventory + list(_random_codes(random.Random(41), 60))
+    found = [(cs.code, split(cs, "lee"), split(cs, "hamming"),
+              min_distance_oracle(cs, "lee"), min_distance_oracle(cs, "hamming"))
+             for cs in codesets]
+    assert [f for f in found if (f[1], f[2]) != ((f[3], True), (f[4], True))] == []
+    assert [f for f in found if f[3] != f[4]] == []  # Lee min == Hamming min
+    assert {f[3] for f in found} >= {1, 2, 3, 4}
+
+
+def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code):
+    # {0, 1 at entry 0} is not closed under v: its components {0, v} and
+    # {0, 1+v} lie outside it, so a split would give 1; the walk gives 2
+    fake = cd.CodeSet(sixteen_word_code.code, (cd.pack((1, 0, 0, 0, 0, 0)),))
+    assert an.min_distance(fake, "lee") == 2
+    assert an.gray_image_report(fake).lee_min == 2
+    assert an.min_distance(fake, "hamming") == 1
+
+
 def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):
     with pytest.raises(ValueError):
         an.min_distance(sixteen_word_code, "euclidean")
@@ -141,6 +195,16 @@ def test_image_shift_identity_sampled():
     for n in (3, 4, 5, 6):
         for _ in range(2000):
             assert an.image_shift_commutes(tuple(rng.randrange(16) for _ in range(n)))
+
+
+WORD_PAIRS = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 15)] * n)] * 2))
+
+
+@given(WORD_PAIRS)
+def test_gray_map_is_an_isometry(pair):
+    u, w = pair
+    assert an.lee_distance(u, w) == an.hamming_distance(an.gray_image(u), an.gray_image(w))
 
 
 def test_gray_image_report(sixteen_word_code):

@@ -288,6 +288,16 @@ def test_dna_fasta(capsys):
     assert lines[1] == "AAAAAAAAAAAA"
 
 
+def test_distance_of_the_sixteen_million_word_code(capsys):
+    # 2^24 words, at the default cap; walking every word took about 10 s
+    for metric in ("lee", "hamming"):
+        t0 = time.perf_counter()
+        rc, doc = run_json(capsys, ["distance"] + EX1 + ["--metric", metric])
+        assert time.perf_counter() - t0 < 1
+        assert rc == 0
+        assert doc["min_distance"] == 3 and doc["size"] == 16777216
+
+
 def test_distance_output(capsys):
     rc, doc = run_json(capsys, ["distance"] + EX3)
     assert rc == 0

@@ -209,32 +209,13 @@ def test_minimal_degree_scan_sixteen_words(sixteen_word_code):
     assert scan.all_factor
 
 
-def _word_walk_codes():
-    """Every single-generator code of at most 2^16 words at n = 1..6 in all
-    three shapes (degree 0 included, so n = 1 has codes), then seeded random
-    two-generator codes of at most 2^12 words at n = 2..4."""
-    constants = {cd.FORM_UNIT: (1,), cd.FORM_V: (4,), cd.FORM_V1: (5,)}
-    for n in range(1, 7):
-        for t in range(n):
-            for shape in (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1):
-                gens = cd.enumerate_right_divisors(n, t, leading=shape) if t else [constants[shape]]
-                for g in gens:
-                    yield cd.code_from_generator(n, g), 1 << 16
-    rng = random.Random(29)
-    for _ in range(60):
-        n = rng.randrange(2, 5)
-        gens = [sp.normalize(rng.randrange(16) for _ in range(n)) for _ in range(2)]
-        if all(gens):
-            yield cd.code_from_generators(n, gens), 1 << 12
-
-
 @pytest.fixture(scope="module")
-def word_walks(word_walk_oracles):
+def word_walks(word_walk_oracles, word_walk_codes):
     """(code, naive minimal-degree report, naive plain-shift closure); each
     code's words are walked once, on a CodeSet that is then dropped."""
     naive_scan, naive_cyclic = word_walk_oracles
     walks = []
-    for code, limit in _word_walk_codes():
+    for code, limit in word_walk_codes:
         cs = cd.materialize(code)
         if cs.size <= limit:
             walks.append((code, naive_scan(cs), naive_cyclic(cs)))

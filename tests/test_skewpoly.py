@@ -82,6 +82,28 @@ def test_left_divmod_reconstructs(f, h):
     assert len(r) < len(h)
 
 
+POLYS = st.lists(st.integers(0, 15), max_size=8).map(sp.normalize)
+
+
+@given(POLYS, POLYS, POLYS)
+def test_mul_is_associative(f, g, h):
+    assert sp.mul(sp.mul(f, g), h) == sp.mul(f, sp.mul(g, h))
+
+
+@given(st.lists(st.integers(0, 15), max_size=14).map(sp.normalize),
+       st.lists(st.integers(0, 15), max_size=7), st.sampled_from(UNITS))
+def test_right_divmod_reconstructs_property(f, low, lead):
+    d = tuple(low) + (lead,)
+    q, r = sp.right_divmod(f, d)
+    assert sp.add(sp.mul(q, d), r) == f
+    assert len(r) < len(d)
+
+
+@given(st.lists(st.integers(0, 15), max_size=12).map(sp.normalize))
+def test_format_parse_round_trip(f):
+    assert sp.parse_poly(sp.format_poly(f)) == f
+
+
 def test_left_division_needs_monic():
     for h in ((), (1, V), (1, 2)):
         with pytest.raises(ValueError):
