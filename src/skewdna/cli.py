@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
                    help="leading coefficient shape")
     p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
-                   help="largest search size: 16^min(t, n-t) for unit divisors "
-                        "(4^t for v, v1), an upper bound on the candidates tried")
+                   help="largest search size: q^min(t, n-t), q = 16 for unit "
+                        "divisors and 4 for v, v1, an upper bound on the candidates tried")
 
     p = add("build", "construct a code and report its shape, its size and what "
                      "the paper's rules predict; the predictions include the two "

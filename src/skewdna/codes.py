@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import skewpoly as sp
-from .algebra import UNITS, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv, r_token
+from .algebra import UNITS, V, V1, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv, r_token
 
 Word = tuple[int, ...]
 
@@ -148,22 +148,27 @@ def span_basis(n: int, generator_words) -> list[int]:
 # codes
 
 
+_V_MULTIPLES = frozenset((0, 4, 8, 12))       # v * GF(4)
+_V1_MULTIPLES = frozenset((0, 5, 10, 15))     # (v+1) * GF(4)
+
+
+def _nonunit_factor_form(f: sp.Poly) -> str | None:
+    if all(c in _V_MULTIPLES for c in f):
+        return FORM_V
+    if all(c in _V1_MULTIPLES for c in f):
+        return FORM_V1
+    return None
+
+
 def classify_generator(n: int, g: sp.Poly) -> str:
     if not g:
         raise ValueError("the zero polynomial generates nothing")
     xn1 = sp.x_pow_minus_one(n)
     if is_unit(g[-1]):
         return FORM_UNIT if sp.right_divides(g, xn1) else FORM_OTHER
-    if all(c & 3 == 0 for c in g):
-        g1 = tuple(c >> 2 for c in g)  # strip the factor v
-        if sp.right_divides(g1, xn1):
-            return FORM_V
-        return FORM_OTHER
-    if all((c & 3) == (c >> 2) for c in g):
-        g1 = tuple(c & 3 for c in g)  # strip the factor v + 1
-        if sp.right_divides(g1, xn1):
-            return FORM_V1
-    return FORM_OTHER
+    form = _nonunit_factor_form(g)
+    g1 = tuple((c & 3) | (c >> 2) for c in g)  # strip the factor v or v + 1
+    return form if form and sp.right_divides(g1, xn1) else FORM_OTHER
 
 
 @dataclass(frozen=True)
@@ -276,20 +281,6 @@ def export_words(codeset: CodeSet) -> list[str]:
 # right divisor enumeration
 
 
-def _monic_gf4_divisors(n: int, t: int) -> list[sp.Poly]:
-    xn1 = sp.x_pow_minus_one(n)
-    found = []
-    # theta fixes GF(4), so skew right division on GF(4) inputs is plain
-    # commutative division in GF(4)[x].
-    for lower in itertools.product(range(4), repeat=t):
-        if lower[0] == 0:
-            continue  # a divisor of x^n - 1 has nonzero constant term
-        cand = lower + (1,)
-        if sp.right_divides(cand, xn1):
-            found.append(cand)
-    return found
-
-
 def _balanced_divisors(t: int, xn1: sp.Poly) -> list[sp.Poly]:
     """The monic degree-t right divisors of xn1 = x^(2t) - 1, t >= 2, met in
     the middle coefficient g_m; enumerate_right_divisors has the argument."""
@@ -332,6 +323,23 @@ def _balanced_divisors(t: int, xn1: sp.Poly) -> list[sp.Poly]:
     return out
 
 
+def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
+    """The monic degree-t right divisors of x^n - 1 over R (q = 16) or over
+    GF(4) (q = 4); enumerate_right_divisors has the argument."""
+    xn1 = sp.x_pow_minus_one(n)
+    if t > n - t:
+        return [sp.right_divmod(xn1, h)[0] for h in _monic_divisors(n, n - t, q)]
+    if q == 16 and t == n - t >= 2:
+        return _balanced_divisors(t, xn1)
+    # the constant term of a divisor of x^n - 1 is a unit
+    units = UNITS if q == 16 else range(1, 4)
+    return [g for low in itertools.product(units, *[range(q)] * (t - 1))
+            if not sp.right_divmod(xn1, g := low + (1,))[1]]
+
+
+_LEADS = {FORM_UNIT: 1, FORM_V: V, FORM_V1: V1}
+
+
 def enumerate_right_divisors(
     n: int, t: int, leading: str = FORM_UNIT, budget: int = DEFAULT_CAP
 ) -> list[sp.Poly]:
@@ -340,22 +348,31 @@ def enumerate_right_divisors(
     "unit" lists monic divisors over R (every unit-leading divisor is a left
     unit multiple of exactly one of them, generating the same code).  "v" and
     "v1" list v * g1 resp. (v+1) * g1 for monic g1 over GF(4) dividing
-    x^n - 1 in GF(4)[x].
+    x^n - 1 in GF(4)[x]; on GF(4), v * c = c << 2 and (v+1) * c = c | c << 2.
 
-    The "unit" search runs over whichever factor is shorter.  A monic right
-    divisor g has x^n - 1 = h * g for exactly one h, which is monic of
-    degree n - t (its leading coefficient is that of h * g, as g is monic)
-    with a unit constant term (h_0 * g_0 = 1, R being commutative).
-    Conversely, a monic h of degree n - t that left-divides x^n - 1 leaves
-    the quotient q of x^n - 1 = h * q, monic of degree t; left division by
-    a monic h is unique, so g -> h is a bijection (Boucher, Geiselmann and
-    Ulmer, "Skew-cyclic codes", AAECC 2007).  So for t > n - t the search
-    tries the 16^(n-t) cofactors h by left division instead of the 16^t
-    candidates g by right division.
+    The search lists the shorter side of x^n - 1 = h * g and takes the
+    longer one as quotients.  A monic right divisor g has x^n - 1 = h * g for
+    exactly one h, monic of degree n - t, and the degree-t divisors are
+    exactly the right quotients of x^n - 1 by the degree-(n - t) ones:
 
-    At n = 2t with t >= 2 both sides cost 16^t, and the search solves
-    h * g = x^n - 1 from both ends instead (Boucher and Ulmer, "Coding with
-    skew polynomial rings", J. Symb. Comput. 2009).  The coefficients of
+    - even n: x^n - 1 is central (x^2 commutes with R, theta being an
+      involution).  Let x^n - 1 = f * h with h monic.  Then
+      h * (x^n - 1) = (x^n - 1) * h reads h * f * h = f * h * h, so
+      (h * f - f * h) * h = 0, and since h is monic, h * f = f * h.  So f
+      is a monic right divisor, and h is recovered from it as a right
+      quotient (Boucher and Ulmer, "Coding with skew polynomial rings",
+      J. Symb. Comput. 2009);
+    - odd n: sigma^n applies theta to every entry, so theta(g) - g is a
+      word of <g> of degree below t, and every nonzero word of <g> is a
+      left multiple of g.  That forces theta(g) = g, so every divisor is
+      over GF(4), where the ring is commutative (Siap, Abualrub, Aydin and
+      Seneviratne, "Skew cyclic codes of arbitrary length", 2011).
+
+    So for t > n - t the search lists the divisors h of degree n - t and
+    divides x^n - 1 by each.
+
+    At n = 2t with t >= 2 over R both sides cost 16^t, and the search solves
+    h * g = x^n - 1 from both ends instead.  The coefficients of
     h * g are P_k = sum over i + j = k of h_i * theta^i(g_j), with g and h
     monic of degree t, and P_0 = 1 while P_k = 0 for 0 < k < n:
 
@@ -376,56 +393,25 @@ def enumerate_right_divisors(
     once, and every pair is completed by each preimage g_m: 9 * 16^(t-2)
     pairs.  Every divisor's coefficients satisfy both formulas, so it is
     among the candidates, and each candidate is kept only when it passes
-    the exact right-division test.  The budget counts 16^min(t, n-t), an
-    upper bound on the candidates tried.
+    the exact right-division test.  The budget counts q^min(t, n-t), with
+    q = 16 for "unit" and 4 for "v" and "v1", an upper bound on the
+    candidates tried.
     """
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
-    candidates = 16 ** min(t, n - t) if leading == FORM_UNIT else 4 ** t
+    if leading not in _LEADS:
+        raise ValueError(f"unknown divisor shape {leading!r}")
+    q = 16 if leading == FORM_UNIT else 4
+    candidates = q ** min(t, n - t)
     if candidates > budget:
         raise SizeCapExceeded(
             f"{candidates} candidates for degree-{t} divisors exceed the search budget {budget}"
         )
-    if leading == FORM_UNIT:
-        xn1 = sp.x_pow_minus_one(n)
-        out = []
-        # the constant term of a divisor of x^n - 1, or of its cofactor, is a unit
-        if t == n - t >= 2:
-            out = _balanced_divisors(t, xn1)
-        elif t <= n - t:
-            for lower in itertools.product(range(16), repeat=t):
-                if is_unit(lower[0]) and not sp.right_divmod(xn1, lower + (1,))[1]:
-                    out.append(lower + (1,))
-        else:
-            for lower in itertools.product(range(16), repeat=n - t):
-                if is_unit(lower[0]):
-                    q, r = sp.left_divmod(xn1, lower + (1,))
-                    if not r:
-                        out.append(q)
-        return sorted(out)
-    if leading == FORM_V:
-        return sorted(tuple(c << 2 for c in g1) for g1 in _monic_gf4_divisors(n, t))
-    if leading == FORM_V1:
-        return sorted(
-            tuple(c | (c << 2) for c in g1) for g1 in _monic_gf4_divisors(n, t)
-        )
-    raise ValueError(f"unknown divisor shape {leading!r}")
+    return sorted(sp.scale(_LEADS[leading], g) for g in _monic_divisors(n, t, q))
 
 
 # ---------------------------------------------------------------------------
 # minimal degree scan
-
-_V_MULTIPLES = frozenset((0, 4, 8, 12))       # v * GF(4)
-_V1_MULTIPLES = frozenset((0, 5, 10, 15))     # (v+1) * GF(4)
-
-
-def _nonunit_factor_form(f: sp.Poly) -> str | None:
-    if all(c in _V_MULTIPLES for c in f):
-        return FORM_V
-    if all(c in _V1_MULTIPLES for c in f):
-        return FORM_V1
-    return None
-
 
 @dataclass(frozen=True)
 class MinimalDegreeReport:

@@ -13,7 +13,6 @@ Division is *right* division unless named otherwise: right_divmod(f, d)
 produces q, r with f = q * d + r and deg r < deg d, which exists and is
 unique whenever the leading coefficient of d is a unit.  "d right-divides
 f" means the corresponding remainder vanishes, i.e. f = q * d.
-left_divmod(f, h) gives f = h * q + r instead, for monic h.
 """
 
 from __future__ import annotations
@@ -147,34 +146,6 @@ def right_divmod(f: Poly, d: Poly) -> tuple[Poly, Poly]:
             if dj:
                 r[s + j] ^= row[dj]
     return normalize(q), normalize(r[:t])
-
-
-def left_divmod(f: Poly, h: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with f = h * q + r, deg r < deg h, for monic h.
-
-    With m = deg h, the term h * (c x^s) is the sum of h_i * theta^i(c)
-    x^(i+s), led by theta^m(c) at degree m + s.  So the quotient
-    coefficient that clears the remainder's top coefficient at degree m + s
-    is theta^m of it, theta being an involution; q and r are unique.
-    """
-    if not h or h[-1] != 1:
-        raise ValueError("left division needs a monic divisor")
-    m = len(h) - 1
-    if len(f) <= m:
-        return (), f
-    r = list(f)
-    q = [0] * (len(f) - m)
-    for s in range(len(f) - 1 - m, -1, -1):
-        top = r[s + m]
-        if not top:
-            continue
-        c = _TH[top] if m % 2 else top
-        q[s] = c
-        cs = (c, _TH[c])  # theta^i(c) by the parity of i
-        for i, hi in enumerate(h):
-            if hi:
-                r[s + i] ^= _MUL[hi][cs[i % 2]]
-    return normalize(q), normalize(r[:m])
 
 
 def right_divides(d: Poly, f: Poly) -> bool:

@@ -159,7 +159,7 @@ def naive_closure():
     return naive_closure_impl
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def set_oracles():
     """(decision under test, set oracle) for each closure property."""
     return (

@@ -103,6 +103,21 @@ def test_divisors_search_the_shorter_cofactor(capsys):
     assert all(sp.right_divides(g, sp.x_pow_minus_one(12)) for g in gens)
 
 
+def test_divisors_long_side_of_every_shape(capsys):
+    # degree 28 of 30: 16^2 short-side candidates over R and 4^2 over
+    # GF(4), where the GF(4) shapes once tried 4^28
+    rc, doc = run_json(capsys, ["divisors", "--n", "30", "--degree", "28", "--leading", "any"])
+    assert rc == 0
+    shapes = [d["leading"] for d in doc["divisors"]]
+    assert [shapes.count(s) for s in ("unit", "v", "v1")] == [108, 12, 12]
+    xn1 = sp.x_pow_minus_one(30)
+    for d, shape in zip(doc["divisors"], shapes):
+        g = sp.normalize(parse_element(c) for c in d["coeffs"])
+        g1 = g if shape == "unit" else tuple((c & 3) | (c >> 2) for c in g)  # strip v, v+1
+        assert len(g) == 29 and sp.right_divides(g1, xn1)
+        assert cd.classify_generator(30, g) == shape
+
+
 def test_build_report(capsys):
     rc, doc = run_json(capsys, ["build"] + EX3)
     assert rc == 0

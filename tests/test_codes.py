@@ -145,9 +145,18 @@ def _brute_force_divisors(n, t):
                   if is_unit(low[0]) and sp.right_divides(low + (1,), xn1))
 
 
+def _brute_force_gf4_divisors(n, t):
+    """Every monic degree-t g1 over GF(4) with a nonzero constant term that
+    divides x^n - 1 in GF(4)[x], all 3 * 4^(t-1) candidates tried."""
+    xn1 = sp.x_pow_minus_one(n)
+    return [low + (1,) for low in itertools.product(range(4), repeat=t)
+            if low[0] and sp.right_divides(low + (1,), xn1)]
+
+
 def test_cofactor_search_matches_brute_force():
-    # every (n, t) that searches the cofactor (t > n - t) with n <= 8 and
-    # t <= 4, and the 16^5-candidate case (6, 5)
+    # every (n, t) that takes the degree-t divisors as quotients by the
+    # degree-(n - t) ones (t > n - t) with n <= 8 and t <= 4, and the
+    # 16^5-candidate case (6, 5)
     for n, t in ((3, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (6, 5)):
         assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
 
@@ -156,6 +165,38 @@ def test_balanced_search_matches_brute_force():
     # n = 2t: the search meets in the middle coefficient of g
     for n, t in ((4, 2), (6, 3), (8, 4)):
         assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
+
+
+def test_gf4_shapes_match_brute_force():
+    # v * g1 and (v+1) * g1 for every g1 the GF(4) brute force finds
+    for n in range(2, 9):
+        for t in range(1, n):
+            g1s = _brute_force_gf4_divisors(n, t)
+            assert cd.enumerate_right_divisors(n, t, cd.FORM_V) \
+                == sorted(tuple(c << 2 for c in g1) for g1 in g1s), (n, t)
+            assert cd.enumerate_right_divisors(n, t, cd.FORM_V1) \
+                == sorted(tuple(c | c << 2 for c in g1) for g1 in g1s), (n, t)
+
+
+def test_odd_length_divisors_lie_over_gf4():
+    # at odd n every monic divisor over R is theta-fixed, so over GF(4):
+    # the unit list is the v list with the factor v stripped
+    for n in (3, 5, 7, 9):
+        for t in range(1, n):
+            unit = cd.enumerate_right_divisors(n, t)
+            assert all(c < 4 for g in unit for c in g), (n, t)
+            v = cd.enumerate_right_divisors(n, t, cd.FORM_V)
+            assert unit == [tuple(c >> 2 for c in g) for g in v], (n, t)
+
+
+def test_divisor_inventory_is_frozen():
+    # every shape at n = 2..8, 706 divisors, hashed before the three
+    # search loops became one
+    inventory = [(n, t, s, cd.enumerate_right_divisors(n, t, s))
+                 for n in range(2, 9) for t in range(1, n) for s in ("unit", "v", "v1")]
+    assert sum(len(found) for *_, found in inventory) == 706
+    assert hashlib.sha256(repr(inventory).encode()).hexdigest() \
+        == "8629c3ba4a9cf3180deda05dd21d9e645eef7c0d3df8164410ea3be51e97f9b9"
 
 
 def test_balanced_search_is_frozen_at_10_5():
@@ -167,7 +208,8 @@ def test_balanced_search_is_frozen_at_10_5():
 
 
 def test_enumerate_budget():
-    # the budget counts the shorter side: 16^10 at (20, 10), 16^3 at (12, 9)
+    # the budget counts the shorter side: 16^10 at (20, 10), 16^3 at (12, 9),
+    # and 4^1 for the GF(4) shapes at (12, 11)
     with pytest.raises(cd.SizeCapExceeded):
         cd.enumerate_right_divisors(20, 10)
     with pytest.raises(cd.SizeCapExceeded):
@@ -175,6 +217,9 @@ def test_enumerate_budget():
     assert cd.enumerate_right_divisors(12, 9, budget=16 ** 3)
     with pytest.raises(cd.SizeCapExceeded):
         cd.enumerate_right_divisors(6, 2, budget=10)
+    assert len(cd.enumerate_right_divisors(12, 11, cd.FORM_V, budget=4)) == 3
+    with pytest.raises(cd.SizeCapExceeded):
+        cd.enumerate_right_divisors(12, 11, cd.FORM_V, budget=3)
 
 
 def test_classify_generator_forms():

@@ -8,6 +8,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewdna import analysis as an
 from skewdna import codes as cd
@@ -148,6 +150,22 @@ def test_basis_closure_decisions_agree_with_set_oracles(set_oracles):
             if dna.reversible_by_remainder(code) != dna.is_reversible(cs):
                 disagreements.append((code, "reversible_by_remainder"))
     assert disagreements == []
+
+
+# a length n <= 3 and 1 to 3 nonzero generators of degree below n
+RANDOM_CODES = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, 15), min_size=n, max_size=n).map(sp.normalize)
+             .filter(bool), min_size=1, max_size=3)))
+
+
+@given(RANDOM_CODES)
+def test_decisions_agree_with_set_oracles_on_random_codes(set_oracles, word_walk_oracles,
+                                                          n_gens):
+    cs = cd.materialize(cd.code_from_generators(*n_gens))
+    for decide, oracle in set_oracles:
+        assert decide(cs) == oracle(cs), decide.__name__
+    assert cd.is_plain_cyclic(cs) == word_walk_oracles[1](cs)
 
 
 def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,

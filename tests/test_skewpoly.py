@@ -74,14 +74,6 @@ def test_right_divmod_reconstructs():
         assert sp.is_zero(r) or sp.degree(r) < sp.degree(d)
 
 
-@given(st.lists(st.integers(0, 15), max_size=14).map(sp.normalize),
-       st.lists(st.integers(0, 15), max_size=7).map(lambda low: tuple(low) + (1,)))
-def test_left_divmod_reconstructs(f, h):
-    q, r = sp.left_divmod(f, h)
-    assert sp.add(sp.mul(h, q), r) == f
-    assert len(r) < len(h)
-
-
 POLYS = st.lists(st.integers(0, 15), max_size=8).map(sp.normalize)
 
 
@@ -102,12 +94,6 @@ def test_right_divmod_reconstructs_property(f, low, lead):
 @given(st.lists(st.integers(0, 15), max_size=12).map(sp.normalize))
 def test_format_parse_round_trip(f):
     assert sp.parse_poly(sp.format_poly(f)) == f
-
-
-def test_left_division_needs_monic():
-    for h in ((), (1, V), (1, 2)):
-        with pytest.raises(ValueError):
-            sp.left_divmod((1, 0, 1), h)
 
 
 def test_right_division_needs_unit_leading():
