@@ -3,8 +3,8 @@
 GF(4) = {0, 1, w, w2} with w2 = w + 1 is stored as 2-bit integers 0..3:
 bit 0 is the constant coefficient, bit 1 the coefficient of w, so
 0 -> 0, 1 -> 1, w -> 2, w2 -> 3.  Addition is XOR.  Multiplication uses
-a 4x4 table that is validated once at import time against polynomial
-arithmetic modulo w^2 + w + 1 over GF(2).
+a 4x4 table that the tests check against polynomial arithmetic modulo
+w^2 + w + 1 over GF(2).
 
 Ring elements a + b*v (v^2 = v) are stored as 4-bit integers a | (b << 2).
 Addition is again XOR; multiplication expands
@@ -27,14 +27,10 @@ render as "a+b*v" with zero parts elided and "1*v" shortened to "v"
 from __future__ import annotations
 
 __all__ = [
-    "GF4_ELEMENTS", "ALPHA", "gf4_add", "gf4_mul", "gf4_inv", "gf4_token",
-    "parse_gf4", "ELEMENTS", "UNITS", "V", "V1", "from_parts", "parts",
-    "r_add", "r_mul", "r_inv", "is_unit", "theta", "complement", "gray",
-    "gray_inverse", "crt_split", "r_token", "parse_element",
+    "gf4_mul", "gf4_inv", "gf4_token", "parse_gf4", "ELEMENTS", "UNITS", "V",
+    "V1", "from_parts", "parts", "r_mul", "r_inv", "is_unit", "theta", "gray",
+    "gray_inverse", "r_token", "parse_element",
 ]
-
-GF4_ELEMENTS = (0, 1, 2, 3)
-ALPHA = 2  # the generator w of GF(4)*
 
 _GF4_MUL = (
     (0, 0, 0, 0),
@@ -45,38 +41,6 @@ _GF4_MUL = (
 _GF4_INV = (None, 1, 3, 2)
 
 _GF4_TOKENS = ("0", "1", "w", "w2")
-
-
-def _gf4_mul_oracle(x: int, y: int) -> int:
-    # Carry-less product of the two bit-polynomials, reduced mod w^2 + w + 1.
-    acc = 0
-    for shift in range(2):
-        if (y >> shift) & 1:
-            acc ^= x << shift
-    if acc & 4:
-        acc ^= 0b111  # clear the w^2 bit, add w + 1
-    return acc & 3
-
-
-def _validate_gf4_tables() -> None:
-    for x in GF4_ELEMENTS:
-        for y in GF4_ELEMENTS:
-            expect = _gf4_mul_oracle(x, y)
-            if _GF4_MUL[x][y] != expect:
-                raise RuntimeError(
-                    f"GF(4) table corrupt: {x}*{y} = {_GF4_MUL[x][y]}, "
-                    f"polynomial arithmetic gives {expect}"
-                )
-    for x in (1, 2, 3):
-        if _GF4_MUL[x][_GF4_INV[x]] != 1:
-            raise RuntimeError(f"GF(4) inverse table corrupt at {x}")
-
-
-_validate_gf4_tables()
-
-
-def gf4_add(x: int, y: int) -> int:
-    return x ^ y
 
 
 def gf4_mul(x: int, y: int) -> int:
@@ -149,10 +113,6 @@ _R_INV = tuple(_R_INV)
 _GRAY = tuple(((x & 3) ^ (x >> 2), x & 3) for x in ELEMENTS)
 
 
-def r_add(x: int, y: int) -> int:
-    return x ^ y
-
-
 def r_mul(x: int, y: int) -> int:
     return _R_MUL[x][y]
 
@@ -172,28 +132,15 @@ def theta(x: int) -> int:
     return _THETA[x]
 
 
-def complement(x: int) -> int:
-    """Ring complement x + 1 (base pairing at the alphabet level)."""
-    return x ^ 1
-
-
 def gray(x: int) -> tuple[int, int]:
-    """GF(4) coordinate pair (a + b, a) of the element a + b*v."""
+    """GF(4) coordinate pair (a + b, a) of the element a + b*v: its images
+    modulo <v + 1> and modulo <v>, a ring homomorphism in each component."""
     return _GRAY[x]
 
 
 def gray_inverse(pair: tuple[int, int]) -> int:
     p, q = pair
     return from_parts(q, p ^ q)
-
-
-def crt_split(x: int) -> tuple[int, int]:
-    """Images of x modulo <v + 1> and modulo <v>.
-
-    Coincides with gray() by construction, but is a ring homomorphism in
-    each component, which gray() does not claim.
-    """
-    return _GRAY[x]
 
 
 def r_token(x: int) -> str:

@@ -21,7 +21,6 @@ image's closure under the permutation, on a code's basis.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -88,8 +87,8 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     word has Lee weight 1, so there Lee and Hamming agree, and for c != 0,
     Lee(c) >= Ham(c) >= max(Ham(v*c), Ham((1+v)*c)).  So in both metrics the
     minimum is the least weight of a nonzero component word.  A set whose
-    component dimensions do not add up to k is not closed under v: no code,
-    so every word of it is walked.
+    component dimensions do not add up to k is not closed under v, so it is
+    no code, and it is refused.
     """
     weigh, m3 = packed_weigher(codeset.n, metric), 3 * int("1" * codeset.n, 16)
     parts = []
@@ -100,17 +99,12 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
                 pivots[vec.bit_length() - 1] = vec
         parts.append(tuple(pivots.values()))
     if sum(map(len, parts)) != len(codeset.basis):
-        parts = [codeset.basis]
+        raise ValueError("the basis is not closed under v, so it spans no code")
     best = min((weigh(p) for basis in parts
                 for p in islice(CodeSet(codeset.code, basis).walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best
-
-
-def weight_distribution(codeset: CodeSet, metric: str = "hamming") -> dict[int, int]:
-    weigh = packed_weigher(codeset.n, metric)
-    return dict(sorted(Counter(map(weigh, codeset.walk())).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def gray_image_report(codeset: CodeSet) -> GrayImageReport:
         img = (p ^ p >> 2) & m3 | (p & m3) << 2
         return ((img | img >> 1) & m5).bit_count()
 
-    lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code
+    lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code and non-codes
     # the identity is GF(2)-linear on both sides, so the basis decides it
     identity = all(image_shift_commutes(unpack(b, codeset.n)) for b in codeset.basis)
     return GrayImageReport(

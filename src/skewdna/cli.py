@@ -101,8 +101,8 @@ def _cmd_divisors(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    g = sp.parse_poly(args.gen)
-    code = cd.code_from_generator(args.n, g)
+    code = cd.code_from_generator(args.n, sp.parse_poly(args.gen))
+    g = code.generators[0]  # reduced mod x^n - 1: the polynomial the flags describe
     k = len(cd.code_basis(code))  # F2 dimension; no word is enumerated
     info = dna.classify(code)
     doc = {

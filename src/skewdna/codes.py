@@ -39,10 +39,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import skewpoly as sp
-from .algebra import UNITS, V, V1, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv, r_token
+from .algebra import UNITS, V, V1, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv
 
 Word = tuple[int, ...]
 
@@ -71,16 +70,6 @@ def poly_to_word(f: sp.Poly, n: int) -> Word:
 def skew_shift(word: Word) -> Word:
     """Cyclic shift with theta applied to every entry."""
     return (_TH[word[-1]],) + tuple(_TH[c] for c in word[:-1])
-
-
-def word_line(word: Word) -> str:
-    return ",".join(r_token(c) for c in word)
-
-
-def parse_word_line(line: str) -> Word:
-    from .algebra import parse_element
-
-    return tuple(parse_element(p) for p in line.strip().split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +219,6 @@ class CodeSet:
             cur ^= basis[(i & -i).bit_length() - 1]
             yield cur
 
-    @cached_property
-    def words(self) -> frozenset[Word]:
-        """Every codeword as a tuple, kept for tests; the package walks."""
-        return frozenset(unpack(p, self.n) for p in self.walk())
-
 
 def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
     """The code's GF(2) basis; its length is log2 of the size."""
@@ -269,12 +253,6 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
     if len(word) != code.n:
         raise ValueError("word length does not match the code length")
     return sp.right_divides(code.generators[0], word_to_poly(word))
-
-
-def export_words(codeset: CodeSet) -> list[str]:
-    """One line per codeword, element tokens comma-separated, sorted as
-    tuples (first entry first; packed ints would sort by the last)."""
-    return [word_line(w) for w in sorted(unpack(p, codeset.n) for p in codeset.walk())]
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +437,3 @@ def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:
         True, best, tuple(found), forms, all(fm is not None for fm in forms)
     )
 
-
-# ---------------------------------------------------------------------------
-# code description documents
-
-
-def code_to_dict(code: SkewCyclicCode) -> dict:
-    return {
-        "n": code.n,
-        "generators": [[r_token(c) for c in g] for g in code.generators],
-        "classification": list(code.forms),
-    }
-
-
-def code_from_dict(doc: dict) -> SkewCyclicCode:
-    from .algebra import parse_element
-
-    n = doc["n"]
-    gens = [sp.normalize(parse_element(tok) for tok in g) for g in doc["generators"]]
-    code = code_from_generators(n, gens)
-    stated = doc.get("classification")
-    if stated is not None and list(code.forms) != list(stated):
-        raise ValueError(
-            f"stated classification {stated} does not match computed {list(code.forms)}"
-        )
-    return code

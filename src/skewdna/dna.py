@@ -11,8 +11,7 @@ and swapping the coordinate pair of x is exactly the pair of theta(x).  So
 string reversal pulls back to the ring as "apply theta entrywise, then
 reverse the word" (theta_reverse below), and string reverse-complement
 additionally adds the all-ones word.  The closure checks work on ring words
-through this translation; encode/decode round-trip tests pin it to the
-string level.
+through this translation; encoding tests pin it to the string level.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ from .codes import (
 )
 
 BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
-GF4_OF_BASE = {b: i for i, b in enumerate(BASE_OF_GF4)}
 
 _BLOCK_OF_R = tuple(
     BASE_OF_GF4[gray(x)[0]] + BASE_OF_GF4[gray(x)[1]] for x in range(16)
 )
-_R_OF_BLOCK = {block: x for x, block in enumerate(_BLOCK_OF_R)}
 # the four bases of a byte of a packed word: its low entry, then its high one
 _BLOCKS_OF_BYTE = tuple(_BLOCK_OF_R[b & 15] + _BLOCK_OF_R[b >> 4] for b in range(256))
 
@@ -53,16 +50,6 @@ def encode_element(x: int) -> str:
 
 def encode_word(word: Word) -> str:
     return "".join(_BLOCK_OF_R[c] for c in word)
-
-
-def decode_dna(s: str) -> Word:
-    if len(s) % 2:
-        raise ValueError("DNA string length must be even")
-    try:
-        return tuple(_R_OF_BLOCK[s[i : i + 2]] for i in range(0, len(s), 2))
-    except KeyError:
-        bad = set(s) - set("ATCG")
-        raise ValueError(f"not a DNA string over ATCG: {bad or s!r}") from None
 
 
 def dna_reverse(s: str) -> str:
@@ -187,8 +174,6 @@ class DnaClassification:
     n: int
     generator: sp.Poly
     form: str
-    n_parity: str
-    degree_parity: str
     palindromic: bool
     theta_palindromic: bool
     predicted_reversible: str
@@ -255,8 +240,6 @@ def classify(code: SkewCyclicCode) -> DnaClassification:
         n=n,
         generator=g,
         form=form,
-        n_parity="even" if n % 2 == 0 else "odd",
-        degree_parity="even" if t % 2 == 0 else "odd",
         palindromic=pal,
         theta_palindromic=tpal,
         predicted_reversible=rev,

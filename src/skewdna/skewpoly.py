@@ -6,8 +6,8 @@ theta^i depending only on the parity of i (theta is an involution).  The ring
 is genuinely noncommutative: x * v = (1 + v) x != v * x.
 
 A polynomial is a tuple of ring element indices in ascending degree order
-with no trailing zeros.  The empty tuple is the zero polynomial; it has no
-degree, and degree() raises on it rather than returning a sentinel.
+with no trailing zeros, so a nonzero f has degree len(f) - 1.  The empty
+tuple is the zero polynomial, which has no degree.
 
 Division is *right* division unless named otherwise: right_divmod(f, d)
 produces q, r with f = q * d + r and deg r < deg d, which exists and is
@@ -47,26 +47,6 @@ def normalize(coeffs) -> Poly:
     return tuple(cs)
 
 
-def is_zero(f: Poly) -> bool:
-    return not f
-
-
-def degree(f: Poly) -> int:
-    if not f:
-        raise ValueError("the zero polynomial has no degree")
-    return len(f) - 1
-
-
-def leading(f: Poly) -> int:
-    if not f:
-        raise ValueError("the zero polynomial has no leading coefficient")
-    return f[-1]
-
-
-def constant(f: Poly) -> int:
-    return f[0] if f else 0
-
-
 def add(f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -80,17 +60,6 @@ def scale(lam: int, f: Poly) -> Poly:
     """Left multiple lam * f by a ring element."""
     row = _MUL[lam]
     return normalize(row[c] for c in f)
-
-
-def apply_theta(f: Poly) -> Poly:
-    """theta applied to every coefficient."""
-    return tuple(_TH[c] for c in f)
-
-
-def monomial(coeff: int, k: int) -> Poly:
-    if coeff == 0:
-        return ()
-    return (0,) * k + (coeff,)
 
 
 def mul(f: Poly, g: Poly) -> Poly:
@@ -157,13 +126,6 @@ def x_pow_minus_one(n: int) -> Poly:
     if n < 1:
         raise ValueError("need n >= 1")
     return (1,) + (0,) * (n - 1) + (1,)
-
-
-def reversed_coeffs(f: Poly) -> Poly:
-    """Coefficients read backwards (the reciprocal when constant != 0)."""
-    if not f:
-        raise ValueError("the zero polynomial has no reversal")
-    return normalize(reversed(f))
 
 
 def is_palindromic(f: Poly) -> bool:

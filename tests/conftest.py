@@ -61,24 +61,29 @@ def naive_closure_impl(n, gens, cap=5000):
     return frozenset(cd.unpack(p, n) for p in words)
 
 
+def tuple_words(codeset):
+    """Every codeword as a tuple of ring elements, walked from the basis."""
+    return frozenset(cd.unpack(p, codeset.n) for p in codeset.walk())
+
+
 def set_is_reversible(codeset):
-    words = codeset.words
+    words = tuple_words(codeset)
     return all(dna.theta_reverse(w) in words for w in words)
 
 
 def set_is_complement_closed(codeset):
-    words = codeset.words
+    words = tuple_words(codeset)
     return all(dna.complement_word(w) in words for w in words)
 
 
 def set_is_reverse_complement_closed(codeset):
-    words = codeset.words
+    words = tuple_words(codeset)
     return all(dna.complement_word(dna.theta_reverse(w)) in words for w in words)
 
 
 def packed_words(codeset):
     """Every codeword as a packed int (4 bits per entry, as in codes.pack),
-    walked in the Gray-code order of CodeSet.words into an int set."""
+    walked in the Gray-code order of CodeSet.walk into an int set."""
     words, cur = {0}, 0
     for i in range(1, codeset.size):
         cur ^= codeset.basis[(i & -i).bit_length() - 1]
@@ -96,7 +101,7 @@ def set_image_rotation(codeset):
     """(identity_holds, image_closed) of analysis.GrayImageReport by their
     definitions: the per-word identity on every codeword, and the image set
     fixed by swap-pairs o rotate-right-2."""
-    words = codeset.words
+    words = tuple_words(codeset)
     images = {an.gray_image(w) for w in words}
     identity = all(an.image_shift_commutes(w) for w in words)
     closed = all(an.swap_adjacent_pairs(an.rotate_right2(img)) in images for img in images)
@@ -152,6 +157,11 @@ def _word_walk_codes():
         gens = [sp.normalize(rng.randrange(16) for _ in range(n)) for _ in range(2)]
         if all(gens):
             yield cd.code_from_generators(n, gens), 1 << 12
+
+
+@pytest.fixture(scope="session")
+def codeset_words():
+    return tuple_words
 
 
 @pytest.fixture

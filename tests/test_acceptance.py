@@ -100,13 +100,13 @@ def test_criterion_08_odd_length_closure_and_impossibility(set_oracles):
         if set_is_reversible(cs):
             # the cause: every counterexample contains g1 itself
             assert contains_g1, _desc(n, shape, g)
-            reversible.append(_desc(n, shape, g) + f" is reversible ({len(cs.words)} words)")
+            reversible.append(_desc(n, shape, g) + f" is reversible ({cs.size} words)")
         lacking_g1 += not contains_g1
         if n % 2:
             # x^n * v = theta^n(v) * x^n = (1+v) * x^n at odd n, and x^n = 1
             # modulo x^n - 1, so x^n * v*g1 reduces to (1+v)*g1 and back
             partner = sp.scale(V1 if shape == "v" else V, g1)
-            shifted = sp.mul(sp.monomial(1, n), g)
+            shifted = sp.mul((0,) * n + (1,), g)
             assert sp.right_divmod(shifted, sp.x_pow_minus_one(n))[1] == partner
             odd_n += 1
     assert odd_n == 24

@@ -59,23 +59,23 @@ def test_packed_weights_match_word_weights(metric, weight):
             assert weigh(cd.pack(w)) == weight(w)
 
 
-def test_word_walks_cache_no_words():
+def test_word_walks_cache_no_words(codeset_words):
     cs = cd.materialize(cd.code_from_generator(8, sp.parse_poly("x^4 + 1")))
     assert cs.size == 1 << 16
     lee = an.min_distance(cs, "lee")
-    dist = an.weight_distribution(cs, "hamming")
     strings = dna.encode_codeset(cs)
-    assert "words" not in cs.__dict__  # no tuple set was built and cached
+    assert set(vars(cs)) == {"code", "basis"}  # the walks kept no words
     # the walks against the tuple words
-    assert lee == min(an.lee_weight(w) for w in cs.words if any(w))
-    assert dist == dict(sorted(collections.Counter(map(an.hamming_weight, cs.words)).items()))
-    assert strings == sorted(map(dna.encode_word, cs.words))
+    words = codeset_words(cs)
+    assert lee == min(an.lee_weight(w) for w in words if any(w))
+    assert strings == sorted(map(dna.encode_word, words))
 
 
-def test_min_distance_equals_pairwise_minimum():
+def test_min_distance_equals_pairwise_minimum(codeset_words):
     cs = cd.materialize(cd.code_from_generator(2, (6, 1)))
+    words = codeset_words(cs)
     for metric, dist in (("hamming", an.hamming_distance), ("lee", an.lee_distance)):
-        direct = min(dist(u, w) for u in cs.words for w in cs.words if u != w)
+        direct = min(dist(u, w) for u in words for w in words if u != w)
         assert an.min_distance(cs, metric) == direct
 
 
@@ -128,11 +128,14 @@ def test_min_distance_equals_full_walk(word_walk_codes, min_distance_oracle, mon
 
 def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code):
     # {0, 1 at entry 0} is not closed under v: its components {0, v} and
-    # {0, 1+v} lie outside it, so a split would give 1; the walk gives 2
+    # {0, 1+v} lie outside it, so a split would give 1 where its words give
+    # 2; such a set is refused rather than walked
     fake = cd.CodeSet(sixteen_word_code.code, (cd.pack((1, 0, 0, 0, 0, 0)),))
-    assert an.min_distance(fake, "lee") == 2
-    assert an.gray_image_report(fake).lee_min == 2
-    assert an.min_distance(fake, "hamming") == 1
+    for metric in ("lee", "hamming"):
+        with pytest.raises(ValueError, match="not closed under v"):
+            an.min_distance(fake, metric)
+    with pytest.raises(ValueError, match="not closed under v"):
+        an.gray_image_report(fake)
 
 
 def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):
@@ -149,8 +152,9 @@ def test_weight_distribution_against_dna_strings(sixteen_word_code, reference_dn
     # Lee weight = number of non-A characters in the encoded string, so the
     # hand-transcribed table is an independent oracle for the distribution
     expected = collections.Counter(sum(ch != "A" for ch in s) for s in reference_dna_strings)
-    assert an.weight_distribution(sixteen_word_code, "lee") == dict(expected)
-    assert an.weight_distribution(sixteen_word_code, "lee") == {0: 1, 3: 6, 6: 9}
+    weigh = an.packed_weigher(sixteen_word_code.n, "lee")
+    walked = collections.Counter(map(weigh, sixteen_word_code.walk()))
+    assert walked == expected == {0: 1, 3: 6, 6: 9}
 
 
 def test_gray_image_is_additive():
@@ -216,11 +220,13 @@ def test_gray_image_report(sixteen_word_code):
     assert report.distance_preserved
 
 
-def test_gray_image_report_negative_control(sixteen_word_code):
-    # a set that is not skew-shift closed: its image cannot be rotation closed
+def test_gray_image_report_negative_control(sixteen_word_code, codeset_words):
+    # a set that is not skew-shift closed: its image cannot be rotation
+    # closed, and not being closed under v either, it is no code to report on
     basis = (cd.pack((1, 0, 0, 0, 0, 0)),)
     fake = cd.CodeSet(sixteen_word_code.code, basis)
-    assert fake.words == {(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)}
-    report = an.gray_image_report(fake)
-    assert report.identity_holds  # the identity is per-word, always true
-    assert not report.image_closed
+    assert codeset_words(fake) == {(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)}
+    assert an.image_shift_commutes(cd.unpack(basis[0], 6))  # per-word, always true
+    assert not an.image_closed_on_basis(fake.code, fake.basis)
+    with pytest.raises(ValueError, match="not closed under v"):
+        an.gray_image_report(fake)

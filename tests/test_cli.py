@@ -128,6 +128,21 @@ def test_build_report(capsys):
     assert doc["predicted_reverse_complement"] == "no"
 
 
+def test_build_prints_the_generator_reduced_mod_x_n_minus_1(capsys):
+    # x^6 + x^4 + x^2 + 1 is palindromic, but at n = 3 it leaves the
+    # remainder x^2 + x, which generates the code and carries the flags
+    argv = ["build", "--n", "3", "--gen", "x^6+x^4+x^2+1"]
+    rc, doc = run_json(capsys, argv)
+    assert rc == 0
+    assert doc["generator"] == ["0", "1", "1"]
+    assert doc["polynomial"] == "x^2 + x"
+    assert doc["palindromic"] is False
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert "generator:         [0, 1, 1] = x^2 + x" in out
+    assert "palindromic:       no" in out
+
+
 def test_build_large_code_without_materializing(capsys):
     rc, doc = run_json(capsys, ["build"] + EX1)
     assert rc == 0

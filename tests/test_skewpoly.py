@@ -21,15 +21,6 @@ def random_poly(rng, max_deg=4):
 def test_normalize_and_queries():
     assert sp.normalize((1, 0, 0)) == (1,)
     assert sp.normalize(()) == ()
-    assert sp.is_zero(())
-    assert not sp.is_zero((0, 1))
-    assert sp.degree((1, 0, 6, 0, 1)) == 4
-    assert sp.leading((0, 5)) == 5
-    assert sp.constant((3, 1)) == 3
-    with pytest.raises(ValueError):
-        sp.degree(())
-    with pytest.raises(ValueError):
-        sp.leading(())
 
 
 def test_twist_rule():
@@ -59,7 +50,8 @@ def test_scale_and_apply_theta():
     f = (1, 6, 7, 1)
     assert sp.scale(1, f) == f
     assert sp.scale(0, f) == ()
-    assert sp.apply_theta(sp.apply_theta(f)) == f
+    # theta applied twice is the identity, so x^2 commutes with f
+    assert sp.mul((0, 0, 1), f) == sp.mul(f, (0, 0, 1))
 
 
 def test_right_divmod_reconstructs():
@@ -67,11 +59,11 @@ def test_right_divmod_reconstructs():
     for _ in range(300):
         f = random_poly(rng, max_deg=6)
         d = random_poly(rng, max_deg=3)
-        if sp.is_zero(d) or d[-1] not in UNITS:
+        if not d or d[-1] not in UNITS:
             continue
         q, r = sp.right_divmod(f, d)
         assert sp.add(sp.mul(q, d), r) == f
-        assert sp.is_zero(r) or sp.degree(r) < sp.degree(d)
+        assert len(r) < len(d)
 
 
 POLYS = st.lists(st.integers(0, 15), max_size=8).map(sp.normalize)
@@ -156,19 +148,14 @@ def test_palindromic_predicates_match_direct_definition():
     rng = random.Random(31)
     for _ in range(300):
         f = random_poly(rng)
-        if sp.is_zero(f) or f[0] == 0:
+        if not f or f[0] == 0:
             continue
         assert sp.is_palindromic(f) == (f == tuple(reversed(f)))
         assert sp.is_theta_palindromic(f) == (f == tuple(theta(c) for c in reversed(f)))
 
 
-def test_reversed_coeffs():
-    assert sp.reversed_coeffs((1, 6, 7, 1)) == (1, 7, 6, 1)
-    assert sp.reversed_coeffs((0, 1)) == (1,)  # degree drops at a zero constant
-
-
 def test_zero_polynomial_has_no_palindrome_notion():
-    for fn in (sp.reversed_coeffs, sp.is_palindromic, sp.is_theta_palindromic):
+    for fn in (sp.is_palindromic, sp.is_theta_palindromic):
         with pytest.raises(ValueError):
             fn(())
 
@@ -177,7 +164,7 @@ def test_parse_format_round_trip():
     rng = random.Random(41)
     for _ in range(100):
         f = random_poly(rng, max_deg=5)
-        if sp.is_zero(f):
+        if not f:
             continue
         assert sp.parse_poly(sp.format_poly(f)) == f
 
