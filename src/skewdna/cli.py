@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leading coefficient shape")
     p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
                    help="largest search size: q^min(t, n-t), q = 16 for unit "
-                        "divisors and 4 for v, v1, an upper bound on the candidates tried")
+                        "divisors and 4 for v, v1, exactly the candidates tried")
 
     p = add("build", "construct a code and report its shape, its size and what "
                      "the paper's rules predict; the predictions include the two "

@@ -41,7 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import skewpoly as sp
-from .algebra import UNITS, V, V1, _R_MUL as _MUL, _THETA as _TH, is_unit, r_inv
+from .algebra import V, V1, _THETA as _TH, gray, is_unit
 
 Word = tuple[int, ...]
 
@@ -258,47 +258,36 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
 # ---------------------------------------------------------------------------
 # right divisor enumeration
 
+_LANE_BITS = 16  # a chunk of the divisor search tries at most 2^16 candidates
 
-def _balanced_divisors(t: int, xn1: sp.Poly) -> list[sp.Poly]:
-    """The monic degree-t right divisors of xn1 = x^(2t) - 1, t >= 2, met in
-    the middle coefficient g_m; enumerate_right_divisors has the argument."""
-    m = max(1, t // 2)
 
-    def tw(i: int, c: int) -> int:  # theta^i(c)
-        return _TH[c] if i % 2 else c
+def _gf4_lanes(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int]:
+    """Lanewise GF(4) product of x0 + x1*w and y0 + y1*w, w^2 = w + 1."""
+    a, b = x0 & y0, x1 & y1
+    return a ^ b, ((x0 ^ x1) & (y0 ^ y1)) ^ a
 
-    preimages = {}  # u -> c -> every x with u * x + theta^t(x) = c
-    for u in UNITS:
-        lists = [[] for _ in range(16)]
-        for x in range(16):
-            lists[_MUL[u][x] ^ tw(t, x)].append(x)
-        preimages[u] = lists
-    highs = []  # (K_hi, (g_(m+1), ..., g_(t-1)))
-    for high in itertools.product(range(16), repeat=t - 1 - m):
-        g = (0,) * (m + 1) + high + (1,)
-        h = [0] * t + [1]
-        for k in range(t - 1, m - 1, -1):
-            acc = 0
-            for i in range(k + 1, t + (k > m)):  # at k = m, all but the i = t term
-                acc ^= _MUL[h[i]][tw(i, g[t + k - i])]
-            h[k] = acc
-        highs.append((h[m], high))
-    out = []
-    for low in itertools.product(UNITS, *[range(16)] * (m - 1)):
-        h = [r_inv(low[0])]
-        for k in range(1, m + 1):
-            acc = 0
-            for i in range(1 if k == m else 0, k):  # at k = m, all but the i = 0 term
-                acc ^= _MUL[h[i]][tw(i, low[k - i])]
-            h.append(_MUL[r_inv(tw(k, low[0]))][acc])
-        u = _MUL[r_inv(tw(m, low[0]))][h[0]]
-        lists = preimages[u]
-        for k_hi, high in highs:
-            for gm in lists[h[m] ^ k_hi]:
-                g = low + (gm,) + high + (1,)
-                if not sp.right_divmod(xn1, g)[1]:
-                    out.append(g)
-    return out
+
+def _exact_lanes(n: int, g: list[tuple[int, ...]], ones: int) -> int:
+    """The lanes in which the monic g = g_0 + ... + g_(t-1) x^(t-1) + x^t,
+    each g_j given as the planes (p0, p1, q0, q1) of its Gray pair,
+    right-divides x^n - 1 (n - t >= t >= 1); ones holds every lane."""
+    t = len(g)
+    g_theta = [(q0, q1, p0, p1) for p0, p1, q0, q1 in g]
+    zero, one = (0, 0, 0, 0), (ones, 0, ones, 0)  # Gray pairs (0, 0) and (1, 1)
+    win = [zero] * t + [one]  # r_s .. r_(s+t), here of x^n - 1 at s = n - t
+    for s in range(n - t, -1, -1):
+        c0, c1, c2, c3 = win[t]  # the quotient digit, as theta^s(1) = 1 leads g
+        for j, (y0, y1, y2, y3) in enumerate(g_theta if s % 2 else g):
+            p0, p1 = _gf4_lanes(c0, c1, y0, y1)
+            q0, q1 = _gf4_lanes(c2, c3, y2, y3)
+            r0, r1, r2, r3 = win[j]
+            win[j] = (r0 ^ p0, r1 ^ p1, r2 ^ q0, r3 ^ q1)
+        if s:
+            win = [one if s == 1 else zero] + win[:t]
+    miss = 0
+    for r0, r1, r2, r3 in win[:t]:
+        miss |= r0 | r1 | r2 | r3
+    return ones ^ miss
 
 
 def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
@@ -307,12 +296,32 @@ def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
     xn1 = sp.x_pow_minus_one(n)
     if t > n - t:
         return [sp.right_divmod(xn1, h)[0] for h in _monic_divisors(n, n - t, q)]
-    if q == 16 and t == n - t >= 2:
-        return _balanced_divisors(t, xn1)
-    # the constant term of a divisor of x^n - 1 is a unit
-    units = UNITS if q == 16 else range(1, 4)
-    return [g for low in itertools.product(units, *[range(q)] * (t - 1))
-            if not sp.right_divmod(xn1, g := low + (1,))[1]]
+    bits = q.bit_length() - 1  # of a coefficient: a | b << 2 over R, a over GF(4)
+    k = min(t, _LANE_BITS // bits)  # g_0 .. g_(k-1) vary across the lanes
+    width = 1 << bits * k
+    ones = (1 << width) - 1
+
+    def lane_bit(i: int) -> int:  # the lanes whose index has bit i set
+        plane, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while period < width:
+            plane, period = plane | plane << period, 2 * period
+        return plane
+
+    consts = [tuple(ones if bit else 0 for bit in (p & 1, p & 2, r & 1, r & 2))
+              for p, r in map(gray, range(q))]  # the planes of each constant
+    low = []
+    for j in range(k):  # g_j = a + b*v is digit j of the lane index
+        a0, a1 = lane_bit(bits * j), lane_bit(bits * j + 1)
+        b0, b1 = (lane_bit(bits * j + 2), lane_bit(bits * j + 3)) if q == 16 else (0, 0)
+        low.append((a0 ^ b0, a1 ^ b1, a0, a1))  # gray(a + b*v) = (a + b, a)
+    found = []
+    for high in itertools.product(range(q), repeat=t - k):
+        hits = bin(_exact_lanes(n, low + [consts[c] for c in high], ones))[:1:-1]
+        lane = hits.find("1")
+        while lane >= 0:
+            found.append(tuple(lane >> bits * j & q - 1 for j in range(k)) + high + (1,))
+            lane = hits.find("1", lane + 1)
+    return found
 
 
 _LEADS = {FORM_UNIT: 1, FORM_V: V, FORM_V1: V1}
@@ -349,30 +358,20 @@ def enumerate_right_divisors(
     So for t > n - t the search lists the divisors h of degree n - t and
     divides x^n - 1 by each.
 
-    At n = 2t with t >= 2 over R both sides cost 16^t, and the search solves
-    h * g = x^n - 1 from both ends instead.  The coefficients of
-    h * g are P_k = sum over i + j = k of h_i * theta^i(g_j), with g and h
-    monic of degree t, and P_0 = 1 while P_k = 0 for 0 < k < n:
-
-    - bottom: h_0 = g_0^-1, and for 1 <= k < t, P_k = 0 gives
-      h_k = theta^k(g_0)^-1 * sum_(i<k) h_i * theta^i(g_(k-i)),
-      so h_k depends on g_0..g_k only;
-    - top: for k = t-1 down to 0, P_(t+k) = 0 gives
-      h_k = sum_(i=k+1..t) h_i * theta^i(g_(t+k-i)), whose i = t term is
-      theta^t(g_k), so h_k depends on g_k..g_(t-1) only;
-    - meet: at m = max(1, t // 2) both give h_m, each affine in g_m: the
-      bottom as u * g_m + K_lo with the unit u = theta^m(g_0)^-1 * g_0^-1,
-      the top as theta^t(g_m) + K_hi.  So g_m solves
-      u * x + theta^t(x) = K_lo + K_hi, a GF(2)-linear map on the 16
-      elements, whose preimage lists are built once per call for each u.
-
-    The 9 * 16^(m-1) low halves g_0..g_(m-1) (with K_lo and u) and the
-    16^(t-1-m) high halves g_(m+1)..g_(t-1) (with K_hi) are each listed
-    once, and every pair is completed by each preimage g_m: 9 * 16^(t-2)
-    pairs.  Every divisor's coefficients satisfy both formulas, so it is
-    among the candidates, and each candidate is kept only when it passes
-    the exact right-division test.  The budget counts q^min(t, n-t), with
-    q = 16 for "unit" and 4 for "v" and "v1", an upper bound on the
+    The shorter side divides x^n - 1 by all q^t monic g of degree t, with
+    q = 16 for "unit" and 4 for "v" and "v1", many at once.  Each candidate
+    is a lane: the lanes of a chunk hold every combination of the lowest
+    coefficients g_0..g_(k-1), at most 2^16 of them, and g_k..g_(t-1) are
+    one constant per chunk.  A coefficient is 4 integers with one bit per
+    lane, the bit planes of its Gray pair (algebra.gray).  In those
+    coordinates R is GF(4) x GF(4), a product is two GF(4) products of a
+    few ANDs and XORs, and theta swaps the two components.  g is monic, so
+    each quotient digit c is the remainder's top coefficient, and one
+    update r_(s+j) += c * theta^s(g_j) serves every lane.  Only the t + 1
+    coefficients r_s..r_(s+t) that step s reads are kept, as x^n - 1 is
+    sparse, so memory does not grow with n.  g divides exactly in the
+    lanes whose low t remainder coefficients are all zero; a non-unit g_0
+    never does, as h_0 * g_0 = 1.  The budget counts q^min(t, n - t), the
     candidates tried.
     """
     if not 1 <= t < n:

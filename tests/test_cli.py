@@ -69,13 +69,44 @@ def test_divisors_include_reference_polynomials(capsys):
 
 
 def test_divisors_balanced_case_is_fast(capsys):
-    # t = n - t = 5 was 16^5 right divisions; the two-ended search pairs
-    # 9 * 16^3 halves
+    # t = n - t = 5 was 16^5 scalar right divisions; the bit-sliced search
+    # makes 16 chunks of 2^16 lanes
     start = time.perf_counter()
     rc, doc = run_json(capsys, ["divisors", "--n", "10", "--degree", "5"])
     assert time.perf_counter() - start < 2.0
     assert rc == 0
     assert len(doc["divisors"]) == 873
+
+
+def test_divisors_12_6_is_fast(capsys):
+    # 16^6 candidates in 256 chunks; the scalar search took about 9 s
+    start = time.perf_counter()
+    rc, doc = run_json(capsys, ["divisors", "--n", "12", "--degree", "6"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0
+    assert len(doc["divisors"]) == 7735
+
+
+def _divisors_in_subprocess(n, degree):
+    """The number of divisors that a fresh process lists, and its peak
+    resident memory in KiB."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = [sys.executable, "-m", "skewdna", "divisors", "--n", str(n),
+            "--degree", str(degree), "--format", "structured"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return len(json.loads(out)["divisors"]), usage.ru_maxrss
+
+
+def test_divisor_search_memory_does_not_grow_with_n():
+    # the search keeps t + 1 remainder coefficients, not n + 1
+    found, rss = _divisors_in_subprocess(2048, 4)
+    assert found == 205
+    assert rss <= _divisors_in_subprocess(12, 4)[1] + 10 * 1024
 
 
 def test_python_dash_m_runs_the_cli():

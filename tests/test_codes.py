@@ -163,20 +163,25 @@ def test_cofactor_search_matches_brute_force():
 
 
 def test_balanced_search_matches_brute_force():
-    # n = 2t: the search meets in the middle coefficient of g
+    # n = 2t: both sides cost 16^t, and the lanes hold every g_0..g_(t-1)
     for n, t in ((4, 2), (6, 3), (8, 4)):
         assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
 
 
-def test_gf4_shapes_match_brute_force():
-    # v * g1 and (v+1) * g1 for every g1 the GF(4) brute force finds
-    for n in range(2, 9):
-        for t in range(1, n):
-            g1s = _brute_force_gf4_divisors(n, t)
+def test_gf4_shapes_match_brute_force(monkeypatch):
+    # v * g1 and (v+1) * g1 for every g1 the GF(4) brute force finds; at
+    # n = 9..12 only t <= 6 (at most 4^6 oracle candidates).  A chunk holds
+    # 4^8 GF(4) candidates, so the search runs again on chunks of 4^4, where
+    # t = 5 and 6 take several
+    oracle = {(n, t): _brute_force_gf4_divisors(n, t)
+              for n in range(2, 13) for t in range(1, n if n < 9 else 7)}
+    for lane_bits in (cd._LANE_BITS, 8):
+        monkeypatch.setattr(cd, "_LANE_BITS", lane_bits)
+        for (n, t), g1s in oracle.items():
             assert cd.enumerate_right_divisors(n, t, cd.FORM_V) \
-                == sorted(tuple(c << 2 for c in g1) for g1 in g1s), (n, t)
+                == sorted(tuple(c << 2 for c in g1) for g1 in g1s), (n, t, lane_bits)
             assert cd.enumerate_right_divisors(n, t, cd.FORM_V1) \
-                == sorted(tuple(c | c << 2 for c in g1) for g1 in g1s), (n, t)
+                == sorted(tuple(c | c << 2 for c in g1) for g1 in g1s), (n, t, lane_bits)
 
 
 def test_odd_length_divisors_lie_over_gf4():
@@ -206,6 +211,31 @@ def test_balanced_search_is_frozen_at_10_5():
     assert len(found) == 873
     assert hashlib.sha256(repr(found).encode()).hexdigest() \
         == "8db57a3b35f9345348fbf0e0567e2c374aef577022a40dc444e1f6dd4fea212f"
+
+
+def test_unit_divisor_counts_are_frozen():
+    # monic unit divisors for t = 0..n, counted by the scalar search
+    rows = {
+        2: [1, 3, 1],
+        4: [1, 3, 13, 3, 1],
+        6: [1, 9, 54, 93, 54, 9, 1],
+        8: [1, 3, 13, 51, 205, 51, 13, 3, 1],
+        10: [1, 3, 19, 102, 205, 873, 205, 102, 19, 3, 1],
+        12: [1, 9, 90, 462, 1899, 4590, 7735, 4590, 1899, 462, 90, 9, 1],
+    }
+    for n, row in rows.items():
+        assert [1] + [len(cd.enumerate_right_divisors(n, t)) for t in range(1, n)] + [1] \
+            == row, n
+    assert sum(rows[12]) == 21837
+
+
+def test_search_is_frozen_at_12_6():
+    # count and hash computed by the scalar search, 16^6 candidates in
+    # 256 chunks of 2^16 lanes
+    found = cd.enumerate_right_divisors(12, 6)
+    assert len(found) == 7735
+    assert hashlib.sha256(repr(found).encode()).hexdigest() \
+        == "d65e78bfc0773ddd23d1b2b56fa6cb3dfae9ebc5e1952cbed7adaffa8f1cafa9"
 
 
 def test_enumerate_budget():
