@@ -20,7 +20,7 @@ printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
-cap was hit.
+cap was hit, or memory ran out.
 Every subcommand takes --format structured to emit JSON instead of text.
 All output is deterministic; the one randomized sweep takes --seed.
 """
@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
                    help="leading coefficient shape")
     p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
-                   help="largest search size: q^min(t, n-t), q = 16 for unit "
-                        "divisors and 4 for v, v1, exactly the candidates tried")
+                   help="largest search size: q^min(t, n-t), the candidates "
+                        "tried; q = 16 for unit divisors at even n, else 4")
 
     p = add("build", "construct a code and report its shape, its size and what "
                      "the paper's rules predict; the predictions include the two "
@@ -306,8 +306,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.subcommand](args)
-    except cd.SizeCapExceeded as exc:
-        print(f"skewdna: {exc}", file=sys.stderr)
+    except (cd.SizeCapExceeded, MemoryError) as exc:
+        print(f"skewdna: {str(exc) or 'out of memory; a lower --cap refuses at once'}",
+              file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"skewdna: {exc}", file=sys.stderr)

@@ -359,7 +359,7 @@ def enumerate_right_divisors(
     divides x^n - 1 by each.
 
     The shorter side divides x^n - 1 by all q^t monic g of degree t, with
-    q = 16 for "unit" and 4 for "v" and "v1", many at once.  Each candidate
+    q = 16 for "unit" at even n and 4 otherwise, many at once.  Each candidate
     is a lane: the lanes of a chunk hold every combination of the lowest
     coefficients g_0..g_(k-1), at most 2^16 of them, and g_k..g_(t-1) are
     one constant per chunk.  A coefficient is 4 integers with one bit per
@@ -378,7 +378,7 @@ def enumerate_right_divisors(
         raise ValueError("need 1 <= t < n")
     if leading not in _LEADS:
         raise ValueError(f"unknown divisor shape {leading!r}")
-    q = 16 if leading == FORM_UNIT else 4
+    q = 16 if leading == FORM_UNIT and n % 2 == 0 else 4
     candidates = q ** min(t, n - t)
     if candidates > budget:
         raise SizeCapExceeded(

@@ -9,19 +9,9 @@ check says so explicitly.
 
 A check returns a CheckResult rather than raising, so the suite always runs
 to completion and reports everything at once.  Two of the structural rules
-are known to fail as literally stated, and their checks report the
-counterexamples they find:
-
-- the non-unit impossibility rule assumes the generator's shape survives
-  reduction modulo x^n - 1, but <v*g1> can quietly contain g1 itself.
-  theta swaps v and 1+v and has order 2, so x^n * v*g1 reduces to
-  (v+1)*g1 when n is odd, and some even-length cofactors do the same.
-  Every reversible counterexample contains g1.
-- the no-complement rule fails on those collapsing codes and on others
-  that do not contain g1: x^j * v = theta^j(v) * x^j alternates between
-  v * x^j and (1+v) * x^j, and v + (1+v) = 1, so sums of shifts of v*g1
-  can reach the all-ones word.  At n = 4 the sum of x^j * v(1+x) over
-  j = 0..3 is the all-ones word.
+are known to fail as literally stated: the non-unit impossibility rule
+(check 8) and the no-complement rule (check 9).  Their checks report the
+counterexamples they find, and their docstrings give the causes.
 """
 
 from __future__ import annotations
@@ -94,10 +84,10 @@ def _timed(func):
 #
 # Checks 6, 7, 8, 9 and 12 sweep every single-generator code of some shapes
 # at small lengths, sharing (n, t, shape) divisor lists that run_all
-# enumerates once.  A CodeSet holds only a basis, and a check that walks a
-# code's words keeps them no longer than that code.  MATERIALIZE_LIMIT only
-# fixes the frozen inventories of checks 9 and 12 (290 and 326 codes), the
-# codes of at most that many words.
+# enumerates once.  A CodeSet holds only a basis, and every sweep decides
+# on it, walking no words.  MATERIALIZE_LIMIT only fixes the frozen
+# inventories of checks 9 and 12 (290 and 326 codes), the codes of at most
+# that many words; it bounds no work.
 
 MATERIALIZE_LIMIT = 1 << 16
 
@@ -301,21 +291,32 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
     )
 
 
+def _rc_closed(cs: cd.CodeSet) -> bool:
+    """rc(C) inside C, by the lemma in check_reverse_complement_rules."""
+    rc = dna.theta_reverse_complement(cs.n)
+    return all(cd.in_span(rc(w), cs.basis) for w in (0, *cs.basis))
+
+
 @_timed
 def check_reverse_complement_rules() -> CheckResult:
     """On the even-length sweeps: reverse-complement closed iff (reversible
     and all-ones word present); and the claim that no v/v1-shape code is
     complement-closed.
 
-    The equivalence is a consequence of additivity and holds.  The package's
-    reverse-complement decision is built on it, so this check tests the
-    closure word by word instead, on each code's packed words in an int set.
-    The no-complement claim fails; the counterexamples are listed.  Half of
-    them are collapsing generators whose code contains g1, as in the
-    impossibility rule.  The other half do not contain g1 but reach the
-    all-ones word, because x^j * v alternates between v * x^j and
-    (1+v) * x^j: at n = 4 the sum of x^j * v(1+x) over j = 0..3 is the
-    all-ones word.
+    The equivalence holds by additivity, and the package's decision is built
+    on it, so this check decides the closure another way and compares.  The
+    packed map rc = dna.theta_reverse_complement is GF(2)-affine (theta is
+    additive, reversal permutes entries, the complement adds the all-ones
+    word): rc(a + b) = rc(a) + rc(b) + rc(0).  So for a subspace C with basis
+    b_1..b_k, rc(C) lies in C iff rc(0) and each rc(b_i) do: by induction, a
+    sum of m >= 1 basis vectors maps to the sum of their images plus
+    (m - 1) * rc(0).  k + 1 span tests decide what a walk of all 2^k words
+    does; the walk is kept in the tests as the oracle.
+
+    The no-complement claim fails.  Half of the counterexamples contain g1,
+    as in check 8; the other half reach the all-ones word because x^j * v
+    alternates between v * x^j and (1+v) * x^j: at n = 4 the sum of
+    x^j * v(1+x) over j = 0..3 is the all-ones word.
     """
     bad_iff = []
     bad_comp = []
@@ -323,10 +324,8 @@ def check_reverse_complement_rules() -> CheckResult:
     spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
     for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
         total += 1
-        words, rc_map = set(cs.walk()), dna.theta_reverse_complement(n)
-        rc = all(rc_map(p) in words for p in words)
         ones = dna.is_complement_closed(cs)
-        if rc != (dna.is_reversible(cs) and ones):
+        if _rc_closed(cs) != (dna.is_reversible(cs) and ones):
             bad_iff.append(_g_desc(n, shape, g))
         if shape != "unit" and ones:
             bad_comp.append(_g_desc(n, shape, g) + " is complement-closed")

@@ -91,6 +91,14 @@ def packed_words(codeset):
     return words
 
 
+def packed_is_reverse_complement_closed(codeset):
+    """Closure under the packed map dna.theta_reverse_complement by its
+    definition: every word is walked into an int set and each one's image
+    looked up there.  verify-paper's check 9 decides it on the basis."""
+    words, rc = packed_words(codeset), dna.theta_reverse_complement(codeset.n)
+    return all(rc(p) in words for p in words)
+
+
 def set_is_plain_cyclic(codeset):
     """Every word's plain rotation (last entry first, no theta) is a word."""
     words, top = packed_words(codeset), 4 * (codeset.n - 1)
@@ -177,6 +185,11 @@ def set_oracles():
         (dna.is_complement_closed, set_is_complement_closed),
         (dna.is_reverse_complement_closed, set_is_reverse_complement_closed),
     )
+
+
+@pytest.fixture(scope="session")
+def packed_rc_oracle():
+    return packed_is_reverse_complement_closed
 
 
 @pytest.fixture

@@ -10,6 +10,9 @@ confirm every counterexample the check lists against the word-by-word
 oracles in conftest.py, recomputed independently of the check.
 """
 
+import itertools
+import random
+
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
@@ -142,6 +145,74 @@ def test_criterion_09_reverse_complement_rules(set_oracles, naive_closure):
     # through shifts of v*g1 that alternate between v and 1+v
     assert contain_g1 == 12
     assert by_naive_closure == 16
+
+
+def test_criterion_09_basis_decision_matches_word_walk(packed_rc_oracle):
+    # the affine-lemma decision against the packed word walk it replaced,
+    # on every code of the check's sweep
+    spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
+    codes = list(verify._sweep(spots, limit=verify.MATERIALIZE_LIMIT))
+    assert len(codes) == 290
+    closed = 0
+    for n, shape, g, cs in codes:
+        expected = packed_rc_oracle(cs)
+        assert verify._rc_closed(cs) == expected, _desc(n, shape, g)
+        closed += expected
+    assert closed == 22
+
+
+def _echelon(vectors):
+    """The reduced row-echelon basis of the span of vectors, top bits
+    descending: one pivot per vector, and the same tuple for the same span."""
+    basis = []
+    for vec in vectors:
+        for b in basis:
+            vec = min(vec, vec ^ b)
+        if vec:
+            basis = sorted([min(b, b ^ vec) for b in basis] + [vec], reverse=True)
+    return tuple(basis)
+
+
+def test_criterion_09_basis_decision_on_any_subspace(packed_rc_oracle):
+    # the lemma holds for any GF(2) subspace, not only for codes, and needs
+    # rc(0) and every basis vector: all 67 subspaces of the 4-bit words at
+    # n = 1, then random ones at n = 2, 3, each also grown until rc maps its
+    # basis vectors into it (which need not bring in rc(0)), and that one
+    # with a random vector put in at a random place of its basis
+    spaces = {(1, _echelon(vs)) for k in range(5)
+              for vs in itertools.combinations(range(1, 16), k)}
+    assert len(spaces) == 67
+    rng = random.Random(9)
+    for n in (2, 3):
+        rc = dna.theta_reverse_complement(n)
+        for _ in range(300):
+            basis = _echelon(rng.getrandbits(4 * n) for _ in range(rng.randrange(1, 4)))
+            spaces.add((n, basis))
+            while (grown := _echelon(basis + tuple(map(rc, basis)))) != basis:
+                basis = grown
+            spaces.add((n, basis))
+            x = rng.getrandbits(4 * n)
+            for b in basis:
+                x = min(x, x ^ b)  # off every pivot of the basis
+            i = rng.randrange(len(basis) + 1)
+            spaces.add((n, basis[:i] + (x,) + basis[i:] if x else basis))
+    closed = 0
+    for n, basis in spaces:
+        cs = cd.CodeSet(cd.code_from_generator(n, (1,)), basis)
+        expected = packed_rc_oracle(cs)
+        assert verify._rc_closed(cs) == expected, (n, basis)
+        closed += expected
+    assert 0 < closed < len(spaces)
+
+
+def test_criterion_09_walks_no_codeword(monkeypatch):
+    def refuse(self):
+        raise AssertionError("check 9 walked a code's words")
+
+    monkeypatch.setattr(cd.CodeSet, "walk", refuse)
+    r = verify.check_reverse_complement_rules()
+    assert r.details[0] == "290 codes; equivalence failures: 0"
+    assert r.details[1] == "complement-closed non-unit codes: 24"
 
 
 def test_criterion_10_image_rotation_identity():

@@ -125,6 +125,18 @@ def test_divisors_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("n,t,count", [(21, 10, 60), (15, 7, 75)])
+def test_odd_length_unit_divisors_search_gf4(capsys, n, t, count):
+    # 16^10 and 16^7 candidates over R, but at odd n every unit divisor
+    # lies over GF(4), so the search tries 4^10 and 4^7
+    rc, doc = run_json(capsys, ["divisors", "--n", str(n), "--degree", str(t)])
+    assert rc == 0
+    gens = [sp.normalize(parse_element(c) for c in d["coeffs"]) for d in doc["divisors"]]
+    assert len(gens) == count
+    assert all(len(g) == t + 1 and g[-1] == 1 and max(g) < 4 for g in gens)
+    assert all(sp.right_divides(g, sp.x_pow_minus_one(n)) for g in gens)
+
+
 def test_divisors_search_the_shorter_cofactor(capsys):
     # 16^9 divisor candidates, but only 16^3 cofactors of degree 3
     rc, doc = run_json(capsys, ["divisors", "--n", "12", "--degree", "9"])
@@ -405,6 +417,17 @@ def test_fault_injection_is_caught_and_named(capsys, monkeypatch):
     assert rc == 1
     assert "failing checks: element-dna-table" in out
     assert "element 4" in out
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhaust(codeset):
+        raise MemoryError
+
+    monkeypatch.setattr(dna, "encode_codeset", exhaust)
+    rc, out, err = run(capsys, ["dna"] + EX3)
+    assert rc == 3
+    assert out == ""
+    assert err == "skewdna: out of memory; a lower --cap refuses at once\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -8,7 +8,7 @@ import pytest
 
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
-from skewdna.algebra import is_unit, theta
+from skewdna.algebra import is_unit, r_mul, theta
 
 EX3 = sp.parse_poly("v(x^4+x^2+1)")
 
@@ -154,6 +154,39 @@ def _brute_force_gf4_divisors(n, t):
             if low[0] and sp.right_divides(low + (1,), xn1)]
 
 
+def _brute_force_cofactor_divisors(n, t):
+    """Every monic degree-t g with h * g = x^n - 1 for some monic h of
+    degree n - t over R, all 9 * 16^(n-t-1) such h with a unit constant term
+    tried: g is solved top-down from the coefficients of h * g, as h is
+    monic and theta an involution, and kept when the product is exact."""
+    xn1, s = sp.x_pow_minus_one(n), n - t
+    found = []
+    for low in itertools.product(range(16), repeat=s):
+        if not is_unit(low[0]):
+            continue
+        h, g = low + (1,), [0] * (t + 1)
+        for j in range(t, -1, -1):
+            # x^(j+s) in h * g: theta^s(g_j) + sum of h_i theta^i(g_(j+s-i)), i < s
+            c = xn1[j + s]
+            for i in range(max(0, j + s - t), s):
+                gi = g[j + s - i]
+                c ^= r_mul(h[i], theta(gi) if i % 2 else gi)
+            g[j] = theta(c) if s % 2 else c
+        if sp.mul(h, tuple(g)) == xn1:
+            found.append(tuple(g))
+    return sorted(found)
+
+
+def test_odd_length_unit_divisors_match_brute_force():
+    # the unit search runs over GF(4) at odd n; the oracle searches R, on
+    # whichever side of x^n - 1 = h * g is shorter
+    for n in (3, 5, 7, 9):
+        for t in range(1, n):
+            oracle = (_brute_force_divisors(n, t) if t <= n - t
+                      else _brute_force_cofactor_divisors(n, t))
+            assert cd.enumerate_right_divisors(n, t) == oracle, (n, t)
+
+
 def test_cofactor_search_matches_brute_force():
     # every (n, t) that takes the degree-t divisors as quotients by the
     # degree-(n - t) ones (t > n - t) with n <= 8 and t <= 4, and the
@@ -186,7 +219,9 @@ def test_gf4_shapes_match_brute_force(monkeypatch):
 
 def test_odd_length_divisors_lie_over_gf4():
     # at odd n every monic divisor over R is theta-fixed, so over GF(4):
-    # the unit list is the v list with the factor v stripped
+    # the unit list is the v list with the factor v stripped.  Both come
+    # from the GF(4) search; test_odd_length_unit_divisors_match_brute_force
+    # checks the unit list against a search over R
     for n in (3, 5, 7, 9):
         for t in range(1, n):
             unit = cd.enumerate_right_divisors(n, t)
