@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .algebra import gray
-from .codes import CodeSet, SkewCyclicCode, Word, _pivots, _reduce, skew_shift, unpack
+from .codes import (CodeSet, SkewCyclicCode, Word, echelon, packed_skew_shift, skew_shift,
+                    spans, unpack)
 
 Gf4Word = tuple[int, ...]
 
@@ -91,13 +92,8 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     no code, and it is refused.
     """
     weigh, m3 = packed_weigher(codeset.n, metric), 3 * int("1" * codeset.n, 16)
-    parts = []
-    for image in (lambda p: ((p ^ p >> 2) & m3) << 2, lambda p: p & m3 | (p & m3) << 2):
-        pivots: dict[int, int] = {}
-        for vec in map(image, codeset.basis):
-            if vec := _reduce(vec, pivots):
-                pivots[vec.bit_length() - 1] = vec
-        parts.append(tuple(pivots.values()))
+    parts = [tuple(echelon(map(image, codeset.basis)))
+             for image in (lambda p: ((p ^ p >> 2) & m3) << 2, lambda p: p & m3 | (p & m3) << 2)]
     if sum(map(len, parts)) != len(codeset.basis):
         raise ValueError("the basis is not closed under v, so it spans no code")
     best = min((weigh(p) for basis in parts
@@ -153,28 +149,14 @@ class GrayImageReport:
         return self.lee_min == self.gray_hamming_min
 
 
-def image_permutation(n: int):
-    """gray^-1 o swap-pairs o rotate-right-2 o gray on packed words of
-    length n, as masks.  The rotation moves each entry's Gray pair
-    (a + b, a) up one entry, and swapping the pair and inverting the Gray
-    map gives the element (a + b) + b*v, which is theta of the entry: theta
-    entrywise, then a one-entry rotation."""
-    m3, top = 3 * int("1" * n, 16), 4 * (n - 1)
-    low = (1 << top) - 1  # every entry but the last
-
-    def permute(p: int) -> int:
-        p ^= (p >> 2) & m3
-        return (p & low) << 4 | p >> top
-
-    return permute
-
-
 def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
-    """image_closed of GrayImageReport: the Gray map and the permutation are
-    GF(2)-linear, so the image is closed exactly when each basis vector's
-    image_permutation lies in the span."""
-    permute, pivots = image_permutation(code.n), _pivots(basis)
-    return not any(_reduce(permute(b), pivots) for b in basis)
+    """image_closed of GrayImageReport.  gray^-1 o swap-pairs o
+    rotate-right-2 o gray is the skew shift: the rotation moves each entry's
+    Gray pair (a + b, a) up one entry, and swapping the pair and inverting
+    the Gray map gives (a + b) + b*v, theta of the entry.  Both maps are
+    GF(2)-linear, so the image is closed exactly when the span holds each
+    basis vector's packed_skew_shift."""
+    return spans(basis, map(packed_skew_shift(code.n), basis))
 
 
 def gray_image_report(codeset: CodeSet) -> GrayImageReport:

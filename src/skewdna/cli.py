@@ -20,7 +20,8 @@ printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
-cap was hit, or memory ran out.
+cap was hit, or memory ran out.  A reader that closes stdout early changes
+neither.
 Every subcommand takes --format structured to emit JSON instead of text.
 All output is deterministic; the one randomized sweep takes --seed.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis as an
@@ -52,10 +54,11 @@ def _emit(args, doc: dict, text: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code, its JSON document and its text
+# lines, and main prints one of the two
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple[int, dict, list[str]]:
     rows = []
     text = [f"{'element':<12} {'gray':<10} dna"]
     for x in ELEMENTS:
@@ -69,15 +72,14 @@ def _cmd_table1(args) -> int:
         })
         pair = f"({gf4_token(p)}, {gf4_token(q)})"
         text.append(f"{r_token(x):<12} {pair:<10} {block}")
-    _emit(args, {"command": "table1", "rows": rows}, text)
-    return 0
+    return 0, {"command": "table1", "rows": rows}, text
 
 
 _SHAPES = {"unit": (cd.FORM_UNIT,), "v": (cd.FORM_V,), "v1": (cd.FORM_V1,),
            "any": (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
 
 
-def _cmd_divisors(args) -> int:
+def _cmd_divisors(args) -> tuple[int, dict, list[str]]:
     rows = []
     for shape in _SHAPES[args.leading]:
         for g in cd.enumerate_right_divisors(args.n, args.degree,
@@ -96,15 +98,15 @@ def _cmd_divisors(args) -> int:
         text.append(f"[{', '.join(row['coeffs'])}]  ({row['leading']})  {tag}")
     doc = {"command": "divisors", "n": args.n, "degree": args.degree,
            "leading": args.leading, "divisors": rows}
-    _emit(args, doc, text)
-    return 0
+    return 0, doc, text
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple[int, dict, list[str]]:
     code = cd.code_from_generator(args.n, sp.parse_poly(args.gen))
     g = code.generators[0]  # reduced mod x^n - 1: the polynomial the flags describe
-    k = len(cd.code_basis(code))  # F2 dimension; no word is enumerated
-    info = dna.classify(code)
+    basis = cd.code_basis(code)  # no word is enumerated
+    k = len(basis)  # F2 dimension
+    info = dna.classify(code, basis)
     doc = {
         "command": "build",
         "n": args.n,
@@ -128,11 +130,10 @@ def _cmd_build(args) -> int:
         f"predicted reversible:         {info.predicted_reversible}",
         f"predicted reverse-complement: {info.predicted_reverse_complement}",
     ]
-    _emit(args, doc, text)
-    return 0
+    return 0, doc, text
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, dict, list[str]]:
     g = sp.parse_poly(args.gen)
     code = cd.code_from_generator(args.n, g)
     # perfbench's tracer sums each materialized code's size, at most 16^n,
@@ -149,10 +150,7 @@ def _cmd_check(args) -> int:
            "property": prop, "holds": holds, "size": 1 << len(basis)}
     verdict = "holds" if holds else "fails"
     text = [f"{prop} {verdict} for <{sp.format_poly(g)}> at length {args.n}"]
-    _emit(args, doc, text)
-    if getattr(args, "assert_") and not holds:
-        return 1
-    return 0
+    return (1 if args.assert_ and not holds else 0), doc, text
 
 
 def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
@@ -165,7 +163,7 @@ def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
     return g, cs
 
 
-def _cmd_dna(args) -> int:
+def _cmd_dna(args) -> tuple[int, dict, list[str]]:
     g, cs = _enumerable(args)
     strings = dna.encode_codeset(cs)
     if args.fasta:
@@ -177,11 +175,10 @@ def _cmd_dna(args) -> int:
         text = list(strings)
     doc = {"command": "dna", "n": args.n, "generator": _coeff_tokens(g),
            "size": len(strings), "strings": strings}
-    _emit(args, doc, text)
-    return 0
+    return 0, doc, text
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> tuple[int, dict, list[str]]:
     g, cs = _enumerable(args)
     d = an.min_distance(cs, args.metric)
     doc = {"command": "distance", "n": args.n, "generator": _coeff_tokens(g),
@@ -191,11 +188,10 @@ def _cmd_distance(args) -> int:
     else:
         note = "over the 16-element alphabet"
     text = [f"minimum {args.metric} distance: {d} ({note}; {cs.size} codewords)"]
-    _emit(args, doc, text)
-    return 0
+    return 0, doc, text
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     results = verify.run_all(seed=args.seed)
     rows = []
     text = []
@@ -214,8 +210,7 @@ def _cmd_verify(args) -> int:
         text.append(f"failing checks: {', '.join(failing)}")
     doc = {"command": "verify-paper", "seed": args.seed, "passed": passed,
            "total": len(results), "all_passed": not failing, "results": rows}
-    _emit(args, doc, text)
-    return 0 if not failing else 1
+    return (1 if failing else 0), doc, text
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,14 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.subcommand](args)
+        code, doc, text = _DISPATCH[args.subcommand](args)
+        try:
+            _emit(args, doc, text)
+            sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
+        except BrokenPipeError:
+            # nobody reads the rest; send it, and the flush at exit, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (cd.SizeCapExceeded, MemoryError) as exc:
         print(f"skewdna: {str(exc) or 'out of memory; a lower --cap refuses at once'}",
               file=sys.stderr)

@@ -57,10 +57,6 @@ class SizeCapExceeded(RuntimeError):
     """A search or a walk over every word would exceed the requested cap."""
 
 
-def word_to_poly(word: Word) -> sp.Poly:
-    return sp.normalize(word)
-
-
 def poly_to_word(f: sp.Poly, n: int) -> Word:
     if len(f) > n:
         raise ValueError(f"degree {len(f) - 1} polynomial does not fit length {n}")
@@ -87,6 +83,19 @@ def unpack(p: int, n: int) -> Word:
     return tuple((p >> (4 * i)) & 15 for i in range(n))
 
 
+def packed_skew_shift(n: int):
+    """skew_shift on packed words of length n: theta on every entry
+    a | b << 2 at once (a -> a + b), then a rotation up by one entry."""
+    m3, top = 3 * int("1" * n, 16), 4 * (n - 1)
+    low = (1 << top) - 1  # every entry but the last
+
+    def shift(p: int) -> int:
+        p ^= (p >> 2) & m3
+        return (p & low) << 4 | p >> top
+
+    return shift
+
+
 def _reduce(vec: int, pivots: dict[int, int]) -> int:
     """Clear vec's top bit while it is a pivot: 0 exactly when vec is in the span."""
     while vec and (b := pivots.get(vec.bit_length() - 1)):
@@ -94,13 +103,20 @@ def _reduce(vec: int, pivots: dict[int, int]) -> int:
     return vec
 
 
-def _pivots(basis) -> dict[int, int]:
-    """The basis indexed by pivot bit, as _reduce reads it."""
-    return {b.bit_length() - 1: b for b in basis}
+def spans(basis, vectors) -> bool:
+    """Whether every vector lies in the span of basis (one pivot per vector),
+    tested against one table of the basis indexed by pivot bit."""
+    pivots = {b.bit_length() - 1: b for b in basis}
+    return not any(_reduce(vec, pivots) for vec in vectors)
 
 
-def in_span(vec: int, basis) -> bool:
-    return not _reduce(vec, _pivots(basis))
+def echelon(vectors) -> list[int]:
+    """A basis of the span of vectors, one pivot per basis vector."""
+    pivots: dict[int, int] = {}
+    for vec in vectors:
+        if vec := _reduce(vec, pivots):
+            pivots[vec.bit_length() - 1] = vec
+    return list(pivots.values())
 
 
 def span_basis(n: int, generator_words) -> list[int]:
@@ -111,14 +127,12 @@ def span_basis(n: int, generator_words) -> list[int]:
     scalars lies in the span, the whole span is closed.  The scalars w and
     v suffice: a span closed under both is closed under their sums and
     products, which give every element of R.  Each map acts on all n
-    entries a | b << 2 of a packed word at once: theta is a -> a + b, the
-    skew shift is theta and then a rotation by one entry, w sends each
-    GF(4) part x0 + x1*w to x1 + (x0 + x1)*w, and v sends a + b*v to
-    (a + b)*v.
+    entries a | b << 2 of a packed word at once: the skew shift is
+    packed_skew_shift, w sends each GF(4) part x0 + x1*w to
+    x1 + (x0 + x1)*w, and v sends a + b*v to (a + b)*v.
     """
     ones = int("1" * n, 16)
-    m3, m5, top = 3 * ones, 5 * ones, 4 * (n - 1)
-    low = (1 << top) - 1  # every entry but the last
+    m3, m5, shift = 3 * ones, 5 * ones, packed_skew_shift(n)
     pivots: dict[int, int] = {}
     queue = [pack(w) for w in generator_words]
     while queue:
@@ -126,8 +140,7 @@ def span_basis(n: int, generator_words) -> list[int]:
         if not vec:
             continue
         pivots[vec.bit_length() - 1] = vec
-        th = vec ^ ((vec >> 2) & m3)
-        queue += ((th & low) << 4 | th >> top,
+        queue += (shift(vec),
                   (vec >> 1) & m5 | ((vec ^ vec >> 1) & m5) << 1,
                   ((vec ^ vec >> 2) & m3) << 2)
     return list(pivots.values())
@@ -233,7 +246,7 @@ def materialize(code: SkewCyclicCode) -> CodeSet:
 def membership(codeset: CodeSet, word: Word) -> bool:
     if len(word) != codeset.n:
         raise ValueError("word length does not match the code length")
-    return in_span(pack(word), codeset.basis)
+    return spans(codeset.basis, [pack(word)])
 
 
 def is_plain_cyclic(codeset: CodeSet) -> bool:
@@ -243,7 +256,7 @@ def is_plain_cyclic(codeset: CodeSet) -> bool:
     lam * sigma^j(g_i) to the sum of lam * sigma^j(rho(g_i)): the code is
     closed exactly when it contains each rho(g_i)."""
     words = codeset.code.generator_words()
-    return all(in_span(pack(w[-1:] + w[:-1]), codeset.basis) for w in words)
+    return spans(codeset.basis, (pack(w[-1:] + w[:-1]) for w in words))
 
 
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
@@ -252,7 +265,7 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
         raise ValueError("remainder membership needs a single unit-form generator")
     if len(word) != code.n:
         raise ValueError("word length does not match the code length")
-    return sp.right_divides(code.generators[0], word_to_poly(word))
+    return sp.right_divides(code.generators[0], sp.normalize(word))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +442,7 @@ def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:
     for b in basis:
         if (b.bit_length() - 1) // 4 == best:
             sums += [s ^ b for s in sums]
-    found = sorted(f for f in (word_to_poly(unpack(s, n)) for s in sums[1:])
+    found = sorted(f for f in (sp.normalize(unpack(s, n)) for s in sums[1:])
                    if not is_unit(f[-1]))
     forms = tuple(_nonunit_factor_form(f) for f in found)
     return MinimalDegreeReport(

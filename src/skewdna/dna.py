@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import skewpoly as sp
-from .algebra import _THETA as _TH, gray, is_unit, r_inv
+from .algebra import _THETA as _TH, gray, is_unit
 from .codes import (
     FORM_UNIT,
     FORM_V,
@@ -27,10 +27,10 @@ from .codes import (
     CodeSet,
     SkewCyclicCode,
     Word,
-    in_span,
     pack,
     poly_to_word,
     remainder_membership,
+    spans,
 )
 
 BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
@@ -107,8 +107,12 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 # Every code is a GF(2)-subspace spanned by its basis: it contains c + 1 for
 # every c exactly when it contains 1 = 0 + 1, and c -> theta_reverse(c) + 1
 # maps it into itself exactly when it contains 1 and is reversible.  So each
-# decision is a few span membership tests, at any size; the tests keep set
+# decision is one span test of a few words, at any size; the tests keep set
 # oracles.  The *_on_basis forms need no CodeSet, only the code's basis.
+
+
+def _theta_reversed_generators(code: SkewCyclicCode):
+    return (pack(theta_reverse(w)) for w in code.generator_words())
 
 
 def reversible_on_basis(code: SkewCyclicCode, basis) -> bool:
@@ -121,15 +125,15 @@ def reversible_on_basis(code: SkewCyclicCode, basis) -> bool:
     theta_reverse(g_i) is, as sigma^-1 is a power of sigma (Boucher,
     Geiselmann and Ulmer, "Skew-cyclic codes", AAECC 2007).
     """
-    return all(in_span(pack(theta_reverse(w)), basis) for w in code.generator_words())
+    return spans(basis, _theta_reversed_generators(code))
 
 
 def complement_on_basis(code: SkewCyclicCode, basis) -> bool:
-    return in_span(pack((1,) * code.n), basis)
+    return spans(basis, [int("1" * code.n, 16)])
 
 
 def reverse_complement_on_basis(code: SkewCyclicCode, basis) -> bool:
-    return complement_on_basis(code, basis) and reversible_on_basis(code, basis)
+    return spans(basis, [int("1" * code.n, 16), *_theta_reversed_generators(code)])
 
 
 def is_reversible(codeset: CodeSet) -> bool:
@@ -162,13 +166,13 @@ class DnaClassification:
 
     predicted_* fields are "yes", "no" or "unknown"; "unknown" means no rule
     with matching hypotheses applies.  The predictions follow the paper's
-    rules from the generator's shape alone (plus cheap remainder membership
-    for the all-ones word), including the two rules the verification sweeps
-    refute: that v- and (v+1)-shaped generators give no reversible code at
-    odd length or odd degree, and no complement-closed code at all.  So a
-    prediction can be wrong: <v*x^2 + v*x + v> at n = 3 is predicted "no"
-    twice, yet is reversible and reverse-complement closed, as the
-    *_on_basis decisions (the check command) find exactly.
+    rules from the generator's shape alone (plus, for unit forms, whether
+    the code's basis spans the all-ones word), including the two rules the
+    verification sweeps refute: that v- and (v+1)-shaped generators give no
+    reversible code at odd length or odd degree, and no complement-closed
+    code at all.  So a prediction can be wrong: <v*x^2 + v*x + v> at n = 3
+    is predicted "no" twice, yet is reversible and reverse-complement
+    closed, as the *_on_basis decisions (the check command) find exactly.
     """
 
     n: int
@@ -178,11 +182,6 @@ class DnaClassification:
     theta_palindromic: bool
     predicted_reversible: str
     predicted_reverse_complement: str
-
-
-def _monic_scaled(g: sp.Poly) -> sp.Poly:
-    lead = g[-1]
-    return g if lead == 1 else sp.scale(r_inv(lead), g)
 
 
 def theta_palindromic_generator_exists(g: sp.Poly) -> bool:
@@ -199,7 +198,10 @@ def palindromic_generator_exists(g: sp.Poly) -> bool:
     return any(sp.is_palindromic(sp.scale(u, g)) for u in range(1, 16) if is_unit(u))
 
 
-def classify(code: SkewCyclicCode) -> DnaClassification:
+def classify(code: SkewCyclicCode, basis) -> DnaClassification:
+    """The rules' predictions for code.  basis is its GF(2) basis
+    (codes.code_basis); only the unit-form rules read it, for the all-ones
+    word."""
     if len(code.generators) != 1:
         raise ValueError("classification covers single-generator codes")
     n, g, form = code.n, code.generators[0], code.forms[0]
@@ -210,19 +212,18 @@ def classify(code: SkewCyclicCode) -> DnaClassification:
     rc = "unknown"
 
     if form == FORM_UNIT:
+        all_ones = complement_on_basis(code, basis)
         if n % 2 == 0:
             if t % 2 == 0:
                 rev = "yes" if pal else "no"
             else:
-                rev = "yes" if theta_palindromic_generator_exists(_monic_scaled(g)) else "no"
-            all_ones = remainder_membership(code, (1,) * n)
+                rev = "yes" if theta_palindromic_generator_exists(g) else "no"
             rc = "yes" if (rev == "yes" and all_ones) else "no"
         else:
             # odd length: palindromic or theta-palindromic generators are
             # sufficient; no necessary criterion is applied.
-            if pal or tpal or palindromic_generator_exists(g) or theta_palindromic_generator_exists(g):
+            if palindromic_generator_exists(g) or theta_palindromic_generator_exists(g):
                 rev = "yes"
-            all_ones = remainder_membership(code, (1,) * n)
             if not all_ones:
                 rc = "no"  # complement closure forces the all-ones word
             elif rev == "yes":

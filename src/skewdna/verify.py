@@ -294,7 +294,7 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
 def _rc_closed(cs: cd.CodeSet) -> bool:
     """rc(C) inside C, by the lemma in check_reverse_complement_rules."""
     rc = dna.theta_reverse_complement(cs.n)
-    return all(cd.in_span(rc(w), cs.basis) for w in (0, *cs.basis))
+    return cd.spans(cs.basis, map(rc, (0, *cs.basis)))
 
 
 @_timed
@@ -310,8 +310,8 @@ def check_reverse_complement_rules() -> CheckResult:
     word): rc(a + b) = rc(a) + rc(b) + rc(0).  So for a subspace C with basis
     b_1..b_k, rc(C) lies in C iff rc(0) and each rc(b_i) do: by induction, a
     sum of m >= 1 basis vectors maps to the sum of their images plus
-    (m - 1) * rc(0).  k + 1 span tests decide what a walk of all 2^k words
-    does; the walk is kept in the tests as the oracle.
+    (m - 1) * rc(0).  One span test of those k + 1 words decides what a
+    walk of all 2^k words does; the walk is kept in the tests as the oracle.
 
     The no-complement claim fails.  Half of the counterexamples contain g1,
     as in check 8; the other half reach the all-ones word because x^j * v

@@ -131,7 +131,7 @@ def naive_minimal_degree_scan(codeset):
             found.append(p)
     if best is None:
         return cd.MinimalDegreeReport(False, None, (), (), None)
-    found = sorted(cd.word_to_poly(cd.unpack(p, codeset.n)) for p in found)
+    found = sorted(sp.normalize(cd.unpack(p, codeset.n)) for p in found)
     forms = tuple(cd._nonunit_factor_form(f) for f in found)
     return cd.MinimalDegreeReport(
         True, best, tuple(found), forms, all(fm is not None for fm in forms)

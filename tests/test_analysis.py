@@ -178,14 +178,16 @@ def test_rotate_and_pair_swap():
 
 
 def test_image_permutation_masks_match_tuple_maps():
+    # the packed sigma is both the tuple skew shift and the Gray-image
+    # permutation gray^-1 o swap-pairs o rotate-right-2 o gray
     rng = random.Random(37)
     for n in range(1, 10):
-        permute = an.image_permutation(n)
+        shift = cd.packed_skew_shift(n)
         for _ in range(500):
             w = tuple(rng.randrange(16) for _ in range(n))
             img = an.swap_adjacent_pairs(an.rotate_right2(an.gray_image(w)))
-            expect = tuple(gray_inverse(img[i : i + 2]) for i in range(0, 2 * n, 2))
-            assert permute(cd.pack(w)) == cd.pack(expect)
+            permuted = tuple(gray_inverse(img[i : i + 2]) for i in range(0, 2 * n, 2))
+            assert shift(cd.pack(w)) == cd.pack(cd.skew_shift(w)) == cd.pack(permuted)
 
 
 def test_image_shift_identity_exhaustive_short():

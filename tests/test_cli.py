@@ -118,6 +118,25 @@ def test_python_dash_m_runs_the_cli():
     assert len(proc.stdout.strip().splitlines()) == 17
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["table1"], 0),
+    (["check"] + EX3 + ["--property", "complement", "--assert"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # the reader is gone before the child writes: no traceback, and the
+    # command's own exit code
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skewdna"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_divisors_budget_exit(capsys):
     # 16^10 candidates on either side of x^20 - 1 = h * g
     rc, _, err = run(capsys, ["divisors", "--n", "20", "--degree", "10"])

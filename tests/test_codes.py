@@ -49,7 +49,7 @@ def test_span_engine_at_large_lengths(n, text):
     basis = cd.code_basis(code)
     assert len(basis) == 4 * (n - (len(g) - 1))
     assert len({b.bit_length() for b in basis}) == len(basis)
-    assert all(sp.right_divides(g, cd.word_to_poly(cd.unpack(b, n))) for b in basis)
+    assert all(sp.right_divides(g, sp.normalize(cd.unpack(b, n))) for b in basis)
 
 
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 4), (6, 5)])
@@ -99,6 +99,25 @@ def test_membership_matches_remainder_sampled(codeset_words):
         assert cd.membership(cs, w) == cd.remainder_membership(code, w)
     for w in list(codeset_words(cs))[:500]:
         assert cd.remainder_membership(code, w)
+
+
+def test_spans_and_echelon_match_brute_force_spans():
+    # random sets of a few vectors of up to 8 bits against their literal
+    # span: every XOR of a subset
+    rng = random.Random(11)
+    for _ in range(300):
+        vectors = [rng.randrange(256) for _ in range(rng.randrange(6))]
+        span = {0}
+        for vec in vectors:
+            span |= {s ^ vec for s in span}
+        basis = cd.echelon(vectors)
+        assert len({b.bit_length() for b in basis}) == len(basis) and 0 not in basis
+        assert 1 << len(basis) == len(span)
+        assert all(cd.spans(basis, [w]) == (w in span) for w in range(256))
+        assert cd.spans(basis, vectors) and cd.spans(basis, [])
+        outside = [w for w in range(256) if w not in span]
+        if outside:
+            assert not cd.spans(basis, [*vectors, rng.choice(outside)])
 
 
 def test_code_sizes_are_powers_of_two(sixteen_word_code):

@@ -4,6 +4,8 @@ The element-to-2-base table is transcribed here by hand so the encoder is
 checked against an independent copy, not against itself.
 """
 
+import collections
+import hashlib
 import itertools
 import random
 
@@ -184,8 +186,13 @@ def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,
 # classification: frozen outputs for the worked examples
 
 
+def _classify(n, g):
+    code = cd.code_from_generator(n, g)
+    return dna.classify(code, cd.code_basis(code))
+
+
 def test_classify_length10():
-    info = dna.classify(cd.code_from_generator(10, sp.parse_poly("x^4+(v+w)*x^2+1")))
+    info = _classify(10, sp.parse_poly("x^4+(v+w)*x^2+1"))
     assert info.form == "unit"
     assert info.palindromic
     assert info.predicted_reversible == "yes"
@@ -193,7 +200,7 @@ def test_classify_length10():
 
 
 def test_classify_length12():
-    info = dna.classify(cd.code_from_generator(12, sp.parse_poly("x^3+(v+w2)*x^2+(v+w)*x+1")))
+    info = _classify(12, sp.parse_poly("x^3+(v+w2)*x^2+(v+w)*x+1"))
     assert info.form == "unit"
     assert info.theta_palindromic
     assert info.predicted_reversible == "yes"
@@ -201,7 +208,7 @@ def test_classify_length12():
 
 
 def test_classify_sixteen_word_code():
-    info = dna.classify(cd.code_from_generator(6, sp.parse_poly("v(x^4+x^2+1)")))
+    info = _classify(6, sp.parse_poly("v(x^4+x^2+1)"))
     assert info.form == "v"
     assert info.palindromic
     assert info.predicted_reversible == "yes"
@@ -212,7 +219,7 @@ def test_classify_follows_the_stated_rule_even_where_it_is_wrong():
     # the odd-length impossibility rule says "no" here; brute force says the
     # code is in fact reversible (see test above).  classify() deliberately
     # reports the rule, and the verification suite reports the disagreement.
-    info = dna.classify(cd.code_from_generator(5, (4, 4)))
+    info = _classify(5, (4, 4))
     assert info.form == "v"
     assert info.predicted_reversible == "no"
     assert info.predicted_reverse_complement == "no"
@@ -221,12 +228,31 @@ def test_classify_follows_the_stated_rule_even_where_it_is_wrong():
 def test_classify_without_applicable_rule_is_unknown():
     for coeffs, rc in (((2, 1), "unknown"), ((3, 1), "unknown"),
                        ((2, 3, 1), "no"), ((3, 2, 1), "no")):
-        info = dna.classify(cd.code_from_generator(3, coeffs))
+        info = _classify(3, coeffs)
         assert info.predicted_reversible == "unknown"
         assert info.predicted_reverse_complement == rc
+
+
+def test_classify_is_frozen_on_every_small_divisor_code():
+    # every unit, v and v1 divisor code at n = 2..8: the outcome counts and
+    # a hash of every field that classify reports
+    rows, outcomes = [], collections.Counter()
+    for n in range(2, 9):
+        for t in range(1, n):
+            for shape in ("unit", "v", "v1"):
+                for g in cd.enumerate_right_divisors(n, t, leading=shape):
+                    info = _classify(n, g)
+                    rev, rc = info.predicted_reversible, info.predicted_reverse_complement
+                    rows.append((n, shape, g, info.form, info.palindromic,
+                                 info.theta_palindromic, rev, rc))
+                    outcomes[rev, rc] += 1
+    assert outcomes == {("no", "no"): 546, ("yes", "no"): 89, ("yes", "yes"): 63,
+                        ("unknown", "unknown"): 4, ("unknown", "no"): 4}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "562f9a503d0088e4abcca13dabd76150b79a807f9e16429c2ed20108f25202c7")
 
 
 def test_classify_rejects_multiple_generators():
     code = cd.code_from_generators(3, [(4, 4), (1, 1, 1)])
     with pytest.raises(ValueError):
-        dna.classify(code)
+        dna.classify(code, cd.code_basis(code))

@@ -1,4 +1,4 @@
-"""A guard against public names that nothing in the package reads.
+"""Guards on the package surface: unread public names, private imports.
 
 Every public top-level name in skewdna's modules is read somewhere in the
 package, or it is listed in UNREAD with a one-word reason: an oracle that
@@ -6,9 +6,14 @@ the tests compare the package against, or a tracer pin that the benchmark
 wraps by name.  A read is a Name in Load context, an attribute or an import
 alias; docstrings and __all__ strings do not count.  A new name that nothing
 reads fails this test until it is used, deleted or listed.
+
+No module reaches for a private function or class of another module: what
+one module lends another is public.  Private data tables (algebra's _THETA
+and _R_MUL) may be shared.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import skewdna
@@ -61,3 +66,28 @@ def test_every_public_name_is_read_or_listed():
               for name in _defined(tree) - reads}
     assert unread == set(UNREAD)
     assert set(UNREAD.values()) == {"oracle", "tracer"}
+
+
+def _private_callables_used(tree: ast.Module) -> set[str]:
+    """module.name for each private callable of another skewdna module that
+    tree imports by name or reads as an attribute of an imported module."""
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import codes as cd
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    used.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            used.add((modules[node.value.id], node.attr))
+    return {f"{mod}.{name}" for mod, name in used if name.startswith("_")
+            and callable(getattr(importlib.import_module(f"skewdna.{mod}"), name, None))}
+
+
+def test_no_module_uses_a_private_callable_of_another():
+    used = {f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in _private_callables_used(ast.parse(path.read_text()))}
+    assert used == set()
