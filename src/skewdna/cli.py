@@ -134,8 +134,8 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
-    g = sp.parse_poly(args.gen)
-    code = cd.code_from_generator(args.n, g)
+    code = cd.code_from_generator(args.n, sp.parse_poly(args.gen))
+    g = code.generators[0]  # reduced mod x^n - 1, as build prints it
     # perfbench's tracer sums each materialized code's size, at most 16^n,
     # into a float; until it counts basis vectors, larger codes skip the CodeSet
     basis = (cd.materialize(code).basis if 4 * args.n < sys.float_info.max_exp
@@ -154,13 +154,12 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
-    """Generator and code for dna and distance, which walk the words."""
-    g = sp.parse_poly(args.gen)
-    cs = cd.materialize(cd.code_from_generator(args.n, g))
+    """Generator (reduced mod x^n - 1) and code for dna and distance."""
+    cs = cd.materialize(cd.code_from_generator(args.n, sp.parse_poly(args.gen)))
     if cs.size > args.cap:
         raise cd.SizeCapExceeded(f"code has 2^{len(cs.basis)} words, above the cap of "
                                  f"{args.cap}; raise --cap to enumerate anyway")
-    return g, cs
+    return cs.code.generators[0], cs
 
 
 def _cmd_dna(args) -> tuple[int, dict, list[str]]:
@@ -267,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(p, cap=False)
     p.add_argument("--property", required=True, dest="property",
                    choices=("reversible", "complement", "reverse-complement",
-                            "quasi-cyclic"))
+                            "quasi-cyclic"),
+                   help="quasi-cyclic (the Gray image is closed under swap-pairs "
+                        "of rotate-right-2, which is the skew shift) holds for "
+                        "every code, as every code is closed under the skew shift")
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="exit 1 when the property fails")
 

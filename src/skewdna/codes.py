@@ -6,21 +6,22 @@ the skew shift
     sigma(a_0, ..., a_(n-1)) = (theta(a_(n-1)), theta(a_0), ..., theta(a_(n-2))),
 
 which at the polynomial level is left multiplication by x.  Codewords are
-tuples of ring element indices, identified with polynomials of degree < n in
-the usual way (index i <-> coefficient of x^i).
+packed words: entry i, a ring element a | b << 2, fills bits 4i..4i+3 of one
+integer, and is the coefficient of x^i.  Every word map acts on packed
+words; tuples of entries remain at the polynomial boundary (pack, unpack)
+and in the few functions kept as test oracles or tracer pins.
 
 The code generated by some words is the smallest set containing them that
 is closed under addition, left scalar multiplication by all 16 ring
 elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
 space.  span_basis computes a basis of it (at most 4n vectors, each with its
-own pivot, or top bit), with words packed 4 bits per entry into a single
-integer; code_basis returns it, and a CodeSet holds it with the code.  Size,
-membership and every property decision are read off the basis, for every
-code shape and size; a caller that needs the words walks them as packed
-integers (CodeSet.walk), in memory proportional to the basis.  A literal hash-set work queue computes
-the same closure and is kept as a test oracle; it is quadratic in the code
-size and unusable beyond a few thousand words.
+own pivot, or top bit); code_basis returns it, and a CodeSet holds it with
+the code.  Size, membership and every property decision are read off the
+basis, for every code shape and size; a caller that needs the words walks
+them (CodeSet.walk), in memory proportional to the basis.  A literal
+hash-set work queue computes the same closure and is kept as a test oracle;
+it is quadratic in the code size and unusable beyond a few thousand words.
 
 Generators are classified by shape:
 
@@ -57,14 +58,8 @@ class SizeCapExceeded(RuntimeError):
     """A search or a walk over every word would exceed the requested cap."""
 
 
-def poly_to_word(f: sp.Poly, n: int) -> Word:
-    if len(f) > n:
-        raise ValueError(f"degree {len(f) - 1} polynomial does not fit length {n}")
-    return tuple(f) + (0,) * (n - len(f))
-
-
 def skew_shift(word: Word) -> Word:
-    """Cyclic shift with theta applied to every entry."""
+    """Cyclic shift with theta on every entry, on tuples; a pin of perfbench's tracer."""
     return (_TH[word[-1]],) + tuple(_TH[c] for c in word[:-1])
 
 
@@ -83,17 +78,19 @@ def unpack(p: int, n: int) -> Word:
     return tuple((p >> (4 * i)) & 15 for i in range(n))
 
 
+def packed_rotation(n: int):
+    """The plain cyclic shift rho (no theta) on packed words of length n: each
+    entry up by one, the last to the bottom; on a Gray image, rotate-right-2."""
+    top = 4 * (n - 1)
+    low = (1 << top) - 1  # every entry but the last
+    return lambda p: (p & low) << 4 | p >> top
+
+
 def packed_skew_shift(n: int):
     """skew_shift on packed words of length n: theta on every entry
-    a | b << 2 at once (a -> a + b), then a rotation up by one entry."""
-    m3, top = 3 * int("1" * n, 16), 4 * (n - 1)
-    low = (1 << top) - 1  # every entry but the last
-
-    def shift(p: int) -> int:
-        p ^= (p >> 2) & m3
-        return (p & low) << 4 | p >> top
-
-    return shift
+    a | b << 2 at once (a -> a + b), then packed_rotation."""
+    m3, rotate = 3 * int("1" * n, 16), packed_rotation(n)
+    return lambda p: rotate(p ^ (p >> 2) & m3)
 
 
 def _reduce(vec: int, pivots: dict[int, int]) -> int:
@@ -134,7 +131,7 @@ def span_basis(n: int, generator_words) -> list[int]:
     ones = int("1" * n, 16)
     m3, m5, shift = 3 * ones, 5 * ones, packed_skew_shift(n)
     pivots: dict[int, int] = {}
-    queue = [pack(w) for w in generator_words]
+    queue = list(generator_words)
     while queue:
         vec = _reduce(queue.pop(), pivots)
         if not vec:
@@ -181,8 +178,8 @@ class SkewCyclicCode:
     generators: tuple[sp.Poly, ...]
     forms: tuple[str, ...]
 
-    def generator_words(self) -> tuple[Word, ...]:
-        return tuple(poly_to_word(g, self.n) for g in self.generators)
+    def generator_words(self) -> tuple[int, ...]:
+        return tuple(map(pack, self.generators))
 
 
 def code_from_generators(n: int, gens) -> SkewCyclicCode:
@@ -255,8 +252,7 @@ def is_plain_cyclic(codeset: CodeSet) -> bool:
     shift and with the scalars, so it maps each sum of terms
     lam * sigma^j(g_i) to the sum of lam * sigma^j(rho(g_i)): the code is
     closed exactly when it contains each rho(g_i)."""
-    words = codeset.code.generator_words()
-    return spans(codeset.basis, (pack(w[-1:] + w[:-1]) for w in words))
+    return spans(codeset.basis, map(packed_rotation(codeset.n), codeset.code.generator_words()))
 
 
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:

@@ -10,8 +10,8 @@ Reversing the encoded DNA string also swaps the two bases inside each block,
 and swapping the coordinate pair of x is exactly the pair of theta(x).  So
 string reversal pulls back to the ring as "apply theta entrywise, then
 reverse the word" (theta_reverse below), and string reverse-complement
-additionally adds the all-ones word.  The closure checks work on ring words
-through this translation; encoding tests pin it to the string level.
+additionally adds the all-ones word.  The closure checks work on packed
+ring words through this translation; the tests pin it to the string level.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import skewpoly as sp
-from .algebra import _THETA as _TH, gray, is_unit
+from .algebra import gray, is_unit
 from .codes import (
     FORM_UNIT,
     FORM_V,
@@ -27,10 +27,9 @@ from .codes import (
     CodeSet,
     SkewCyclicCode,
     Word,
-    pack,
-    poly_to_word,
     remainder_membership,
     spans,
+    unpack,
 )
 
 BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
@@ -64,32 +63,26 @@ def dna_reverse_complement(s: str) -> str:
     return s[::-1].translate(_WCC)
 
 
-def theta_reverse(word: Word) -> Word:
-    """Ring image of DNA string reversal: theta entrywise, order reversed."""
-    return tuple(_TH[c] for c in reversed(word))
+def theta_reverse(n: int):
+    """Ring image of DNA string reversal on packed words of length n
+    (codes.pack): theta entrywise as a mask, then the entry order reversed
+    by reversing the bytes and swapping the two nibbles of each, which for
+    odd n leaves the empty padding entry at the bottom to shift out."""
+    m3, nbytes, pad = 3 * int("1" * n, 16), (n + 1) // 2, 4 * (n % 2)
+    lo = int("0f" * nbytes, 16)
 
+    def reverse(p: int) -> int:
+        p ^= (p >> 2) & m3
+        p = int.from_bytes(p.to_bytes(nbytes, "little"), "big")
+        return ((p & lo) << 4 | (p >> 4) & lo) >> pad
 
-def complement_word(word: Word) -> Word:
-    """Ring image of Watson-Crick complementation: add the all-ones word."""
-    return tuple(c ^ 1 for c in word)
+    return reverse
 
 
 def theta_reverse_complement(n: int):
-    """complement_word(theta_reverse(w)) on packed words of length n
-    (codes.pack): theta as a mask, then the entry order reversed by
-    reversing the bytes and swapping the two nibbles of each, which for odd
-    n leaves the empty padding entry at the bottom to shift out, then the
-    all-ones word added."""
-    ones = int("1" * n, 16)
-    m3, nbytes, pad = 3 * ones, (n + 1) // 2, 4 * (n % 2)
-    lo = int("0f" * nbytes, 16)
-
-    def rc(p: int) -> int:
-        p ^= (p >> 2) & m3
-        p = int.from_bytes(p.to_bytes(nbytes, "little"), "big")
-        return ((p & lo) << 4 | (p >> 4) & lo) >> pad ^ ones
-
-    return rc
+    """theta_reverse plus the all-ones word: the ring image of DNA reverse-complement."""
+    reverse, ones = theta_reverse(n), int("1" * n, 16)
+    return lambda p: reverse(p) ^ ones
 
 
 def encode_codeset(codeset: CodeSet) -> list[str]:
@@ -112,7 +105,7 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 
 
 def _theta_reversed_generators(code: SkewCyclicCode):
-    return (pack(theta_reverse(w)) for w in code.generator_words())
+    return map(theta_reverse(code.n), code.generator_words())
 
 
 def reversible_on_basis(code: SkewCyclicCode, basis) -> bool:
@@ -152,8 +145,8 @@ def reversible_by_remainder(code: SkewCyclicCode) -> bool:
     """is_reversible for a single unit-form generator g, by one right
     remainder instead of the basis: <g> contains theta_reverse(g) exactly
     when g right-divides it.  Kept as an independent cross-check."""
-    g = poly_to_word(code.generators[0], code.n)
-    return remainder_membership(code, theta_reverse(g))
+    g = code.generator_words()[0]
+    return remainder_membership(code, unpack(theta_reverse(code.n)(g), code.n))
 
 
 # ---------------------------------------------------------------------------

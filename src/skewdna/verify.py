@@ -346,23 +346,20 @@ def check_reverse_complement_rules() -> CheckResult:
 
 @_timed
 def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
-    """swap-pairs(rotate-right-2(image)) = image(skew shift), all words.
+    """swap-pairs(rotate-right-2(image)) = image(skew shift), all words,
+    on the packed maps the package runs (analysis.image_shift_commutes).
 
     Exhaustive for n <= 2, seeded random sampling above.
     """
-    bad = []
-    total = 0
-    for n in (1, 2):
-        for word in itertools.product(ELEMENTS, repeat=n):
-            total += 1
-            if not an.image_shift_commutes(word):
-                bad.append(str(word))
     rng = random.Random(seed)
-    for n in (3, 4, 5, 6):
-        for _ in range(10_000):
-            word = tuple(rng.randrange(16) for _ in range(n))
+    bad, total = [], 0
+    for n in range(1, 7):
+        commutes = an.image_shift_commutes(n)
+        words = (itertools.product(ELEMENTS, repeat=n) if n <= 2 else
+                 (tuple(rng.randrange(16) for _ in range(n)) for _ in range(10_000)))
+        for word in words:
             total += 1
-            if not an.image_shift_commutes(word):
+            if not commutes(cd.pack(word)):
                 bad.append(str(word))
     return CheckResult(
         name="image-rotation-identity",
@@ -374,26 +371,30 @@ def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
 
 @_timed
 def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Lee distance equals Gray-image Hamming distance.
+    """Lee distance equals Gray-image Hamming distance: the packed Lee weight
+    of u - w against the Hamming weight of gray(u) - gray(w).
 
     Exhaustive on all 256 element pairs, then 10^4 random word pairs per
     length up to 6.
     """
+    def gray_maps(n):
+        return an.packed_weigher(n, "lee"), an.packed_gray_image(n), an.image_weigher(n)
+
     bad = []
+    lee, image, weigh = gray_maps(1)
     for x in ELEMENTS:
         for y in ELEMENTS:
-            dl = an.lee_distance((x,), (y,))
-            dh = an.hamming_distance(an.gray_image((x,)), an.gray_image((y,)))
+            dl, dh = lee(x ^ y), weigh(image(x) ^ image(y))
             if dl != dh:
                 bad.append(f"elements {r_token(x)}, {r_token(y)}: {dl} != {dh}")
     rng = random.Random(seed)
     for n in range(1, 7):
+        lee, image, weigh = gray_maps(n)
         for _ in range(10_000):
             u = tuple(rng.randrange(16) for _ in range(n))
             w = tuple(rng.randrange(16) for _ in range(n))
-            if an.lee_distance(u, w) != an.hamming_distance(
-                an.gray_image(u), an.gray_image(w)
-            ):
+            pu, pw = cd.pack(u), cd.pack(w)
+            if lee(pu ^ pw) != weigh(image(pu) ^ image(pw)):
                 bad.append(f"words {u}, {w}")
     return CheckResult(
         name="distance-preservation",

@@ -10,6 +10,11 @@ generators and is validated against these, as are the plain-shift decision
 and the minimal-degree scan, which read the basis, and the minimum distance,
 which walks the two components vC and (1+v)C; their oracles walk every
 word.
+
+The tuple word maps (the skew shift's Gray-image form, weights and
+distances, theta-reverse and complement) define each map entry by entry on
+tuples of ring elements.  The package runs only their packed forms, and the
+tests pin those to these.
 """
 
 import random
@@ -21,7 +26,7 @@ from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import is_unit, r_mul, theta
+from skewdna.algebra import gray, is_unit, r_mul, theta
 
 # transcribed by hand: the sixteen DNA strings of the length-6 code
 # generated by v(x^4 + x^2 + 1)
@@ -31,6 +36,83 @@ REFERENCE_DNA_STRINGS = (
     "GAAAGAAAGAAA", "AAAGAAAGAAAG", "CAATCAATCAAT", "TAACTAACTAAC",
     "GAATGAATGAAT", "TAAGTAAGTAAG", "GAACGAACGAAC", "CAAGCAAGCAAG",
 )
+
+
+# ---------------------------------------------------------------------------
+# tuple word maps
+
+
+def poly_to_word(f, n):
+    """The word of a polynomial of degree below n, padded with zeros."""
+    if len(f) > n:
+        raise ValueError(f"degree {len(f) - 1} polynomial does not fit length {n}")
+    return tuple(f) + (0,) * (n - len(f))
+
+
+# Lee weight of a ring element = number of nonzero Gray coordinates.
+LEE_WEIGHT = tuple((1 if gray(x)[0] else 0) + (1 if gray(x)[1] else 0) for x in range(16))
+
+
+def hamming_weight(word):
+    return sum(1 for c in word if c)
+
+
+def lee_weight(word):
+    return sum(LEE_WEIGHT[c] for c in word)
+
+
+def hamming_distance(u, w):
+    if len(u) != len(w):
+        raise ValueError("length mismatch")
+    return sum(1 for a, b in zip(u, w) if a != b)
+
+
+def lee_distance(u, w):
+    if len(u) != len(w):
+        raise ValueError("length mismatch")
+    return sum(LEE_WEIGHT[a ^ b] for a, b in zip(u, w))
+
+
+def gray_image(word):
+    """GF(4) word of length 2n: entries a + b*v contribute (a+b, a)."""
+    out = []
+    for c in word:
+        p, q = gray(c)
+        out.append(p)
+        out.append(q)
+    return tuple(out)
+
+
+def rotate_right2(img):
+    return img[-2:] + img[:-2]
+
+
+def swap_adjacent_pairs(img):
+    if len(img) % 2:
+        raise ValueError("image length must be even")
+    out = list(img)
+    out[::2], out[1::2] = img[1::2], img[::2]
+    return tuple(out)
+
+
+def image_shift_commutes(word):
+    """Per-word identity: swap-pairs of rotate-right-2 of the image is the
+    image of the skew shift."""
+    return swap_adjacent_pairs(rotate_right2(gray_image(word))) == gray_image(cd.skew_shift(word))
+
+
+def theta_reverse(word):
+    """Ring image of DNA string reversal: theta entrywise, order reversed."""
+    return tuple(theta(c) for c in reversed(word))
+
+
+def complement_word(word):
+    """Ring image of Watson-Crick complementation: add the all-ones word."""
+    return tuple(c ^ 1 for c in word)
+
+
+# ---------------------------------------------------------------------------
+# code oracles
 
 
 def naive_closure_impl(n, gens, cap=5000):
@@ -43,7 +125,7 @@ def naive_closure_impl(n, gens, cap=5000):
     def packed(values):
         return sum(c << (4 * i) for i, c in enumerate(values))
 
-    start = [cd.pack(cd.poly_to_word(g, n)) for g in gens]
+    start = [cd.pack(poly_to_word(g, n)) for g in gens]
     words = {0, *start}
     queue = list(start)
     while queue:
@@ -68,17 +150,17 @@ def tuple_words(codeset):
 
 def set_is_reversible(codeset):
     words = tuple_words(codeset)
-    return all(dna.theta_reverse(w) in words for w in words)
+    return all(theta_reverse(w) in words for w in words)
 
 
 def set_is_complement_closed(codeset):
     words = tuple_words(codeset)
-    return all(dna.complement_word(w) in words for w in words)
+    return all(complement_word(w) in words for w in words)
 
 
 def set_is_reverse_complement_closed(codeset):
     words = tuple_words(codeset)
-    return all(dna.complement_word(dna.theta_reverse(w)) in words for w in words)
+    return all(complement_word(theta_reverse(w)) in words for w in words)
 
 
 def packed_words(codeset):
@@ -110,9 +192,9 @@ def set_image_rotation(codeset):
     definitions: the per-word identity on every codeword, and the image set
     fixed by swap-pairs o rotate-right-2."""
     words = tuple_words(codeset)
-    images = {an.gray_image(w) for w in words}
-    identity = all(an.image_shift_commutes(w) for w in words)
-    closed = all(an.swap_adjacent_pairs(an.rotate_right2(img)) in images for img in images)
+    images = {gray_image(w) for w in words}
+    identity = all(image_shift_commutes(w) for w in words)
+    closed = all(swap_adjacent_pairs(rotate_right2(img)) in images for img in images)
     return identity, closed
 
 

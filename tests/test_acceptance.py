@@ -12,12 +12,16 @@ oracles in conftest.py, recomputed independently of the check.
 
 import itertools
 import random
+import tracemalloc
 
+from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna import verify
 from skewdna.algebra import parse_element, parts
+
+from conftest import complement_word, poly_to_word
 
 V = parse_element("v")
 V1 = parse_element("1+v")
@@ -99,7 +103,7 @@ def test_criterion_08_odd_length_closure_and_impossibility(set_oracles):
     reversible = []
     lacking_g1 = odd_n = 0
     for n, shape, g, g1, cs in _v_shape_codes(spots):
-        contains_g1 = cd.membership(cs, cd.poly_to_word(g1, n))
+        contains_g1 = cd.membership(cs, poly_to_word(g1, n))
         if set_is_reversible(cs):
             # the cause: every counterexample contains g1 itself
             assert contains_g1, _desc(n, shape, g)
@@ -134,10 +138,10 @@ def test_criterion_09_reverse_complement_rules(set_oracles, naive_closure):
         if cs.size > verify.MATERIALIZE_LIMIT or not set_is_complement_closed(cs):
             continue
         closed.append(_desc(n, shape, g) + " is complement-closed")
-        contain_g1 += cd.membership(cs, cd.poly_to_word(g1, n))
+        contain_g1 += cd.membership(cs, poly_to_word(g1, n))
         if cs.size <= 256:
             words = naive_closure(n, [g])
-            assert all(dna.complement_word(w) in words for w in words), _desc(n, shape, g)
+            assert all(complement_word(w) in words for w in words), _desc(n, shape, g)
             by_naive_closure += 1
     assert r.details[1] == "complement-closed non-unit codes: 24"
     assert r.details[2:] == closed
@@ -221,6 +225,32 @@ def test_criterion_10_image_rotation_identity():
 
 def test_criterion_11_distance_preservation():
     _report(11, verify.check_distance_preservation(), 30)
+
+
+def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
+    # both checks run the maps the package runs, so breaking one breaks them:
+    # the plain rotation (no theta) for analysis's packed sigma, the Hamming
+    # weigher for the Lee one
+    weigher = an.packed_weigher
+    monkeypatch.setattr(an, "packed_skew_shift", cd.packed_rotation)
+    r = verify.check_image_rotation_identity()
+    assert r.summary == "40272 words checked, 40040 identity failures"
+    monkeypatch.setattr(an, "packed_weigher", lambda n, metric: weigher(n, "hamming"))
+    r = verify.check_distance_preservation()
+    assert r.summary == "256 element pairs + 60000 word pairs, 52523 failures"
+
+
+def test_criteria_10_and_11_stream_their_words():
+    # each word or pair is drawn, tested and dropped; a list of the 60,256
+    # pairs would take megabytes
+    for check in (verify.check_image_rotation_identity, verify.check_distance_preservation):
+        tracemalloc.start()
+        try:
+            assert check().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (check.__name__, peak)
 
 
 def test_criterion_12_minimal_degree_factor_forms():

@@ -15,26 +15,30 @@ from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna.algebra import gray, gray_inverse
 
+from conftest import (LEE_WEIGHT, gray_image, hamming_distance, hamming_weight,
+                      image_shift_commutes, lee_distance, lee_weight, rotate_right2,
+                      swap_adjacent_pairs)
+
 
 def test_lee_weight_table():
-    assert an.LEE_WEIGHT[0] == 0
-    assert an.LEE_WEIGHT[4] == 1   # v -> (1, 0)
-    assert an.LEE_WEIGHT[1] == 2   # 1 -> (1, 1)
+    assert LEE_WEIGHT[0] == 0
+    assert LEE_WEIGHT[4] == 1   # v -> (1, 0)
+    assert LEE_WEIGHT[1] == 2   # 1 -> (1, 1)
     for x in range(16):
         p, q = gray(x)
-        assert an.LEE_WEIGHT[x] == (p != 0) + (q != 0)
-        assert 0 <= an.LEE_WEIGHT[x] <= 2
+        assert LEE_WEIGHT[x] == (p != 0) + (q != 0)
+        assert 0 <= LEE_WEIGHT[x] <= 2
 
 
 def test_weights_and_distances():
-    assert an.hamming_weight((0, 4, 0, 1)) == 2
-    assert an.lee_weight((0, 4, 0, 1)) == 3
-    assert an.hamming_distance((1, 2), (1, 3)) == 1
-    assert an.lee_distance((0, 0), (4, 1)) == 3
+    assert hamming_weight((0, 4, 0, 1)) == 2
+    assert lee_weight((0, 4, 0, 1)) == 3
+    assert hamming_distance((1, 2), (1, 3)) == 1
+    assert lee_distance((0, 0), (4, 1)) == 3
     with pytest.raises(ValueError):
-        an.hamming_distance((1,), (1, 2))
+        hamming_distance((1,), (1, 2))
     with pytest.raises(ValueError):
-        an.lee_distance((1,), (1, 2))
+        lee_distance((1,), (1, 2))
 
 
 def test_distance_is_translation_invariant():
@@ -42,12 +46,12 @@ def test_distance_is_translation_invariant():
     for _ in range(500):
         u, w, t = (tuple(rng.randrange(16) for _ in range(4)) for _ in range(3))
         shifted = tuple(a ^ b for a, b in zip(u, t)), tuple(a ^ b for a, b in zip(w, t))
-        assert an.lee_distance(*shifted) == an.lee_distance(u, w)
-        assert an.hamming_distance(*shifted) == an.hamming_distance(u, w)
+        assert lee_distance(*shifted) == lee_distance(u, w)
+        assert hamming_distance(*shifted) == hamming_distance(u, w)
 
 
-@pytest.mark.parametrize("metric,weight", [("hamming", an.hamming_weight),
-                                           ("lee", an.lee_weight)])
+@pytest.mark.parametrize("metric,weight", [("hamming", hamming_weight),
+                                           ("lee", lee_weight)])
 def test_packed_weights_match_word_weights(metric, weight):
     # exhaustive for n <= 2, sampled up to n = 9
     rng = random.Random(31)
@@ -67,14 +71,14 @@ def test_word_walks_cache_no_words(codeset_words):
     assert set(vars(cs)) == {"code", "basis"}  # the walks kept no words
     # the walks against the tuple words
     words = codeset_words(cs)
-    assert lee == min(an.lee_weight(w) for w in words if any(w))
+    assert lee == min(lee_weight(w) for w in words if any(w))
     assert strings == sorted(map(dna.encode_word, words))
 
 
 def test_min_distance_equals_pairwise_minimum(codeset_words):
     cs = cd.materialize(cd.code_from_generator(2, (6, 1)))
     words = codeset_words(cs)
-    for metric, dist in (("hamming", an.hamming_distance), ("lee", an.lee_distance)):
+    for metric, dist in (("hamming", hamming_distance), ("lee", lee_distance)):
         direct = min(dist(u, w) for u in words for w in words if u != w)
         assert an.min_distance(cs, metric) == direct
 
@@ -158,49 +162,62 @@ def test_weight_distribution_against_dna_strings(sixteen_word_code, reference_dn
 
 
 def test_gray_image_is_additive():
+    image = an.packed_gray_image(1)
     for x in range(16):
         for y in range(16):
-            gx, gy = an.gray_image((x,)), an.gray_image((y,))
-            assert an.gray_image((x ^ y,)) == tuple(a ^ b for a, b in zip(gx, gy))
+            gx, gy = gray_image((x,)), gray_image((y,))
+            assert gray_image((x ^ y,)) == tuple(a ^ b for a, b in zip(gx, gy))
+            assert image(x ^ y) == image(x) ^ image(y)
 
 
 def test_gray_image_layout():
     # coordinate pairs are interleaved in order
     word = (4, 1)
-    assert an.gray_image(word) == gray(4) + gray(1)
+    assert gray_image(word) == gray(4) + gray(1) == (1, 0, 1, 1)
+    # packed, two bits per coordinate from the lowest
+    assert an.packed_gray_image(2)(cd.pack(word)) == 0b01_01_00_01
 
 
 def test_rotate_and_pair_swap():
-    assert an.rotate_right2((1, 2, 3, 0)) == (3, 0, 1, 2)
-    assert an.swap_adjacent_pairs((1, 2, 3, 0)) == (2, 1, 0, 3)
+    assert rotate_right2((1, 2, 3, 0)) == (3, 0, 1, 2)
+    assert swap_adjacent_pairs((1, 2, 3, 0)) == (2, 1, 0, 3)
     with pytest.raises(ValueError):
-        an.swap_adjacent_pairs((1, 2, 3))
+        swap_adjacent_pairs((1, 2, 3))
 
 
 def test_image_permutation_masks_match_tuple_maps():
     # the packed sigma is both the tuple skew shift and the Gray-image
-    # permutation gray^-1 o swap-pairs o rotate-right-2 o gray
+    # permutation gray^-1 o swap-pairs o rotate-right-2 o gray, and the
+    # packed Gray image, its weigher and the per-word identity match their
+    # tuple oracles: exhaustive for n <= 2, sampled up to n = 9
     rng = random.Random(37)
     for n in range(1, 10):
-        shift = cd.packed_skew_shift(n)
-        for _ in range(500):
-            w = tuple(rng.randrange(16) for _ in range(n))
-            img = an.swap_adjacent_pairs(an.rotate_right2(an.gray_image(w)))
-            permuted = tuple(gray_inverse(img[i : i + 2]) for i in range(0, 2 * n, 2))
-            assert shift(cd.pack(w)) == cd.pack(cd.skew_shift(w)) == cd.pack(permuted)
+        shift, image = cd.packed_skew_shift(n), an.packed_gray_image(n)
+        weigh, commutes = an.image_weigher(n), an.image_shift_commutes(n)
+        words = (itertools.product(range(16), repeat=n) if n <= 2 else
+                 (tuple(rng.randrange(16) for _ in range(n)) for _ in range(500)))
+        for w in words:
+            p, img = cd.pack(w), gray_image(w)
+            permuted = swap_adjacent_pairs(rotate_right2(img))
+            permuted = tuple(gray_inverse(permuted[i : i + 2]) for i in range(0, 2 * n, 2))
+            assert shift(p) == cd.pack(cd.skew_shift(w)) == cd.pack(permuted)
+            assert tuple(image(p) >> 2 * j & 3 for j in range(2 * n)) == img
+            assert weigh(image(p)) == hamming_weight(img)
+            assert commutes(p) == image_shift_commutes(w)
 
 
 def test_image_shift_identity_exhaustive_short():
     for n in (1, 2):
-        for word in itertools.product(range(16), repeat=n):
-            assert an.image_shift_commutes(word)
+        commutes = an.image_shift_commutes(n)
+        assert all(map(commutes, range(16 ** n)))  # every packed word of length n
 
 
 def test_image_shift_identity_sampled():
     rng = random.Random(13)
     for n in (3, 4, 5, 6):
+        commutes = an.image_shift_commutes(n)
         for _ in range(2000):
-            assert an.image_shift_commutes(tuple(rng.randrange(16) for _ in range(n)))
+            assert commutes(rng.getrandbits(4 * n))
 
 
 WORD_PAIRS = st.integers(1, 8).flatmap(
@@ -210,7 +227,11 @@ WORD_PAIRS = st.integers(1, 8).flatmap(
 @given(WORD_PAIRS)
 def test_gray_map_is_an_isometry(pair):
     u, w = pair
-    assert an.lee_distance(u, w) == an.hamming_distance(an.gray_image(u), an.gray_image(w))
+    d = lee_distance(u, w)
+    assert d == hamming_distance(gray_image(u), gray_image(w))
+    n, (pu, pw) = len(u), map(cd.pack, pair)
+    image = an.packed_gray_image(n)
+    assert an.packed_weigher(n, "lee")(pu ^ pw) == an.image_weigher(n)(image(pu) ^ image(pw)) == d
 
 
 def test_gray_image_report(sixteen_word_code):
@@ -228,7 +249,7 @@ def test_gray_image_report_negative_control(sixteen_word_code, codeset_words):
     basis = (cd.pack((1, 0, 0, 0, 0, 0)),)
     fake = cd.CodeSet(sixteen_word_code.code, basis)
     assert codeset_words(fake) == {(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)}
-    assert an.image_shift_commutes(cd.unpack(basis[0], 6))  # per-word, always true
+    assert an.image_shift_commutes(6)(basis[0])  # per-word, always true
     assert not an.image_closed_on_basis(fake.code, fake.basis)
     with pytest.raises(ValueError, match="not closed under v"):
         an.gray_image_report(fake)

@@ -205,6 +205,18 @@ def test_build_prints_the_generator_reduced_mod_x_n_minus_1(capsys):
     assert "palindromic:       no" in out
 
 
+def test_check_dna_and_distance_print_the_generator_reduced_mod_x_n_minus_1(capsys):
+    # x^4 is 1 modulo x^4 - 1, and x^2 + v is 1 + v modulo x^2 - 1
+    argv = ["check", "--n", "4", "--gen", "x^4", "--property", "complement"]
+    rc, doc = run_json(capsys, argv)
+    assert (rc, doc["generator"], doc["holds"], doc["size"]) == (0, ["1"], True, 1 << 16)
+    rc, out, _ = run(capsys, argv)
+    assert (rc, out) == (0, "complement holds for <1> at length 4\n")
+    for command in ("dna", "distance"):
+        rc, doc = run_json(capsys, [command, "--n", "2", "--gen", "x^2+v"])
+        assert (rc, doc["generator"], doc["size"]) == (0, ["1+v"], 16)
+
+
 def test_build_large_code_without_materializing(capsys):
     rc, doc = run_json(capsys, ["build"] + EX1)
     assert rc == 0

@@ -18,6 +18,8 @@ from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 
+from conftest import complement_word, theta_reverse
+
 # element index -> 2-base block, hand-transcribed
 BLOCKS = ("AA", "TT", "CC", "GG", "TA", "AT", "GC", "CG",
           "CA", "GT", "AC", "TG", "GA", "CT", "TC", "AG")
@@ -56,33 +58,41 @@ def test_reversal_pulls_back_to_theta_reverse():
     words = list(itertools.product(range(16), repeat=2))
     words += [tuple(rng.randrange(16) for _ in range(6)) for _ in range(2000)]
     for word in words:
-        assert dna.encode_word(dna.theta_reverse(word)) == dna.dna_reverse(dna.encode_word(word))
+        reversed_dna = dna.dna_reverse(dna.encode_word(word))
+        n = len(word)
+        assert dna.encode_word(theta_reverse(word)) == reversed_dna
+        assert dna.encode_word(cd.unpack(dna.theta_reverse(n)(cd.pack(word)), n)) == reversed_dna
 
 
 def test_complement_pulls_back_to_plus_one():
     rng = random.Random(6)
     for _ in range(2000):
         word = tuple(rng.randrange(16) for _ in range(5))
-        assert dna.encode_word(dna.complement_word(word)) == dna.dna_complement(dna.encode_word(word))
-        assert dna.complement_word(word) == tuple(c ^ 1 for c in word)
+        assert dna.encode_word(complement_word(word)) == dna.dna_complement(dna.encode_word(word))
+        assert complement_word(word) == tuple(c ^ 1 for c in word)
 
 
 def test_theta_reverse_is_an_involution():
     rng = random.Random(7)
-    for _ in range(500):
-        word = tuple(rng.randrange(16) for _ in range(6))
-        assert dna.theta_reverse(dna.theta_reverse(word)) == word
+    for n in (5, 6):  # odd n exercises the padding entry
+        reverse = dna.theta_reverse(n)
+        for _ in range(500):
+            word = tuple(rng.randrange(16) for _ in range(n))
+            assert theta_reverse(theta_reverse(word)) == word
+            assert reverse(reverse(cd.pack(word))) == cd.pack(word)
 
 
 def test_packed_theta_reverse_complement_matches_word_maps():
-    # exhaustive for n <= 2, sampled above; odd n exercises the padding entry
+    # exhaustive for n <= 2, sampled up to n = 9; odd n exercises the
+    # padding entry
     rng = random.Random(23)
-    for n in range(1, 9):
-        rc = dna.theta_reverse_complement(n)
+    for n in range(1, 10):
+        reverse, rc = dna.theta_reverse(n), dna.theta_reverse_complement(n)
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (tuple(rng.randrange(16) for _ in range(n)) for _ in range(2000)))
         for w in words:
-            assert rc(cd.pack(w)) == cd.pack(dna.complement_word(dna.theta_reverse(w)))
+            assert reverse(cd.pack(w)) == cd.pack(theta_reverse(w))
+            assert rc(cd.pack(w)) == cd.pack(complement_word(theta_reverse(w)))
 
 
 def test_encode_codeset_matches_reference(sixteen_word_code, reference_dna_strings):

@@ -1,4 +1,5 @@
-"""Guards on the package surface: unread public names, private imports.
+"""Guards on the package surface: unread public names, private imports,
+tuple word maps.
 
 Every public top-level name in skewdna's modules is read somewhere in the
 package, or it is listed in UNREAD with a one-word reason: an oracle that
@@ -10,6 +11,12 @@ reads fails this test until it is used, deleted or listed.
 No module reaches for a private function or class of another module: what
 one module lends another is public.  Private data tables (algebra's _THETA
 and _R_MUL) may be shared.
+
+Words are packed integers (codes.pack) everywhere below the polynomial
+boundary.  A public function annotated with the tuple type codes.Word is
+one of a listed few: the boundary itself, a tracer pin, or an oracle.  A
+new tuple twin of a packed map fails this test; its oracle belongs in
+tests/conftest.py.
 """
 
 import ast
@@ -23,16 +30,23 @@ PACKAGE = Path(skewdna.__file__).parent
 UNREAD = {
     "algebra.theta": "oracle",
     "algebra.gray_inverse": "oracle",
-    "analysis.hamming_weight": "oracle",
-    "analysis.lee_weight": "oracle",
     "codes.membership": "oracle",
     "dna.encode_word": "oracle",
     "dna.dna_reverse": "oracle",
     "dna.dna_complement": "oracle",
     "dna.dna_reverse_complement": "oracle",
-    "dna.complement_word": "oracle",
     "analysis.gray_image_report": "tracer",
     "dna.is_reverse_complement_closed": "tracer",
+}
+
+
+TUPLE_WORD_FUNCTIONS = {
+    "codes.pack": "boundary",
+    "codes.unpack": "boundary",
+    "codes.skew_shift": "tracer",
+    "codes.remainder_membership": "tracer",
+    "codes.membership": "oracle",
+    "dna.encode_word": "oracle",
 }
 
 
@@ -91,3 +105,23 @@ def test_no_module_uses_a_private_callable_of_another():
     used = {f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
             for name in _private_callables_used(ast.parse(path.read_text()))}
     assert used == set()
+
+
+def _tuple_word_functions(tree: ast.Module) -> set[str]:
+    """Public functions with Word in an argument or return annotation."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            notes = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
+            if any(isinstance(n, ast.Name) and n.id == "Word"
+                   for note in notes + [node.returns] if note is not None
+                   for n in ast.walk(note)):
+                found.add(node.name)
+    return found
+
+
+def test_only_listed_functions_take_or_return_tuple_words():
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _tuple_word_functions(ast.parse(path.read_text()))}
+    assert found == set(TUPLE_WORD_FUNCTIONS)
