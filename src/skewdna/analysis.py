@@ -26,7 +26,7 @@ from itertools import islice
 
 # skew_shift is read nowhere here: perfbench's tracer pins this binding
 from .codes import (CodeSet, SkewCyclicCode, echelon, packed_rotation, packed_skew_shift,
-                    skew_shift, spans)
+                    packed_times_v, packed_times_v1, skew_shift, spans)
 
 
 def packed_weigher(n: int, metric: str):
@@ -66,9 +66,10 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     component dimensions do not add up to k is not closed under v, so it is
     no code, and it is refused.
     """
-    weigh, m3 = packed_weigher(codeset.n, metric), 3 * int("1" * codeset.n, 16)
-    parts = [tuple(echelon(map(image, codeset.basis)))
-             for image in (lambda p: ((p ^ p >> 2) & m3) << 2, lambda p: p & m3 | (p & m3) << 2)]
+    n = codeset.n
+    weigh = packed_weigher(n, metric)
+    parts = [tuple(echelon(map(scale, codeset.basis)))
+             for scale in (packed_times_v(n), packed_times_v1(n))]
     if sum(map(len, parts)) != len(codeset.basis):
         raise ValueError("the basis is not closed under v, so it spans no code")
     best = min((weigh(p) for basis in parts

@@ -23,7 +23,8 @@ failed; 2 input could not be parsed or is out of range; 3 a size or search
 cap was hit, or memory ran out.  A reader that closes stdout early changes
 neither.
 Every subcommand takes --format structured to emit JSON instead of text.
-All output is deterministic; the one randomized sweep takes --seed.
+All output is deterministic; verify-paper's two randomized checks (10 and
+11) take --seed.
 """
 
 from __future__ import annotations

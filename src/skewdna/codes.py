@@ -93,6 +93,20 @@ def packed_skew_shift(n: int):
     return lambda p: rotate(p ^ (p >> 2) & m3)
 
 
+def packed_times_v(n: int):
+    """The scalar map c -> v*c on packed words of length n: each entry
+    a | b << 2, that is a + b*v, goes to (a + b)*v."""
+    m3 = 3 * int("1" * n, 16)
+    return lambda p: ((p ^ p >> 2) & m3) << 2
+
+
+def packed_times_v1(n: int):
+    """The scalar map c -> (1+v)*c on packed words of length n: each entry
+    a | b << 2, that is a + b*v, goes to a + a*v."""
+    m3 = 3 * int("1" * n, 16)
+    return lambda p: p & m3 | (p & m3) << 2
+
+
 def _reduce(vec: int, pivots: dict[int, int]) -> int:
     """Clear vec's top bit while it is a pivot: 0 exactly when vec is in the span."""
     while vec and (b := pivots.get(vec.bit_length() - 1)):
@@ -126,10 +140,9 @@ def span_basis(n: int, generator_words) -> list[int]:
     products, which give every element of R.  Each map acts on all n
     entries a | b << 2 of a packed word at once: the skew shift is
     packed_skew_shift, w sends each GF(4) part x0 + x1*w to
-    x1 + (x0 + x1)*w, and v sends a + b*v to (a + b)*v.
+    x1 + (x0 + x1)*w, and v is packed_times_v.
     """
-    ones = int("1" * n, 16)
-    m3, m5, shift = 3 * ones, 5 * ones, packed_skew_shift(n)
+    m5, shift, times_v = 5 * int("1" * n, 16), packed_skew_shift(n), packed_times_v(n)
     pivots: dict[int, int] = {}
     queue = list(generator_words)
     while queue:
@@ -139,7 +152,7 @@ def span_basis(n: int, generator_words) -> list[int]:
         pivots[vec.bit_length() - 1] = vec
         queue += (shift(vec),
                   (vec >> 1) & m5 | ((vec ^ vec >> 1) & m5) << 1,
-                  ((vec ^ vec >> 2) & m3) << 2)
+                  times_v(vec))
     return list(pivots.values())
 
 

@@ -344,23 +344,62 @@ def check_reverse_complement_rules() -> CheckResult:
     )
 
 
+_DRAW_DIGIT = bytes.maketrans(bytes(range(128)),
+                              bytes(b"0123456789abcdef"[b >> 3] for b in range(128)))
+_REJECTED = bytes(range(128, 256))
+_DRAW_CHUNK = 4096  # generator outputs asked for at once
+
+
+def _packed_draws(rng: random.Random, n: int, count: int):
+    """Yield pack(tuple(rng.randrange(16) for _ in range(n))), count times,
+    from the same generator outputs drawn in bulk.
+
+    Why it is exactly the randrange(16) stream: in CPython randrange(16) is
+    getrandbits(5), the top 5 bits of one 32-bit Mersenne Twister output,
+    drawn again while it is 16 or more.  getrandbits(32 * k) is k such
+    outputs, the first in the lowest 32 bits, so the top byte of each, in
+    order, decides one draw: rejected from 128 up, else the draw is byte >> 3.
+    One translate turns a chunk's top bytes into the hex digits of its
+    accepted draws; a word is its n digits reversed, entry 0 in the lowest
+    nibble, as codes.pack puts it.  Each chunk asks for at most as many
+    outputs as draws are still missing, and one output gives at most one
+    draw, so no output is drawn that the loop would not draw: the generator
+    ends in the state the loop leaves it in.
+    """
+    missing, digits = n * count, b""
+    while missing > 0:
+        k = min(missing, _DRAW_CHUNK)
+        got = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        got = got.translate(_DRAW_DIGIT, _REJECTED)
+        missing -= len(got)
+        digits += got
+        whole = len(digits) - len(digits) % n
+        for i in range(0, whole, n):
+            yield int(digits[i:i + n][::-1], 16)
+        digits = digits[whole:]
+
+
 @_timed
 def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     """swap-pairs(rotate-right-2(image)) = image(skew shift), all words,
     on the packed maps the package runs (analysis.image_shift_commutes).
 
-    Exhaustive for n <= 2, seeded random sampling above.
+    Exhaustive for n <= 2, then 10^4 seeded words per length up to 6: the
+    words that rng.randrange(16) draws entry by entry.  _packed_draws reads
+    them in bulk off the same generator outputs, keeping the same 5 bits of
+    each and rejecting the same ones, so the words and their order are the
+    same.
     """
     rng = random.Random(seed)
     bad, total = [], 0
     for n in range(1, 7):
         commutes = an.image_shift_commutes(n)
-        words = (itertools.product(ELEMENTS, repeat=n) if n <= 2 else
-                 (tuple(rng.randrange(16) for _ in range(n)) for _ in range(10_000)))
-        for word in words:
+        words = (map(cd.pack, itertools.product(ELEMENTS, repeat=n)) if n <= 2 else
+                 _packed_draws(rng, n, 10_000))
+        for p in words:
             total += 1
-            if not commutes(cd.pack(word)):
-                bad.append(str(word))
+            if not commutes(p):
+                bad.append(str(cd.unpack(p, n)))
     return CheckResult(
         name="image-rotation-identity",
         passed=not bad,
@@ -374,8 +413,11 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     """Lee distance equals Gray-image Hamming distance: the packed Lee weight
     of u - w against the Hamming weight of gray(u) - gray(w).
 
-    Exhaustive on all 256 element pairs, then 10^4 random word pairs per
-    length up to 6.
+    Exhaustive on all 256 element pairs, then 10^4 seeded word pairs per
+    length up to 6: u and w are consecutive words that rng.randrange(16)
+    draws entry by entry.  _packed_draws reads them in bulk off the same
+    generator outputs, keeping the same 5 bits of each and rejecting the
+    same ones, so the pairs and their order are the same.
     """
     def gray_maps(n):
         return an.packed_weigher(n, "lee"), an.packed_gray_image(n), an.image_weigher(n)
@@ -390,12 +432,10 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed)
     for n in range(1, 7):
         lee, image, weigh = gray_maps(n)
-        for _ in range(10_000):
-            u = tuple(rng.randrange(16) for _ in range(n))
-            w = tuple(rng.randrange(16) for _ in range(n))
-            pu, pw = cd.pack(u), cd.pack(w)
+        draws = _packed_draws(rng, n, 20_000)
+        for pu, pw in zip(draws, draws):
             if lee(pu ^ pw) != weigh(image(pu) ^ image(pw)):
-                bad.append(f"words {u}, {w}")
+                bad.append(f"words {cd.unpack(pu, n)}, {cd.unpack(pw, n)}")
     return CheckResult(
         name="distance-preservation",
         passed=not bad,

@@ -111,6 +111,12 @@ def complement_word(word):
     return tuple(c ^ 1 for c in word)
 
 
+def randrange_word(rng, n):
+    """A word drawn entry by entry with rng.randrange(16): the stream that
+    verify._packed_draws draws in bulk."""
+    return tuple(rng.randrange(16) for _ in range(n))
+
+
 # ---------------------------------------------------------------------------
 # code oracles
 

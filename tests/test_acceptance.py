@@ -19,9 +19,9 @@ from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna import verify
-from skewdna.algebra import parse_element, parts
+from skewdna.algebra import parse_element, parts, r_token
 
-from conftest import complement_word, poly_to_word
+from conftest import complement_word, poly_to_word, randrange_word
 
 V = parse_element("v")
 V1 = parse_element("1+v")
@@ -227,17 +227,78 @@ def test_criterion_11_distance_preservation():
     _report(11, verify.check_distance_preservation(), 30)
 
 
+def _tuple_draw_rotation_failures():
+    """Check 10's failures as the tuple-draw loop reports them: exhaustive
+    words for n <= 2, then randrange_word draws, tested on the package's
+    current maps."""
+    rng = random.Random(verify.DEFAULT_SEED)
+    for n in range(1, 7):
+        commutes = an.image_shift_commutes(n)
+        words = (itertools.product(range(16), repeat=n) if n <= 2 else
+                 (randrange_word(rng, n) for _ in range(10_000)))
+        for word in words:
+            if not commutes(cd.pack(word)):
+                yield str(word)
+
+
+def _tuple_draw_distance_failures():
+    """Check 11's failures as the tuple-draw loop reports them: element
+    pairs, then randrange_word pairs u, w, on the package's current maps."""
+    def gray_maps(n):
+        return an.packed_weigher(n, "lee"), an.packed_gray_image(n), an.image_weigher(n)
+
+    lee, image, weigh = gray_maps(1)
+    for x, y in itertools.product(range(16), repeat=2):
+        dl, dh = lee(x ^ y), weigh(image(x) ^ image(y))
+        if dl != dh:
+            yield f"elements {r_token(x)}, {r_token(y)}: {dl} != {dh}"
+    rng = random.Random(verify.DEFAULT_SEED)
+    for n in range(1, 7):
+        lee, image, weigh = gray_maps(n)
+        for _ in range(10_000):
+            u, w = randrange_word(rng, n), randrange_word(rng, n)
+            pu, pw = cd.pack(u), cd.pack(w)
+            if lee(pu ^ pw) != weigh(image(pu) ^ image(pw)):
+                yield f"words {u}, {w}"
+
+
 def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
     # both checks run the maps the package runs, so breaking one breaks them:
     # the plain rotation (no theta) for analysis's packed sigma, the Hamming
-    # weigher for the Lee one
-    weigher = an.packed_weigher
-    monkeypatch.setattr(an, "packed_skew_shift", cd.packed_rotation)
-    r = verify.check_image_rotation_identity()
-    assert r.summary == "40272 words checked, 40040 identity failures"
-    monkeypatch.setattr(an, "packed_weigher", lambda n, metric: weigher(n, "hamming"))
-    r = verify.check_distance_preservation()
-    assert r.summary == "256 element pairs + 60000 word pairs, 52523 failures"
+    # weigher for the Lee one.  Each mutation is applied to every length, and
+    # once more above the exhaustive part only, so that the first 20 failures
+    # come from the seeded words and pin their order and their printed form.
+    shift, weigher = an.packed_skew_shift, an.packed_weigher
+    for mutant, summary in (
+            (cd.packed_rotation, "40272 words checked, 40040 identity failures"),
+            (lambda n: (cd.packed_rotation if n > 2 else shift)(n), None)):
+        monkeypatch.setattr(an, "packed_skew_shift", mutant)
+        r = verify.check_image_rotation_identity()
+        assert summary in (None, r.summary)
+        assert r.details == list(itertools.islice(_tuple_draw_rotation_failures(), 20))
+    assert len(r.details) == 20 and r.details[0].count(",") == 2  # a seeded length-3 word
+    monkeypatch.setattr(an, "packed_skew_shift", shift)
+    for mutant, summary in (
+            (lambda n, metric: weigher(n, "hamming"),
+             "256 element pairs + 60000 word pairs, 52523 failures"),
+            (lambda n, metric: weigher(n, "hamming" if n > 1 else metric), None)):
+        monkeypatch.setattr(an, "packed_weigher", mutant)
+        r = verify.check_distance_preservation()
+        assert summary in (None, r.summary)
+        assert r.details == list(itertools.islice(_tuple_draw_distance_failures(), 20))
+    assert len(r.details) == 20 and r.details[0].startswith("words (")  # seeded pairs
+
+
+def test_packed_draws_match_the_randrange_loop():
+    # the bulk draw is exactly the randrange(16) stream: the same words, and
+    # the generator left in the same state; counts cross chunk boundaries
+    for seed in (verify.DEFAULT_SEED, 48611):
+        for n in range(1, 7):
+            for count in (0, 1, 3 * verify._DRAW_CHUNK // n + 1):
+                bulk, loop = random.Random(seed), random.Random(seed)
+                words = list(verify._packed_draws(bulk, n, count))
+                assert words == [cd.pack(randrange_word(loop, n)) for _ in range(count)]
+                assert bulk.getstate() == loop.getstate(), (seed, n, count)
 
 
 def test_criteria_10_and_11_stream_their_words():

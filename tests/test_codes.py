@@ -8,7 +8,9 @@ import pytest
 
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
-from skewdna.algebra import is_unit, r_mul, theta
+from skewdna.algebra import is_unit, parse_element, r_mul, theta
+
+from conftest import randrange_word
 
 EX3 = sp.parse_poly("v(x^4+x^2+1)")
 
@@ -62,6 +64,21 @@ def test_unit_generator_code_size_law(n, t):
 def test_skew_shift_definition():
     w = (1, 4, 3)
     assert cd.skew_shift(w) == (theta(3), theta(1), theta(4))
+
+
+def test_packed_scalar_maps_match_ring_products():
+    # v*c and (1+v)*c entry by entry through r_mul: exhaustive for n <= 2,
+    # sampled up to n = 9
+    v, v1 = parse_element("v"), parse_element("1+v")
+    rng = random.Random(7)
+    for n in range(1, 10):
+        words = (itertools.product(range(16), repeat=n) if n <= 2 else
+                 (randrange_word(rng, n) for _ in range(200)))
+        times_v, times_v1 = cd.packed_times_v(n), cd.packed_times_v1(n)
+        for w in words:
+            p = cd.pack(w)
+            assert times_v(p) == cd.pack(tuple(r_mul(v, c) for c in w)), w
+            assert times_v1(p) == cd.pack(tuple(r_mul(v1, c) for c in w)), w
 
 
 def test_codes_are_closed_under_skew_shift(sixteen_word_code, codeset_words):
