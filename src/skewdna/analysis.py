@@ -6,10 +6,10 @@ six nonzero zero divisors, 2 for the nine units), so the Lee weight of a word
 equals the Hamming weight of its Gray image over GF(4).  Both induce
 distances through XOR differences, and every code produced by this package
 is an F2-subspace, so minimum distance is minimum nonzero weight.  Every
-map here acts on packed words (codes.pack) with a few masks and one
-popcount.  min_distance walks only a code's components vC and (1+v)C, where
-Lee and Hamming weight agree, so every code's Lee and Hamming minima are
-equal.
+map here acts on packed words (codes.pack) with a few masks, and a weight is
+one popcount of a weight fold.  min_distance walks only a code's components
+vC and (1+v)C, where Lee and Hamming weight agree, so every code's Lee and
+Hamming minima are equal.
 
 The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
@@ -29,28 +29,30 @@ from .codes import (CodeSet, SkewCyclicCode, echelon, packed_rotation, packed_sk
                     packed_times_v, packed_times_v1, skew_shift, spans)
 
 
-def packed_weigher(n: int, metric: str):
-    """Weight function on packed words of length n (codes.pack).
+def packed_weight_fold(n: int, metric: str):
+    """Weight fold on packed words of length n (codes.pack): each entry's
+    weight as bits 0 and 2 of its nibble, so a word's weight is the fold's
+    bit_count.  Entry-local: built for n*k entries, it folds k words at once.
 
-    Hamming weight is one popcount of each entry's four bits OR-folded onto
-    its lowest.  Lee weight counts the nonzero GF(4) parts of the Gray pair
-    (a + b, a) of each entry a | b << 2: z = p ^ (a << 2) holds a in bits
-    0-1 and a + b in bits 2-3, and each part folds onto its low bit.
+    Hamming weight is each entry's four bits OR-folded onto its lowest.  Lee
+    weight counts the nonzero GF(4) parts of the Gray pair (a + b, a) of
+    each entry a | b << 2: z = p ^ (a << 2) holds a in bits 0-1 and a + b in
+    bits 2-3, and each part folds onto its low bit.
     """
     ones = int("1" * n, 16)  # bit 0 of every entry
     if metric == "hamming":
-        def weigh(p: int) -> int:
+        def fold(p: int) -> int:
             p |= p >> 2
-            return ((p | p >> 1) & ones).bit_count()
+            return (p | p >> 1) & ones
     elif metric == "lee":
         m3, m5 = 3 * ones, 5 * ones
 
-        def weigh(p: int) -> int:
+        def fold(p: int) -> int:
             z = p ^ (p & m3) << 2
-            return ((z | z >> 1) & m5).bit_count()
+            return (z | z >> 1) & m5
     else:
         raise ValueError(f"unknown metric {metric!r}; use 'hamming' or 'lee'")
-    return weigh
+    return fold
 
 
 def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
@@ -67,12 +69,12 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     no code, and it is refused.
     """
     n = codeset.n
-    weigh = packed_weigher(n, metric)
+    fold = packed_weight_fold(n, metric)
     parts = [tuple(echelon(map(scale, codeset.basis)))
              for scale in (packed_times_v(n), packed_times_v1(n))]
     if sum(map(len, parts)) != len(codeset.basis):
         raise ValueError("the basis is not closed under v, so it spans no code")
-    best = min((weigh(p) for basis in parts
+    best = min((fold(p).bit_count() for basis in parts
                 for p in islice(CodeSet(codeset.code, basis).walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
@@ -85,36 +87,40 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
 
 def packed_gray_image(n: int):
     """The Gray image of packed words of length n, a GF(4) word of length 2n
-    at two bits per coordinate: entry a | b << 2 gives a + b, a in its nibble."""
+    at two bits per coordinate: entry a | b << 2 gives a + b, a in its nibble.
+    Entry-local, as the weight folds are."""
     m3 = 3 * int("1" * n, 16)
     return lambda p: (p ^ p >> 2) & m3 | (p & m3) << 2
 
 
-def image_weigher(n: int):
-    """Hamming weight of packed Gray images of length 2n: each coordinate's
-    two bits OR-folded onto its lowest, then one popcount."""
+def image_weight_fold(n: int):
+    """Hamming weight fold of packed Gray images of length 2n: each
+    coordinate's two bits OR-folded onto its lowest, bits 0 and 2 of the
+    entry's nibble; the weight is its bit_count."""
     m5 = 5 * int("1" * n, 16)
-    return lambda img: ((img | img >> 1) & m5).bit_count()
+    return lambda img: (img | img >> 1) & m5
 
 
-def image_shift_commutes(n: int):
-    """The per-word identity on packed words of length n: swap-pairs of
-    rotate-right-2 of the Gray image equals the image of packed_skew_shift."""
-    image, shift, rotate = packed_gray_image(n), packed_skew_shift(n), packed_rotation(n)
-    m3 = 3 * int("1" * n, 16)
+def image_shift_defect(n: int, lanes: int = 1):
+    """The per-word identity on packed words of length n, lane by lane as in
+    codes.packed_rotation: swap-pairs of rotate-right-2 of the Gray image
+    XOR the image of packed_skew_shift, zero in exactly the lanes where the
+    identity holds."""
+    image, m3 = packed_gray_image(n * lanes), 3 * int("1" * (n * lanes), 16)
+    shift, rotate = packed_skew_shift(n, lanes), packed_rotation(n, lanes)
 
-    def commutes(p: int) -> bool:
+    def defect(p: int) -> int:
         img = rotate(image(p))
-        return ((img & m3) << 2 | (img >> 2) & m3) == image(shift(p))
+        return ((img & m3) << 2 | (img >> 2) & m3) ^ image(shift(p))
 
-    return commutes
+    return defect
 
 
 @dataclass(frozen=True)
 class GrayImageReport:
     n: int
     size: int
-    identity_holds: bool        # image_shift_commutes on every codeword
+    identity_holds: bool        # image_shift_defect 0 on every codeword
     image_closed: bool          # image set fixed by swap-pairs o rotate2
     lee_min: int
     gray_hamming_min: int
@@ -142,15 +148,15 @@ def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
 def gray_image_report(codeset: CodeSet) -> GrayImageReport:
     """Check the quasi-cyclic equivalence and Lee/Hamming agreement at once;
     gray_hamming_min weighs the Gray image of every word."""
-    image, weigh = packed_gray_image(codeset.n), image_weigher(codeset.n)
+    image, fold = packed_gray_image(codeset.n), image_weight_fold(codeset.n)
     lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code and non-codes
     # the identity is GF(2)-linear on both sides, so the basis decides it
-    identity = all(map(image_shift_commutes(codeset.n), codeset.basis))
+    identity = not any(map(image_shift_defect(codeset.n), codeset.basis))
     return GrayImageReport(
         n=codeset.n,
         size=codeset.size,
         identity_holds=identity,
         image_closed=image_closed_on_basis(codeset.code, codeset.basis),
         lee_min=lee_min,
-        gray_hamming_min=min(weigh(image(p)) for p in islice(codeset.walk(), 1, None)),
+        gray_hamming_min=min(fold(image(p)).bit_count() for p in islice(codeset.walk(), 1, None)),
     )

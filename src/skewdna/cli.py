@@ -224,12 +224,19 @@ def code_length(text: str) -> int:
     return n
 
 
+def size_cap(text: str) -> int:
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap {cap} is below 0")
+    return cap
+
+
 def _add_code_args(p: argparse.ArgumentParser, cap: bool = True) -> None:
     p.add_argument("--n", type=code_length, required=True, help="code length")
     p.add_argument("--gen", required=True,
                    help="generator polynomial text or ascending coefficient list")
     if cap:
-        p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
+        p.add_argument("--cap", type=size_cap, default=cd.DEFAULT_CAP,
                        help="largest code size to enumerate")
 
 
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, help="divisor degree")
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
                    help="leading coefficient shape")
-    p.add_argument("--cap", type=int, default=cd.DEFAULT_CAP,
+    p.add_argument("--cap", type=size_cap, default=cd.DEFAULT_CAP,
                    help="largest search size: q^min(t, n-t), the candidates "
                         "tried; q = 16 for unit divisors at even n, else 4")
 

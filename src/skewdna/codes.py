@@ -78,18 +78,20 @@ def unpack(p: int, n: int) -> Word:
     return tuple((p >> (4 * i)) & 15 for i in range(n))
 
 
-def packed_rotation(n: int):
+def packed_rotation(n: int, lanes: int = 1):
     """The plain cyclic shift rho (no theta) on packed words of length n: each
-    entry up by one, the last to the bottom; on a Gray image, rotate-right-2."""
-    top = 4 * (n - 1)
-    low = (1 << top) - 1  # every entry but the last
-    return lambda p: (p & low) << 4 | p >> top
+    entry up by one, the last to the bottom; on a Gray image, rotate-right-2.
+    On lanes words at once, word i in bits 4n*i up (lane i), each lane
+    rotates alone: first keeps its last entry out of the next lane."""
+    top, lane = 4 * (n - 1), int(("0" * (n - 1) + "1") * lanes, 16)  # bit 0 of each lane
+    low, first = lane * ((1 << top) - 1), lane * 15  # all entries but the last; the first
+    return lambda p: (p & low) << 4 | p >> top & first
 
 
-def packed_skew_shift(n: int):
-    """skew_shift on packed words of length n: theta on every entry
-    a | b << 2 at once (a -> a + b), then packed_rotation."""
-    m3, rotate = 3 * int("1" * n, 16), packed_rotation(n)
+def packed_skew_shift(n: int, lanes: int = 1):
+    """skew_shift on packed words of length n, lane by lane as packed_rotation:
+    theta on every entry a | b << 2 at once (a -> a + b), then the rotation."""
+    m3, rotate = 3 * int("1" * (n * lanes), 16), packed_rotation(n, lanes)
     return lambda p: rotate(p ^ (p >> 2) & m3)
 
 

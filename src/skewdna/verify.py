@@ -17,7 +17,6 @@ counterexamples they find, and their docstrings give the causes.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -350,9 +349,19 @@ _REJECTED = bytes(range(128, 256))
 _DRAW_CHUNK = 4096  # generator outputs asked for at once
 
 
+def _failing_lanes(defect: int, p: int, width: int, lanes: int) -> list[int]:
+    """The lanes of p, width bits each, where defect is nonzero, in order."""
+    if not defect:
+        return []
+    mask = (1 << width) - 1
+    return [p >> width * i & mask for i in range(lanes) if defect >> width * i & mask]
+
+
 def _packed_draws(rng: random.Random, n: int, count: int):
-    """Yield pack(tuple(rng.randrange(16) for _ in range(n))), count times,
-    from the same generator outputs drawn in bulk.
+    """The words pack(tuple(rng.randrange(16) for _ in range(n))), count of
+    them in order, from the same generator outputs drawn in bulk: a chunk
+    at a time, as an int holding word i of the chunk in lane i (bits 4n*i
+    up) and its number of lanes.
 
     Why it is exactly the randrange(16) stream: in CPython randrange(16) is
     getrandbits(5), the top 5 bits of one 32-bit Mersenne Twister output,
@@ -360,11 +369,12 @@ def _packed_draws(rng: random.Random, n: int, count: int):
     outputs, the first in the lowest 32 bits, so the top byte of each, in
     order, decides one draw: rejected from 128 up, else the draw is byte >> 3.
     One translate turns a chunk's top bytes into the hex digits of its
-    accepted draws; a word is its n digits reversed, entry 0 in the lowest
-    nibble, as codes.pack puts it.  Each chunk asks for at most as many
-    outputs as draws are still missing, and one output gives at most one
-    draw, so no output is drawn that the loop would not draw: the generator
-    ends in the state the loop leaves it in.
+    accepted draws, entry by entry and word by word; reversed and parsed
+    once, the whole words among them are a chunk, entry 0 of word 0 in its
+    lowest nibble, as codes.pack puts it.  Each chunk asks for at most as
+    many outputs as draws are still missing, and one output gives at most
+    one draw, so no output is drawn that the loop would not draw: the
+    generator ends in the state the loop leaves it in.
     """
     missing, digits = n * count, b""
     while missing > 0:
@@ -374,32 +384,34 @@ def _packed_draws(rng: random.Random, n: int, count: int):
         missing -= len(got)
         digits += got
         whole = len(digits) - len(digits) % n
-        for i in range(0, whole, n):
-            yield int(digits[i:i + n][::-1], 16)
+        if whole:
+            yield int(digits[:whole][::-1], 16), whole // n
         digits = digits[whole:]
 
 
 @_timed
 def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     """swap-pairs(rotate-right-2(image)) = image(skew shift), all words,
-    on the packed maps the package runs (analysis.image_shift_commutes).
+    on the packed maps the package runs (analysis.image_shift_defect).
 
     Exhaustive for n <= 2, then 10^4 seeded words per length up to 6: the
     words that rng.randrange(16) draws entry by entry.  _packed_draws reads
     them in bulk off the same generator outputs, keeping the same 5 bits of
-    each and rejecting the same ones, so the words and their order are the
-    same.
+    each and rejecting the same ones, and lane i of a chunk is its i-th
+    word, so chunk after chunk the lanes are the same words in the same
+    order.  One defect tests a chunk, each lane on its own; its nonzero
+    lanes, in ascending order, are the failures.
     """
     rng = random.Random(seed)
     bad, total = [], 0
     for n in range(1, 7):
-        commutes = an.image_shift_commutes(n)
-        words = (map(cd.pack, itertools.product(ELEMENTS, repeat=n)) if n <= 2 else
-                 _packed_draws(rng, n, 10_000))
-        for p in words:
-            total += 1
-            if not commutes(p):
-                bad.append(str(cd.unpack(p, n)))
+        # n <= 2: all 16^n words, in the order of itertools.product, as one chunk
+        chunks = ([(int("".join(f"{i:0{n}x}" for i in range(16 ** n))[::-1], 16), 16 ** n)]
+                  if n <= 2 else _packed_draws(rng, n, 10_000))
+        for p, lanes in chunks:
+            total += lanes
+            defect = an.image_shift_defect(n, lanes)(p)
+            bad += (str(cd.unpack(w, n)) for w in _failing_lanes(defect, p, 4 * n, lanes))
     return CheckResult(
         name="image-rotation-identity",
         passed=not bad,
@@ -415,27 +427,36 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
 
     Exhaustive on all 256 element pairs, then 10^4 seeded word pairs per
     length up to 6: u and w are consecutive words that rng.randrange(16)
-    draws entry by entry.  _packed_draws reads them in bulk off the same
-    generator outputs, keeping the same 5 bits of each and rejecting the
-    same ones, so the pairs and their order are the same.
+    draws entry by entry.  Two consecutive draws of n entries are one draw
+    of 2n entries, u in its low half and w in its high half, so the lanes
+    of the 2n-entry draws of _packed_draws (see check 10) are the same pairs
+    in the same order.  Both weights are summed and compared lane by lane.
     """
-    def gray_maps(n):
-        return an.packed_weigher(n, "lee"), an.packed_gray_image(n), an.image_weigher(n)
+    def gray_maps(m):
+        return an.packed_weight_fold(m, "lee"), an.packed_gray_image(m), an.image_weight_fold(m)
 
     bad = []
-    lee, image, weigh = gray_maps(1)
+    lee, image, fold = gray_maps(1)
     for x in ELEMENTS:
         for y in ELEMENTS:
-            dl, dh = lee(x ^ y), weigh(image(x) ^ image(y))
+            dl, dh = lee(x ^ y).bit_count(), fold(image(x) ^ image(y)).bit_count()
             if dl != dh:
                 bad.append(f"elements {r_token(x)}, {r_token(y)}: {dl} != {dh}")
     rng = random.Random(seed)
     for n in range(1, 7):
-        lee, image, weigh = gray_maps(n)
-        draws = _packed_draws(rng, n, 20_000)
-        for pu, pw in zip(draws, draws):
-            if lee(pu ^ pw) != weigh(image(pu) ^ image(pw)):
-                bad.append(f"words {cd.unpack(pu, n)}, {cd.unpack(pw, n)}")
+        for p, lanes in _packed_draws(rng, 2 * n, 10_000):
+            lee, image, fold = gray_maps(2 * n * lanes)
+            low = int(("0" * n + "f" * n) * lanes, 16)  # u's half of every lane
+            ones, img = low // 15, image(p)
+            # per-entry weights, 0 to 2 (a fold's bits 0 and 2), times n
+            # one-nibbles: nibble n - 1 of a lane is the lane's sum, at most
+            # 2n = 12 < 16 for these n <= 6, so no carry leaves a nibble
+            lee_sum, image_sum = (((f & ones) + (f >> 2 & ones)) * int("1" * n, 16)
+                                  for f in (lee((p ^ p >> 4 * n) & low),
+                                            fold((img ^ img >> 4 * n) & low)))
+            defect = (lee_sum ^ image_sum) & (low ^ low >> 4 & low)  # nibble n - 1
+            bad += (f"words {cd.unpack(w, n)}, {cd.unpack(w >> 4 * n, n)}"
+                    for w in _failing_lanes(defect, p, 8 * n, lanes))
     return CheckResult(
         name="distance-preservation",
         passed=not bad,

@@ -229,8 +229,8 @@ def naive_minimal_degree_scan(codeset):
 def naive_min_distance(codeset, metric):
     """min_distance by its definition: the least weight of every nonzero
     word, each one walked."""
-    weigh = an.packed_weigher(codeset.n, metric)
-    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
+    fold = an.packed_weight_fold(codeset.n, metric)
+    best = min((fold(p).bit_count() for p in islice(codeset.walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best

@@ -230,48 +230,52 @@ def test_criterion_11_distance_preservation():
 def _tuple_draw_rotation_failures():
     """Check 10's failures as the tuple-draw loop reports them: exhaustive
     words for n <= 2, then randrange_word draws, tested on the package's
-    current maps."""
+    current maps, one word at a time."""
     rng = random.Random(verify.DEFAULT_SEED)
     for n in range(1, 7):
-        commutes = an.image_shift_commutes(n)
+        defect = an.image_shift_defect(n)
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (randrange_word(rng, n) for _ in range(10_000)))
         for word in words:
-            if not commutes(cd.pack(word)):
+            if defect(cd.pack(word)):
                 yield str(word)
 
 
 def _tuple_draw_distance_failures():
     """Check 11's failures as the tuple-draw loop reports them: element
-    pairs, then randrange_word pairs u, w, on the package's current maps."""
-    def gray_maps(n):
-        return an.packed_weigher(n, "lee"), an.packed_gray_image(n), an.image_weigher(n)
+    pairs, then randrange_word pairs u, w, on the package's current maps,
+    one pair at a time.  The pairs' maps are built for 2n entries, the
+    size of a pair, as the check's lanes are: the maps are entry-local, so
+    on words of n entries they act as the n-entry maps do."""
+    def gray_maps(m):
+        return an.packed_weight_fold(m, "lee"), an.packed_gray_image(m), an.image_weight_fold(m)
 
-    lee, image, weigh = gray_maps(1)
+    lee, image, fold = gray_maps(1)
     for x, y in itertools.product(range(16), repeat=2):
-        dl, dh = lee(x ^ y), weigh(image(x) ^ image(y))
+        dl, dh = lee(x ^ y).bit_count(), fold(image(x) ^ image(y)).bit_count()
         if dl != dh:
             yield f"elements {r_token(x)}, {r_token(y)}: {dl} != {dh}"
     rng = random.Random(verify.DEFAULT_SEED)
     for n in range(1, 7):
-        lee, image, weigh = gray_maps(n)
+        lee, image, fold = gray_maps(2 * n)
         for _ in range(10_000):
             u, w = randrange_word(rng, n), randrange_word(rng, n)
             pu, pw = cd.pack(u), cd.pack(w)
-            if lee(pu ^ pw) != weigh(image(pu) ^ image(pw)):
+            if lee(pu ^ pw).bit_count() != fold(image(pu) ^ image(pw)).bit_count():
                 yield f"words {u}, {w}"
 
 
 def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
     # both checks run the maps the package runs, so breaking one breaks them:
     # the plain rotation (no theta) for analysis's packed sigma, the Hamming
-    # weigher for the Lee one.  Each mutation is applied to every length, and
-    # once more above the exhaustive part only, so that the first 20 failures
-    # come from the seeded words and pin their order and their printed form.
-    shift, weigher = an.packed_skew_shift, an.packed_weigher
+    # weight fold for the Lee one.  Each mutation is applied to every length,
+    # and once more above the exhaustive part only, so that the first 20
+    # failures come from the seeded words and pin their order and their
+    # printed form.
+    shift, weigher = an.packed_skew_shift, an.packed_weight_fold
     for mutant, summary in (
             (cd.packed_rotation, "40272 words checked, 40040 identity failures"),
-            (lambda n: (cd.packed_rotation if n > 2 else shift)(n), None)):
+            (lambda n, lanes=1: (cd.packed_rotation if n > 2 else shift)(n, lanes), None)):
         monkeypatch.setattr(an, "packed_skew_shift", mutant)
         r = verify.check_image_rotation_identity()
         assert summary in (None, r.summary)
@@ -282,7 +286,7 @@ def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
             (lambda n, metric: weigher(n, "hamming"),
              "256 element pairs + 60000 word pairs, 52523 failures"),
             (lambda n, metric: weigher(n, "hamming" if n > 1 else metric), None)):
-        monkeypatch.setattr(an, "packed_weigher", mutant)
+        monkeypatch.setattr(an, "packed_weight_fold", mutant)
         r = verify.check_distance_preservation()
         assert summary in (None, r.summary)
         assert r.details == list(itertools.islice(_tuple_draw_distance_failures(), 20))
@@ -290,15 +294,43 @@ def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
 
 
 def test_packed_draws_match_the_randrange_loop():
-    # the bulk draw is exactly the randrange(16) stream: the same words, and
-    # the generator left in the same state; counts cross chunk boundaries
+    # the bulk draw is exactly the randrange(16) stream: the same words, in
+    # lane order chunk after chunk, and the generator left in the same
+    # state; counts cross chunk boundaries
     for seed in (verify.DEFAULT_SEED, 48611):
         for n in range(1, 7):
+            width = 4 * n
             for count in (0, 1, 3 * verify._DRAW_CHUNK // n + 1):
                 bulk, loop = random.Random(seed), random.Random(seed)
-                words = list(verify._packed_draws(bulk, n, count))
+                words = []
+                for p, lanes in verify._packed_draws(bulk, n, count):
+                    assert lanes > 0 and p >> width * lanes == 0
+                    words += (p >> width * i & (1 << width) - 1 for i in range(lanes))
                 assert words == [cd.pack(randrange_word(loop, n)) for _ in range(count)]
                 assert bulk.getstate() == loop.getstate(), (seed, n, count)
+
+
+def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
+    # lanes and pairs cross chunk boundaries: a chunk of one generator
+    # output holds at most one draw, of seven a word or so, of 4,096 a few
+    # hundred words.  Unmutated and mutated, the results are the same.  The
+    # two mutations of test_criteria_10_and_11_test_the_packed_maps are
+    # applied at once: check 10 reads no weight fold and check 11 no shift,
+    # so each check runs under its own mutation.
+    fold = an.packed_weight_fold
+    results = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(verify, "_DRAW_CHUNK", chunk)
+        for mutated in (False, True):
+            with monkeypatch.context() as m:
+                if mutated:
+                    m.setattr(an, "packed_skew_shift", cd.packed_rotation)
+                    m.setattr(an, "packed_weight_fold", lambda n, metric: fold(n, "hamming"))
+                results.append([(r.summary, r.details) for r in (
+                    verify.check_image_rotation_identity(), verify.check_distance_preservation())])
+    assert results[:2] == results[2:4] == results[4:]
+    assert [r[0] for r in results[1]] == ["40272 words checked, 40040 identity failures",
+                                          "256 element pairs + 60000 word pairs, 52523 failures"]
 
 
 def test_criteria_10_and_11_stream_their_words():

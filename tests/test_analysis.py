@@ -56,11 +56,11 @@ def test_packed_weights_match_word_weights(metric, weight):
     # exhaustive for n <= 2, sampled up to n = 9
     rng = random.Random(31)
     for n in range(1, 10):
-        weigh = an.packed_weigher(n, metric)
+        fold = an.packed_weight_fold(n, metric)
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (tuple(rng.randrange(16) for _ in range(n)) for _ in range(2000)))
         for w in words:
-            assert weigh(cd.pack(w)) == weight(w)
+            assert fold(cd.pack(w)).bit_count() == weight(w)
 
 
 def test_word_walks_cache_no_words(codeset_words):
@@ -156,8 +156,8 @@ def test_weight_distribution_against_dna_strings(sixteen_word_code, reference_dn
     # Lee weight = number of non-A characters in the encoded string, so the
     # hand-transcribed table is an independent oracle for the distribution
     expected = collections.Counter(sum(ch != "A" for ch in s) for s in reference_dna_strings)
-    weigh = an.packed_weigher(sixteen_word_code.n, "lee")
-    walked = collections.Counter(map(weigh, sixteen_word_code.walk()))
+    fold = an.packed_weight_fold(sixteen_word_code.n, "lee")
+    walked = collections.Counter(fold(p).bit_count() for p in sixteen_word_code.walk())
     assert walked == expected == {0: 1, 3: 6, 6: 9}
 
 
@@ -188,12 +188,12 @@ def test_rotate_and_pair_swap():
 def test_image_permutation_masks_match_tuple_maps():
     # the packed sigma is both the tuple skew shift and the Gray-image
     # permutation gray^-1 o swap-pairs o rotate-right-2 o gray, and the
-    # packed Gray image, its weigher and the per-word identity match their
-    # tuple oracles: exhaustive for n <= 2, sampled up to n = 9
+    # packed Gray image, its weight fold and the per-word identity match
+    # their tuple oracles: exhaustive for n <= 2, sampled up to n = 9
     rng = random.Random(37)
     for n in range(1, 10):
         shift, image = cd.packed_skew_shift(n), an.packed_gray_image(n)
-        weigh, commutes = an.image_weigher(n), an.image_shift_commutes(n)
+        fold, defect = an.image_weight_fold(n), an.image_shift_defect(n)
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (tuple(rng.randrange(16) for _ in range(n)) for _ in range(500)))
         for w in words:
@@ -202,22 +202,58 @@ def test_image_permutation_masks_match_tuple_maps():
             permuted = tuple(gray_inverse(permuted[i : i + 2]) for i in range(0, 2 * n, 2))
             assert shift(p) == cd.pack(cd.skew_shift(w)) == cd.pack(permuted)
             assert tuple(image(p) >> 2 * j & 3 for j in range(2 * n)) == img
-            assert weigh(image(p)) == hamming_weight(img)
-            assert commutes(p) == image_shift_commutes(w)
+            assert fold(image(p)).bit_count() == hamming_weight(img)
+            assert (not defect(p)) == image_shift_commutes(w)
+
+
+def test_lane_forms_match_the_per_word_maps(monkeypatch):
+    # k words side by side, word i in bits 4n*i up (lane i): each lane form
+    # maps every lane as the one-lane map maps its word, and nothing leaks
+    # out of a lane; every word's last entry is nonzero, so a rotation that
+    # let it through would spill into the next lane.  The identity defect is
+    # zero everywhere, so it is also taken with the plain rotation in place
+    # of the skew shift, where most lanes are defective.
+    rng = random.Random(53)
+
+    def defect_without_theta(n, lanes):
+        with monkeypatch.context() as m:
+            m.setattr(an, "packed_skew_shift", cd.packed_rotation)
+            return an.image_shift_defect(n, lanes)
+
+    def maps(n, lanes):
+        m = n * lanes  # the entry-local maps take the chunk's entry count
+        gray_fold = an.image_weight_fold(m)
+        return (cd.packed_rotation(n, lanes), cd.packed_skew_shift(n, lanes),
+                an.image_shift_defect(n, lanes), defect_without_theta(n, lanes),
+                an.packed_weight_fold(m, "lee"), an.packed_weight_fold(m, "hamming"),
+                lambda p, image=an.packed_gray_image(m): gray_fold(image(p)))
+
+    for n in range(1, 10):
+        width = 4 * n
+        per_word = maps(n, 1)
+        for lanes in (1, 2, 7, 4096):
+            words = [rng.getrandbits(width - 4) | rng.randrange(1, 16) << width - 4
+                     for _ in range(lanes)]
+            p = sum(w << width * i for i, w in enumerate(words))
+            for lane_form, word_map in zip(maps(n, lanes), per_word):
+                got = lane_form(p)
+                assert got >> width * lanes == 0, (n, lanes)
+                assert [got >> width * i & (1 << width) - 1 for i in range(lanes)] == \
+                    list(map(word_map, words)), (n, lanes)
 
 
 def test_image_shift_identity_exhaustive_short():
     for n in (1, 2):
-        commutes = an.image_shift_commutes(n)
-        assert all(map(commutes, range(16 ** n)))  # every packed word of length n
+        defect = an.image_shift_defect(n)
+        assert not any(map(defect, range(16 ** n)))  # every packed word of length n
 
 
 def test_image_shift_identity_sampled():
     rng = random.Random(13)
     for n in (3, 4, 5, 6):
-        commutes = an.image_shift_commutes(n)
+        defect = an.image_shift_defect(n)
         for _ in range(2000):
-            assert commutes(rng.getrandbits(4 * n))
+            assert not defect(rng.getrandbits(4 * n))
 
 
 WORD_PAIRS = st.integers(1, 8).flatmap(
@@ -231,7 +267,8 @@ def test_gray_map_is_an_isometry(pair):
     assert d == hamming_distance(gray_image(u), gray_image(w))
     n, (pu, pw) = len(u), map(cd.pack, pair)
     image = an.packed_gray_image(n)
-    assert an.packed_weigher(n, "lee")(pu ^ pw) == an.image_weigher(n)(image(pu) ^ image(pw)) == d
+    lee, fold = an.packed_weight_fold(n, "lee"), an.image_weight_fold(n)
+    assert lee(pu ^ pw).bit_count() == fold(image(pu) ^ image(pw)).bit_count() == d
 
 
 def test_gray_image_report(sixteen_word_code):
@@ -249,7 +286,7 @@ def test_gray_image_report_negative_control(sixteen_word_code, codeset_words):
     basis = (cd.pack((1, 0, 0, 0, 0, 0)),)
     fake = cd.CodeSet(sixteen_word_code.code, basis)
     assert codeset_words(fake) == {(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)}
-    assert an.image_shift_commutes(6)(basis[0])  # per-word, always true
+    assert not an.image_shift_defect(6)(basis[0])  # per-word, always true
     assert not an.image_closed_on_basis(fake.code, fake.basis)
     with pytest.raises(ValueError, match="not closed under v"):
         an.gray_image_report(fake)

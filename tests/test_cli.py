@@ -352,6 +352,19 @@ def test_cap_only_where_it_is_read(capsys):
         assert run(capsys, argv + ["--cap", "15"])[0] == 3
 
 
+@pytest.mark.parametrize("argv", (["divisors", "--n", "4", "--degree", "2"],
+                                  ["dna"] + EX3, ["distance"] + EX3),
+                         ids=("divisors", "dna", "distance"))
+def test_negative_cap_exits_2(capsys, argv):
+    # a cap below 0 is bad input, not a refusal; a cap of 0 refuses
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--cap", "-1"])
+    assert exc.value.code == 2
+    assert "cap -1 is below 0" in capsys.readouterr().err
+    rc, _, err = run(capsys, argv + ["--cap", "0"])
+    assert rc == 3 and err.startswith("skewdna: ")
+
+
 def test_build_predictions_can_disagree_with_check(capsys):
     # build follows the paper's rules, refuted ones included; check decides
     gen = ["--n", "3", "--gen", "v*x^2+v*x+v"]
