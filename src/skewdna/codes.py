@@ -453,8 +453,8 @@ def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:
     for b in basis:
         if (b.bit_length() - 1) // 4 == best:
             sums += [s ^ b for s in sums]
-    found = sorted(f for f in (sp.normalize(unpack(s, n)) for s in sums[1:])
-                   if not is_unit(f[-1]))
+    # every nonzero sum's top entry is entry best, its leading coefficient
+    found = sorted(sp.normalize(unpack(s, n)) for s in sums[1:] if not is_unit(s >> 4 * best))
     forms = tuple(_nonunit_factor_form(f) for f in found)
     return MinimalDegreeReport(
         True, best, tuple(found), forms, all(fm is not None for fm in forms)

@@ -69,6 +69,7 @@ class CheckResult:
 
 
 def _timed(func):
+    @functools.wraps(func)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         result = func(*args, **kwargs)
@@ -82,19 +83,21 @@ def _timed(func):
 # sweep inventory
 #
 # Checks 6, 7, 8, 9 and 12 sweep every single-generator code of some shapes
-# at small lengths, sharing (n, t, shape) divisor lists that run_all
-# enumerates once.  A CodeSet holds only a basis, and every sweep decides
-# on it, walking no words.  MATERIALIZE_LIMIT only fixes the frozen
-# inventories of checks 9 and 12 (290 and 326 codes), the codes of at most
-# that many words; it bounds no work.
+# at small lengths, and their (n, t, shape) spots overlap: 989 visits reach
+# 335 distinct codes.  _swept builds each spot's codes once per run, and
+# run_all empties it before and after the checks.  A CodeSet holds only a
+# basis, and every sweep decides on it, walking no words.  MATERIALIZE_LIMIT
+# only fixes the frozen inventories of checks 9 and 12 (290 and 326 codes),
+# the codes of at most that many words; it bounds no work.
 
 MATERIALIZE_LIMIT = 1 << 16
 
 
 @functools.cache
-def _divisors(n: int, t: int, shape: str) -> tuple[sp.Poly, ...]:
-    # resolved on cd at call time, so a wrapper put there sees each enumeration
-    return tuple(cd.enumerate_right_divisors(n, t, leading=shape))
+def _swept(n: int, t: int, shape: str) -> tuple[tuple[sp.Poly, cd.CodeSet], ...]:
+    # resolved on cd at call time, so a wrapper put there sees each call
+    return tuple((g, cd.materialize(cd.code_from_generator(n, g)))
+                 for g in cd.enumerate_right_divisors(n, t, leading=shape))
 
 
 def _sweep(spots, shapes=("unit", "v", "v1"), limit=None):
@@ -102,8 +105,7 @@ def _sweep(spots, shapes=("unit", "v", "v1"), limit=None):
     shape, codes of more than limit words left out."""
     for n, t in spots:
         for shape in shapes:
-            for g in _divisors(n, t, shape):
-                cs = cd.materialize(cd.code_from_generator(n, g))
+            for g, cs in _swept(n, t, shape):
                 if limit is None or cs.size <= limit:
                     yield n, shape, g, cs
 
@@ -347,6 +349,7 @@ _DRAW_DIGIT = bytes.maketrans(bytes(range(128)),
                               bytes(b"0123456789abcdef"[b >> 3] for b in range(128)))
 _REJECTED = bytes(range(128, 256))
 _DRAW_CHUNK = 4096  # generator outputs asked for at once
+_LANES = 1000  # words per chunk of checks 10 and 11; divides their 10^4 draws
 
 
 def _failing_lanes(defect: int, p: int, width: int, lanes: int) -> list[int]:
@@ -361,32 +364,36 @@ def _packed_draws(rng: random.Random, n: int, count: int):
     """The words pack(tuple(rng.randrange(16) for _ in range(n))), count of
     them in order, from the same generator outputs drawn in bulk: a chunk
     at a time, as an int holding word i of the chunk in lane i (bits 4n*i
-    up) and its number of lanes.
+    up) and its number of lanes, _LANES in every chunk but the last, which
+    holds the remainder.  A caller builds its lane maps for at most two
+    lane counts per n.
 
     Why it is exactly the randrange(16) stream: in CPython randrange(16) is
     getrandbits(5), the top 5 bits of one 32-bit Mersenne Twister output,
     drawn again while it is 16 or more.  getrandbits(32 * k) is k such
     outputs, the first in the lowest 32 bits, so the top byte of each, in
     order, decides one draw: rejected from 128 up, else the draw is byte >> 3.
-    One translate turns a chunk's top bytes into the hex digits of its
-    accepted draws, entry by entry and word by word; reversed and parsed
-    once, the whole words among them are a chunk, entry 0 of word 0 in its
-    lowest nibble, as codes.pack puts it.  Each chunk asks for at most as
+    One translate turns a batch's top bytes into the hex digits of its
+    accepted draws, entry by entry and word by word; each _LANES words of
+    them, reversed and parsed once, are a chunk, entry 0 of word 0 in its
+    lowest nibble, as codes.pack puts it.  Each batch asks for at most as
     many outputs as draws are still missing, and one output gives at most
     one draw, so no output is drawn that the loop would not draw: the
     generator ends in the state the loop leaves it in.
     """
-    missing, digits = n * count, b""
+    missing, digits, width = n * count, b"", n * _LANES
     while missing > 0:
         k = min(missing, _DRAW_CHUNK)
         got = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
         got = got.translate(_DRAW_DIGIT, _REJECTED)
         missing -= len(got)
         digits += got
-        whole = len(digits) - len(digits) % n
-        if whole:
-            yield int(digits[:whole][::-1], 16), whole // n
-        digits = digits[whole:]
+        # the last batch completes the count: its remainder is a last chunk
+        cut = len(digits) - len(digits) % width if missing else len(digits)
+        for i in range(0, cut, width):
+            chunk = digits[i:i + width]
+            yield int(chunk[::-1], 16), len(chunk) // n
+        digits = digits[cut:]
 
 
 @_timed
@@ -408,9 +415,12 @@ def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
         # n <= 2: all 16^n words, in the order of itertools.product, as one chunk
         chunks = ([(int("".join(f"{i:0{n}x}" for i in range(16 ** n))[::-1], 16), 16 ** n)]
                   if n <= 2 else _packed_draws(rng, n, 10_000))
+        defects = {}  # lane count -> defect map
         for p, lanes in chunks:
             total += lanes
-            defect = an.image_shift_defect(n, lanes)(p)
+            if lanes not in defects:
+                defects[lanes] = an.image_shift_defect(n, lanes)
+            defect = defects[lanes](p)
             bad += (str(cd.unpack(w, n)) for w in _failing_lanes(defect, p, 4 * n, lanes))
     return CheckResult(
         name="image-rotation-identity",
@@ -444,17 +454,23 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
                 bad.append(f"elements {r_token(x)}, {r_token(y)}: {dl} != {dh}")
     rng = random.Random(seed)
     for n in range(1, 7):
+        sums = int("1" * n, 16)
+        maps = {}  # lane count -> its maps and masks
         for p, lanes in _packed_draws(rng, 2 * n, 10_000):
-            lee, image, fold = gray_maps(2 * n * lanes)
-            low = int(("0" * n + "f" * n) * lanes, 16)  # u's half of every lane
-            ones, img = low // 15, image(p)
+            if lanes not in maps:
+                low = int(("0" * n + "f" * n) * lanes, 16)  # u's half of every lane
+                # low // 15: a one in each nibble of u's half; the last mask
+                # selects nibble n - 1 of every lane
+                maps[lanes] = (*gray_maps(2 * n * lanes), low, low // 15, low ^ low >> 4 & low)
+            lee, image, fold, low, ones, select = maps[lanes]
+            img = image(p)
             # per-entry weights, 0 to 2 (a fold's bits 0 and 2), times n
             # one-nibbles: nibble n - 1 of a lane is the lane's sum, at most
             # 2n = 12 < 16 for these n <= 6, so no carry leaves a nibble
-            lee_sum, image_sum = (((f & ones) + (f >> 2 & ones)) * int("1" * n, 16)
+            lee_sum, image_sum = (((f & ones) + (f >> 2 & ones)) * sums
                                   for f in (lee((p ^ p >> 4 * n) & low),
                                             fold((img ^ img >> 4 * n) & low)))
-            defect = (lee_sum ^ image_sum) & (low ^ low >> 4 & low)  # nibble n - 1
+            defect = (lee_sum ^ image_sum) & select
             bad += (f"words {cd.unpack(w, n)}, {cd.unpack(w >> 4 * n, n)}"
                     for w in _failing_lanes(defect, p, 8 * n, lanes))
     return CheckResult(
@@ -506,6 +522,9 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    _divisors.cache_clear()  # each run enumerates each divisor list once
     seeded = (check_image_rotation_identity, check_distance_preservation)
-    return [check(seed=seed) if check in seeded else check() for check in ALL_CHECKS]
+    _swept.cache_clear()  # each run builds each swept code once
+    try:
+        return [check(seed=seed) if check in seeded else check() for check in ALL_CHECKS]
+    finally:
+        _swept.cache_clear()

@@ -10,6 +10,8 @@ confirm every counterexample the check lists against the word-by-word
 oracles in conftest.py, recomputed independently of the check.
 """
 
+import collections
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -303,31 +305,48 @@ def test_packed_draws_match_the_randrange_loop():
             for count in (0, 1, 3 * verify._DRAW_CHUNK // n + 1):
                 bulk, loop = random.Random(seed), random.Random(seed)
                 words = []
-                for p, lanes in verify._packed_draws(bulk, n, count):
+                chunks = list(verify._packed_draws(bulk, n, count))
+                for p, lanes in chunks:
                     assert lanes > 0 and p >> width * lanes == 0
                     words += (p >> width * i & (1 << width) - 1 for i in range(lanes))
+                # every chunk but the last holds exactly _LANES words
+                assert all(lanes == verify._LANES for _, lanes in chunks[:-1])
                 assert words == [cd.pack(randrange_word(loop, n)) for _ in range(count)]
                 assert bulk.getstate() == loop.getstate(), (seed, n, count)
 
 
 def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
-    # lanes and pairs cross chunk boundaries: a chunk of one generator
+    # lanes and pairs cross chunk boundaries: a batch of one generator
     # output holds at most one draw, of seven a word or so, of 4,096 a few
-    # hundred words.  Unmutated and mutated, the results are the same.  The
-    # two mutations of test_criteria_10_and_11_test_the_packed_maps are
-    # applied at once: check 10 reads no weight fold and check 11 no shift,
-    # so each check runs under its own mutation.
-    fold = an.packed_weight_fold
+    # hundred words.  Each batch size is paired with a lane count, 3 and
+    # 4,096 leaving a remainder chunk of the 10,000 draws per length.
+    # Unmutated and mutated, the results are the same.  The two mutations
+    # of test_criteria_10_and_11_test_the_packed_maps are applied at once:
+    # check 10 reads no weight fold and check 11 no shift, so each check
+    # runs under its own mutation.  Each check builds its lane maps at most
+    # twice per length: once for _LANES lanes and once for the remainder.
+    fold, defect, weigh = an.packed_weight_fold, an.image_shift_defect, an.image_weight_fold
     results = []
-    for chunk in (1, 7, 4096):
+    for chunk, lanes in ((1, 1000), (7, 3), (4096, 4096)):
         monkeypatch.setattr(verify, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(verify, "_LANES", lanes)
+        counts = [lanes] + [10_000 % lanes] * (10_000 % lanes > 0)
         for mutated in (False, True):
+            built = []  # one entry per lane-map build
             with monkeypatch.context() as m:
+                m.setattr(an, "image_shift_defect",
+                          lambda n, k=1: built.append((10, n, k)) or defect(n, k))
+                # check 11 builds its maps for 2n entries per lane
+                m.setattr(an, "image_weight_fold",
+                          lambda size: built.append((11, size)) or weigh(size))
                 if mutated:
                     m.setattr(an, "packed_skew_shift", cd.packed_rotation)
                     m.setattr(an, "packed_weight_fold", lambda n, metric: fold(n, "hamming"))
                 results.append([(r.summary, r.details) for r in (
                     verify.check_image_rotation_identity(), verify.check_distance_preservation())])
+            assert built == ([(10, 1, 16), (10, 2, 256)]
+                             + [(10, n, k) for n in range(3, 7) for k in counts]
+                             + [(11, 1)] + [(11, 2 * n * k) for n in range(1, 7) for k in counts])
     assert results[:2] == results[2:4] == results[4:]
     assert [r[0] for r in results[1]] == ["40272 words checked, 40040 identity failures",
                                           "256 element pairs + 60000 word pairs, 52523 failures"]
@@ -350,3 +369,37 @@ def test_criterion_12_minimal_degree_factor_forms():
     r = verify.check_minimal_degree_forms()
     assert "326" in r.summary
     _report(12, r, 60)
+
+
+def test_run_all_builds_each_swept_code_once(monkeypatch):
+    # checks 6-9 and 12 share one build per (n, generator); the one repeat
+    # is check 5's table code, built outside the sweeps
+    built, enumerated = collections.Counter(), collections.Counter()
+    materialize, enumerate_divisors = cd.materialize, cd.enumerate_right_divisors
+
+    def counting_materialize(code):
+        built[code.n, code.generators] += 1
+        return materialize(code)
+
+    def counting_enumerate(n, t, leading=cd.FORM_UNIT, **kwargs):
+        enumerated[n, t, leading] += 1
+        return enumerate_divisors(n, t, leading, **kwargs)
+
+    monkeypatch.setattr(cd, "materialize", counting_materialize)
+    monkeypatch.setattr(cd, "enumerate_right_divisors", counting_enumerate)
+    verify.run_all()
+    assert (sum(built.values()), len(built)) == (336, 335)
+    table_code = cd.code_from_generator(6, sp.parse_poly("v(x^4+x^2+1)"))
+    assert [key for key, calls in built.items() if calls > 1] == [
+        (table_code.n, table_code.generators)]
+    assert len(enumerated) == 45 and set(enumerated.values()) == {1}
+    assert verify._swept.cache_info().currsize == 0  # nothing outlives the run
+
+
+def test_checks_keep_their_names_docstrings_and_signatures():
+    # _timed wraps each check without hiding it, so help() shows its proof
+    for check in verify.ALL_CHECKS:
+        assert check.__name__.startswith("check_") and check.__doc__, check
+        assert getattr(verify, check.__name__) is check
+    assert "GF(2)-affine" in verify.check_reverse_complement_rules.__doc__
+    assert list(inspect.signature(verify.check_distance_preservation).parameters) == ["seed"]
