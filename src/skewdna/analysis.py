@@ -7,9 +7,10 @@ equals the Hamming weight of its Gray image over GF(4).  Both induce
 distances through XOR differences, and every code produced by this package
 is an F2-subspace, so minimum distance is minimum nonzero weight.  Every
 map here acts on packed words (codes.pack) with a few masks, and a weight is
-one popcount of a weight fold.  min_distance walks only a code's components
-vC and (1+v)C, where Lee and Hamming weight agree, so every code's Lee and
-Hamming minima are equal.
+one popcount of a weight fold.  min_distance walks only a code's component
+vC, where Lee and Hamming weight agree, so every code's Lee and Hamming
+minima are equal; the skew shift carries vC onto the other component
+(1+v)C, weight for weight.
 
 The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
@@ -26,7 +27,7 @@ from itertools import islice
 
 # skew_shift is read nowhere here: perfbench's tracer pins this binding
 from .codes import (CodeSet, SkewCyclicCode, echelon, packed_rotation, packed_skew_shift,
-                    packed_times_v, packed_times_v1, skew_shift, spans)
+                    packed_times_v, skew_shift, spans)
 
 
 def packed_weight_fold(n: int, metric: str):
@@ -57,25 +58,26 @@ def packed_weight_fold(n: int, metric: str):
 
 def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     """Minimum distance of an F2-additive code: least nonzero-word weight,
-    read off the components vC and (1+v)C, 2^k1 + 2^k2 words for 2^k.
+    read off the component vC alone, 2^(k/2) words for 2^k.
 
     For c = a + b*v, v*c = (a + b)*v and (1+v)*c = a + a*v.  A code is
     closed under scalars, so both components lie in C, c = v*c + (1+v)*c,
-    and C = vC + (1+v)C with k1 + k2 = k.  Each nonzero entry of a component
-    word has Lee weight 1, so there Lee and Hamming agree, and for c != 0,
+    and C = vC + (1+v)C.  Each nonzero entry of a component word has Lee
+    weight 1, so there Lee and Hamming agree, and for c != 0,
     Lee(c) >= Ham(c) >= max(Ham(v*c), Ham((1+v)*c)).  So in both metrics the
-    minimum is the least weight of a nonzero component word.  A set whose
-    component dimensions do not add up to k is not closed under v, so it is
-    no code, and it is refused.
+    minimum is the least weight of a nonzero component word.  The skew shift
+    sigma keeps both weights (theta swaps an entry's Gray pair) and
+    sigma(v*c) = (1+v)*sigma(c), so sigma maps vC onto (1+v)C, and vC holds
+    the minimum, with half of C's dimension.  That needs a set closed under
+    v and sigma; a basis that is not is no code, and it is refused.
     """
     n = codeset.n
-    fold = packed_weight_fold(n, metric)
-    parts = [tuple(echelon(map(scale, codeset.basis)))
-             for scale in (packed_times_v(n), packed_times_v1(n))]
-    if sum(map(len, parts)) != len(codeset.basis):
-        raise ValueError("the basis is not closed under v, so it spans no code")
-    best = min((fold(p).bit_count() for basis in parts
-                for p in islice(CodeSet(codeset.code, basis).walk(), 1, None)), default=None)
+    fold, times_v = packed_weight_fold(n, metric), packed_times_v(n)
+    basis = codeset.basis
+    if not spans(basis, [*map(times_v, basis), *map(packed_skew_shift(n), basis)]):
+        raise ValueError("the basis is not closed under v and the skew shift, so it spans no code")
+    component = CodeSet(codeset.code, tuple(echelon(map(times_v, basis))))
+    best = min((fold(p).bit_count() for p in islice(component.walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best

@@ -13,10 +13,9 @@ Generators are written either as polynomial text in x over the ring
 or as an ascending coefficient list such as "[1, w+v, 1]".
 
 check decides on the code's GF(2) basis at any size; dna walks every word,
-distance walks the components vC and (1+v)C (about 2*sqrt(size) words),
-and both refuse codes above --cap.  --n is at most
-skewpoly.MAX_PARSE_DEGREE (2048), checked before any work, so every size
-printed has under 4,300 digits.
+distance walks the component vC alone (about sqrt(size) words), and both
+refuse codes above --cap.  --n is at most skewpoly.MAX_PARSE_DEGREE (2048),
+checked before any work, so every size printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search

@@ -16,10 +16,12 @@ is closed under addition, left scalar multiplication by all 16 ring
 elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
 space.  span_basis computes a basis of it (at most 4n vectors, each with its
-own pivot, or top bit); code_basis returns it, and a CodeSet holds it with
-the code.  Size, membership and every property decision are read off the
-basis, for every code shape and size; a caller that needs the words walks
-them (CodeSet.walk), in memory proportional to the basis.  A literal
+own pivot, or top bit) as the span of the skew-shift orbits of the
+generators' multiples by 1, w, v and wv, closed under the one rule;
+code_basis returns it, and a CodeSet holds it with the code.  Size,
+membership and every property decision are read off the basis, for every
+code shape and size; a caller that needs the words walks them
+(CodeSet.walk), in memory proportional to the basis.  A literal
 hash-set work queue computes the same closure and is kept as a test oracle;
 it is quadratic in the code size and unusable beyond a few thousand words.
 
@@ -102,13 +104,6 @@ def packed_times_v(n: int):
     return lambda p: ((p ^ p >> 2) & m3) << 2
 
 
-def packed_times_v1(n: int):
-    """The scalar map c -> (1+v)*c on packed words of length n: each entry
-    a | b << 2, that is a + b*v, goes to a + a*v."""
-    m3 = 3 * int("1" * n, 16)
-    return lambda p: p & m3 | (p & m3) << 2
-
-
 def _reduce(vec: int, pivots: dict[int, int]) -> int:
     """Clear vec's top bit while it is a pivot: 0 exactly when vec is in the span."""
     while vec and (b := pivots.get(vec.bit_length() - 1)):
@@ -135,26 +130,29 @@ def echelon(vectors) -> list[int]:
 def span_basis(n: int, generator_words) -> list[int]:
     """GF(2) basis of the generated skew cyclic code, one pivot per vector.
 
-    Fixpoint over basis vectors only: the three closure rules are additive,
-    so once every basis vector's image under the skew shift and under the
-    scalars lies in the span, the whole span is closed.  The scalars w and
-    v suffice: a span closed under both is closed under their sums and
-    products, which give every element of R.  Each map acts on all n
-    entries a | b << 2 of a packed word at once: the skew shift is
-    packed_skew_shift, w sends each GF(4) part x0 + x1*w to
-    x1 + (x0 + x1)*w, and v is packed_times_v.
+    Fixpoint over basis vectors under one rule, the skew shift sigma: the
+    queue starts with g, w*g, v*g and wv*g for each generator g, and each
+    new basis vector queues its shift.  sigma is additive, so once every
+    basis vector's shift lies in the span, the span is closed under sigma;
+    it is then the GF(2) span of the sigma-orbits of the four multiples.
+    That span is closed under every scalar, so it is the code: {1, w, v, wv}
+    is a GF(2) basis of R, and mu*sigma^j(x) = sigma^j(theta^j(mu)*x), so
+    mu times an orbit word lam*sigma^j(g) is sigma^j of (theta^j(mu)*lam)*g,
+    a sum of the four multiples.  On a packed word, w sends each GF(4) part
+    x0 + x1*w to x1 + (x0 + x1)*w, v is packed_times_v, and sigma is
+    packed_skew_shift, each on all n entries a | b << 2 at once.
     """
     m5, shift, times_v = 5 * int("1" * n, 16), packed_skew_shift(n), packed_times_v(n)
+    queue = []
+    for g in generator_words:
+        for p in (g, times_v(g)):  # each with w times it
+            queue += (p, (p >> 1) & m5 | ((p ^ p >> 1) & m5) << 1)
     pivots: dict[int, int] = {}
-    queue = list(generator_words)
     while queue:
         vec = _reduce(queue.pop(), pivots)
-        if not vec:
-            continue
-        pivots[vec.bit_length() - 1] = vec
-        queue += (shift(vec),
-                  (vec >> 1) & m5 | ((vec ^ vec >> 1) & m5) << 1,
-                  times_v(vec))
+        if vec:
+            pivots[vec.bit_length() - 1] = vec
+            queue.append(shift(vec))
     return list(pivots.values())
 
 

@@ -348,7 +348,6 @@ def check_reverse_complement_rules() -> CheckResult:
 _DRAW_DIGIT = bytes.maketrans(bytes(range(128)),
                               bytes(b"0123456789abcdef"[b >> 3] for b in range(128)))
 _REJECTED = bytes(range(128, 256))
-_DRAW_CHUNK = 4096  # generator outputs asked for at once
 _LANES = 1000  # words per chunk of checks 10 and 11; divides their 10^4 draws
 
 
@@ -364,36 +363,32 @@ def _packed_draws(rng: random.Random, n: int, count: int):
     """The words pack(tuple(rng.randrange(16) for _ in range(n))), count of
     them in order, from the same generator outputs drawn in bulk: a chunk
     at a time, as an int holding word i of the chunk in lane i (bits 4n*i
-    up) and its number of lanes, _LANES in every chunk but the last, which
-    holds the remainder.  A caller builds its lane maps for at most two
-    lane counts per n.
+    up) and its number of lanes, min(_LANES, words still to come).  A
+    caller builds its lane maps for at most two lane counts per n.
 
     Why it is exactly the randrange(16) stream: in CPython randrange(16) is
     getrandbits(5), the top 5 bits of one 32-bit Mersenne Twister output,
     drawn again while it is 16 or more.  getrandbits(32 * k) is k such
     outputs, the first in the lowest 32 bits, so the top byte of each, in
     order, decides one draw: rejected from 128 up, else the draw is byte >> 3.
-    One translate turns a batch's top bytes into the hex digits of its
-    accepted draws, entry by entry and word by word; each _LANES words of
-    them, reversed and parsed once, are a chunk, entry 0 of word 0 in its
-    lowest nibble, as codes.pack puts it.  Each batch asks for at most as
-    many outputs as draws are still missing, and one output gives at most
-    one draw, so no output is drawn that the loop would not draw: the
-    generator ends in the state the loop leaves it in.
+    One translate turns a round's top bytes into the hex digits of its
+    accepted draws, entry by entry and word by word; a chunk's digits,
+    reversed and parsed once, are its int, entry 0 of word 0 in its lowest
+    nibble, as codes.pack puts it.  A chunk asks for one output per draw it
+    still misses, round after round until it misses none; one output gives
+    at most one draw, so no output is drawn that the loop would not draw:
+    the generator ends in the state the loop leaves it in.
     """
-    missing, digits, width = n * count, b"", n * _LANES
-    while missing > 0:
-        k = min(missing, _DRAW_CHUNK)
-        got = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
-        got = got.translate(_DRAW_DIGIT, _REJECTED)
-        missing -= len(got)
-        digits += got
-        # the last batch completes the count: its remainder is a last chunk
-        cut = len(digits) - len(digits) % width if missing else len(digits)
-        for i in range(0, cut, width):
-            chunk = digits[i:i + width]
-            yield int(chunk[::-1], 16), len(chunk) // n
-        digits = digits[cut:]
+    while count > 0:
+        lanes = min(_LANES, count)
+        digits, missing = b"", n * lanes
+        while missing:
+            got = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4]
+            got = got.translate(_DRAW_DIGIT, _REJECTED)
+            missing -= len(got)
+            digits += got
+        yield int(digits[::-1], 16), lanes
+        count -= lanes
 
 
 @_timed

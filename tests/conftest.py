@@ -3,13 +3,16 @@
 The closure oracle rebuilds a code as a literal work-queue fixpoint (skew
 shift, all 16 scalar multiples, pairwise sums) over packed words.  It is
 quadratic and slow on purpose; the packed span engine is validated against
-it, never the other way around.  The set oracles decide the DNA closure
-properties and the Gray-image rotation by their definitions, word by word
-over the enumerated code; the package decides them on the code's basis or
-generators and is validated against these, as are the plain-shift decision
-and the minimal-degree scan, which read the basis, and the minimum distance,
-which walks the two components vC and (1+v)C; their oracles walk every
-word.
+it, never the other way around.  The three-rule span oracle applies the
+skew shift, w and v to every new basis vector; the engine, which applies
+the shift alone to the orbits of four scalar multiples, is compared with
+it, also at lengths the closure oracle cannot reach.  The set oracles
+decide the DNA closure properties and the Gray-image rotation by their
+definitions, word by word over the enumerated code; the package decides
+them on the code's basis or generators and is validated against these, as
+are the plain-shift decision and the minimal-degree scan, which read the
+basis, and the minimum distance, which walks the component vC alone; their
+oracles walk every word.
 
 The tuple word maps (the skew shift's Gray-image form, weights and
 distances, theta-reverse and complement) define each map entry by entry on
@@ -149,6 +152,22 @@ def naive_closure_impl(n, gens, cap=5000):
     return frozenset(cd.unpack(p, n) for p in words)
 
 
+def three_rule_span_basis(n, generator_words):
+    """GF(2) basis of the generated code by a fixpoint that applies all three
+    closure rules to every new basis vector: the skew shift, w and v.  A span
+    closed under w and v is closed under every scalar, their sums and
+    products giving all of R."""
+    m5, shift, times_v = 5 * int("1" * n, 16), cd.packed_skew_shift(n), cd.packed_times_v(n)
+    pivots = {}
+    queue = list(generator_words)
+    while queue:
+        vec = cd._reduce(queue.pop(), pivots)
+        if vec:
+            pivots[vec.bit_length() - 1] = vec
+            queue += (shift(vec), (vec >> 1) & m5 | ((vec ^ vec >> 1) & m5) << 1, times_v(vec))
+    return list(pivots.values())
+
+
 def tuple_words(codeset):
     """Every codeword as a tuple of ring elements, walked from the basis."""
     return frozenset(cd.unpack(p, codeset.n) for p in codeset.walk())
@@ -263,6 +282,11 @@ def codeset_words():
 @pytest.fixture
 def naive_closure():
     return naive_closure_impl
+
+
+@pytest.fixture(scope="session")
+def three_rule_span():
+    return three_rule_span_basis
 
 
 @pytest.fixture(scope="session")

@@ -302,7 +302,7 @@ def test_packed_draws_match_the_randrange_loop():
     for seed in (verify.DEFAULT_SEED, 48611):
         for n in range(1, 7):
             width = 4 * n
-            for count in (0, 1, 3 * verify._DRAW_CHUNK // n + 1):
+            for count in (0, 1, 3 * verify._LANES + 1):
                 bulk, loop = random.Random(seed), random.Random(seed)
                 words = []
                 chunks = list(verify._packed_draws(bulk, n, count))
@@ -316,19 +316,17 @@ def test_packed_draws_match_the_randrange_loop():
 
 
 def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
-    # lanes and pairs cross chunk boundaries: a batch of one generator
-    # output holds at most one draw, of seven a word or so, of 4,096 a few
-    # hundred words.  Each batch size is paired with a lane count, 3 and
-    # 4,096 leaving a remainder chunk of the 10,000 draws per length.
-    # Unmutated and mutated, the results are the same.  The two mutations
-    # of test_criteria_10_and_11_test_the_packed_maps are applied at once:
-    # check 10 reads no weight fold and check 11 no shift, so each check
-    # runs under its own mutation.  Each check builds its lane maps at most
-    # twice per length: once for _LANES lanes and once for the remainder.
+    # lanes and pairs cross chunk boundaries: chunks of 1,000, 3 and 4,096
+    # lanes, the last two leaving a remainder chunk of the 10,000 draws per
+    # length.  Unmutated and mutated, the results are the same.  The two
+    # mutations of test_criteria_10_and_11_test_the_packed_maps are applied
+    # at once: check 10 reads no weight fold and check 11 no shift, so each
+    # check runs under its own mutation.  Each check builds its lane maps at
+    # most twice per length: once for _LANES lanes and once for the
+    # remainder.
     fold, defect, weigh = an.packed_weight_fold, an.image_shift_defect, an.image_weight_fold
     results = []
-    for chunk, lanes in ((1, 1000), (7, 3), (4096, 4096)):
-        monkeypatch.setattr(verify, "_DRAW_CHUNK", chunk)
+    for lanes in (1000, 3, 4096):
         monkeypatch.setattr(verify, "_LANES", lanes)
         counts = [lanes] + [10_000 % lanes] * (10_000 % lanes > 0)
         for mutated in (False, True):

@@ -109,14 +109,15 @@ def _random_codes(rng, count):
 
 
 def test_min_distance_equals_full_walk(word_walk_codes, min_distance_oracle, monkeypatch):
-    # the skew shift maps vC onto (1+v)C, so each component has half of the
-    # code's dimension: every call must walk two bases of k/2 vectors
+    # the skew shift maps vC onto (1+v)C, weight for weight, so each
+    # component has half of the code's dimension: every call must walk one
+    # basis of k/2 vectors
     walked, walk = [], cd.CodeSet.walk
     monkeypatch.setattr(cd.CodeSet, "walk", lambda cs: walked.append(len(cs.basis)) or walk(cs))
 
     def split(cs, metric):
         walked.clear()
-        return an.min_distance(cs, metric), walked == [len(cs.basis) // 2] * 2
+        return an.min_distance(cs, metric), walked == [len(cs.basis) // 2]
 
     inventory = [cs for code, limit in word_walk_codes
                  if (cs := cd.materialize(code)).size <= limit]
@@ -140,6 +141,17 @@ def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code):
             an.min_distance(fake, metric)
     with pytest.raises(ValueError, match="not closed under v"):
         an.gray_image_report(fake)
+
+
+def test_min_distance_refuses_a_set_closed_under_v_but_not_the_shift(sixteen_word_code):
+    # {0, v at entry 0} is closed under v, but its skew shift 1+v at entry 1
+    # lies outside it: the shift does not carry its vC = {0, v} onto its
+    # (1+v)C = {0}, so walking vC alone would answer for a set that is no
+    # code.  It is refused, as a set not closed under v is
+    fake = cd.CodeSet(sixteen_word_code.code, (cd.pack((4, 0, 0, 0, 0, 0)),))
+    for metric in ("lee", "hamming"):
+        with pytest.raises(ValueError, match="not closed under v and the skew shift"):
+            an.min_distance(fake, metric)
 
 
 def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):

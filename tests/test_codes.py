@@ -8,6 +8,7 @@ import pytest
 
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
+from skewdna import verify
 from skewdna.algebra import is_unit, parse_element, r_mul, theta
 
 from conftest import randrange_word
@@ -54,6 +55,57 @@ def test_span_engine_at_large_lengths(n, text):
     assert all(sp.right_divides(g, sp.normalize(cd.unpack(b, n))) for b in basis)
 
 
+def _same_span(a, b):
+    return len(a) == len(b) and cd.spans(a, b) and cd.spans(b, a)
+
+
+def test_span_engine_matches_three_rule_fixpoint(three_rule_span, monkeypatch):
+    # the shift-only fixpoint from g, w*g, v*g and wv*g spans what the
+    # fixpoint under the shift, w and v spans: on the 335 codes verify-paper
+    # sweeps and on seeded random codes of one to three generators
+    swept, materialize = {}, cd.materialize
+
+    def collect(code):
+        swept[code.n, code.generators] = code
+        return materialize(code)
+
+    monkeypatch.setattr(cd, "materialize", collect)
+    verify.run_all()
+    assert len(swept) == 335
+    rng = random.Random(23)
+    drawn = []
+    while len(drawn) < 300:
+        n = rng.randrange(1, 7)
+        gens = [sp.normalize(rng.randrange(16) for _ in range(n))
+                for _ in range(rng.randrange(1, 4))]
+        if all(gens):
+            drawn.append(cd.code_from_generators(n, gens))
+    bad = [code for code in [*swept.values(), *drawn]
+           if not _same_span(cd.code_basis(code),
+                             three_rule_span(code.n, code.generator_words()))]
+    assert bad == []
+    assert {len(cd.code_basis(code)) for code in drawn} >= {4, 8, 12, 16, 20, 24}
+
+
+# the cli-large benchmark's generators, each a right divisor of x^n - 1
+@pytest.mark.parametrize("n,texts", [
+    (400, ("x^4 + (w+v)*x^2 + 1", "x^4 + (w2+v)*x^2 + 1", "x^4 + w*x^2 + 1",
+           "x^4 + x^3 + x^2 + x + 1", "x^4 + w*x^3 + w*x + 1", "x^4 + w2*x^3 + w2*x + 1",
+           "x^4 + v*x^3 + (w+v)*x^2 + v*x + 1", "x^4 + (1+v)*x^3 + (w+v)*x^2 + (1+v)*x + 1",
+           "x^4 + (1+v)*x^3 + (w2+v)*x^2 + (1+v)*x + 1")),
+    (402, ("v*x^4 + v*x^2 + v", "v*x^4 + (w2*v)*x^2 + w*v", "v*x^4 + (w*v)*x^2 + w2*v")),
+    (408, ("x^3 + (w2+v)*x^2 + (w+v)*x + 1", "x^3 + 1", "x^3 + x^2 + x + 1",
+           "x^3 + (w+v)*x^2 + (w2+v)*x + 1")),
+    (800, ("x^4 + v*x^3 + (w2+v)*x^2 + v*x + 1", "x^4 + (w+v)*x^3 + x^2 + (w+v)*x + 1",
+           "x^4 + w2*x^2 + 1")),
+    (2048, ("x + 1",)),
+])
+def test_span_engine_matches_three_rule_fixpoint_at_large_lengths(n, texts, three_rule_span):
+    for text in texts:
+        code = cd.code_from_generator(n, sp.parse_poly(text))
+        assert _same_span(cd.code_basis(code), three_rule_span(n, code.generator_words())), text
+
+
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 4), (6, 5)])
 def test_unit_generator_code_size_law(n, t):
     # a unit-monic right divisor of degree t spans 16^(n-t) words
@@ -67,18 +119,17 @@ def test_skew_shift_definition():
 
 
 def test_packed_scalar_maps_match_ring_products():
-    # v*c and (1+v)*c entry by entry through r_mul: exhaustive for n <= 2,
-    # sampled up to n = 9
-    v, v1 = parse_element("v"), parse_element("1+v")
+    # v*c entry by entry through r_mul: exhaustive for n <= 2, sampled up
+    # to n = 9
+    v = parse_element("v")
     rng = random.Random(7)
     for n in range(1, 10):
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (randrange_word(rng, n) for _ in range(200)))
-        times_v, times_v1 = cd.packed_times_v(n), cd.packed_times_v1(n)
+        times_v = cd.packed_times_v(n)
         for w in words:
             p = cd.pack(w)
             assert times_v(p) == cd.pack(tuple(r_mul(v, c) for c in w)), w
-            assert times_v1(p) == cd.pack(tuple(r_mul(v1, c) for c in w)), w
 
 
 def test_codes_are_closed_under_skew_shift(sixteen_word_code, codeset_words):
