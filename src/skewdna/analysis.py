@@ -69,7 +69,8 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     sigma keeps both weights (theta swaps an entry's Gray pair) and
     sigma(v*c) = (1+v)*sigma(c), so sigma maps vC onto (1+v)C, and vC holds
     the minimum, with half of C's dimension.  That needs a set closed under
-    v and sigma; a basis that is not is no code, and it is refused.
+    v and sigma; a basis that is not is no code, and it is refused.  The
+    walk stops at its first word of weight 1, as no nonzero word weighs less.
     """
     n = codeset.n
     fold, times_v = packed_weight_fold(n, metric), packed_times_v(n)
@@ -77,9 +78,14 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     if not spans(basis, [*map(times_v, basis), *map(packed_skew_shift(n), basis)]):
         raise ValueError("the basis is not closed under v and the skew shift, so it spans no code")
     component = CodeSet(codeset.code, tuple(echelon(map(times_v, basis))))
-    best = min((fold(p).bit_count() for p in islice(component.walk(), 1, None)), default=None)
-    if best is None:
+    if not component.basis:
         raise ValueError("zero code has no minimum distance")
+    best = n  # a word of vC weighs at most 1 per entry
+    for p in islice(component.walk(), 1, None):
+        if (weight := fold(p).bit_count()) < best:
+            best = weight
+            if weight == 1:
+                break
     return best
 
 

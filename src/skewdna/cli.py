@@ -45,12 +45,25 @@ def _coeff_tokens(f: sp.Poly) -> list[str]:
     return [r_token(c) for c in f]
 
 
+# text lines per write: few calls, and no second copy of the whole output
+_LINES_PER_WRITE = 4096
+
+
 def _emit(args, doc: dict, text: list[str]) -> None:
-    if args.format == "structured":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    if args.format == "text":
+        for i in range(0, len(text), _LINES_PER_WRITE):
+            print("\n".join(text[i:i + _LINES_PER_WRITE]))
+    elif doc.get("command") == "dna":
+        # json.dumps with an indent runs the pure-Python encoder; strings is
+        # the last key sorted, never empty (every code holds the zero word),
+        # and DNA letters need no escaping, so it is joined after the rest,
+        # as json.dumps would write it
+        rest = json.dumps({k: v for k, v in doc.items() if k != "strings"},
+                          indent=2, sort_keys=True)
+        print(rest[:-2], ',\n  "strings": [\n    "', '",\n    "'.join(doc["strings"]),
+              '"\n  ]\n}', sep="")
     else:
-        for line in text:
-            print(line)
+        print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +179,9 @@ def _cmd_dna(args) -> tuple[int, dict, list[str]]:
     g, cs = _enumerable(args)
     strings = dna.encode_codeset(cs)
     if args.fasta:
-        text = []
-        for i, s in enumerate(strings):
-            text.append(f">w{i}")
-            text.append(s)
+        text = [line for i, s in enumerate(strings) for line in (f">w{i}", s)]
     else:
-        text = list(strings)
+        text = strings
     doc = {"command": "dna", "n": args.n, "generator": _coeff_tokens(g),
            "size": len(strings), "strings": strings}
     return 0, doc, text

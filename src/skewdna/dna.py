@@ -12,6 +12,12 @@ string reversal pulls back to the ring as "apply theta entrywise, then
 reverse the word" (theta_reverse below), and string reverse-complement
 additionally adds the all-ones word.  The closure checks work on packed
 ring words through this translation; the tests pin it to the string level.
+
+A base's rank in the order A < C < G < T is GF(2)-linear in its GF(4)
+value, so the sorted order of the DNA strings is the integer order of a
+GF(2)-linear image of the packed words; encode_codeset makes the strings in
+that order from a basis of the image, a chunk of words at a time, and sorts
+nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .codes import (
     CodeSet,
     SkewCyclicCode,
     Word,
+    echelon,
     remainder_membership,
     spans,
     unpack,
@@ -37,8 +44,11 @@ BASE_OF_GF4 = "ATCG"  # index by GF(4) value: 0 A, 1 T, w C, w2 G
 _BLOCK_OF_R = tuple(
     BASE_OF_GF4[gray(x)[0]] + BASE_OF_GF4[gray(x)[1]] for x in range(16)
 )
-# the four bases of a byte of a packed word: its low entry, then its high one
-_BLOCKS_OF_BYTE = tuple(_BLOCK_OF_R[b & 15] + _BLOCK_OF_R[b >> 4] for b in range(256))
+# each element's block as two hex digits, the bases' ranks in A < C < G < T
+_RANK_OF_R = tuple(int(block.translate(str.maketrans("ACGT", "0123")), 16)
+                   for block in _BLOCK_OF_R)
+_CHUNK_ROWS = 12  # encode_codeset formats 2^12 words at a time
+_LETTERS = str.maketrans("01234", "ACGT,")  # rank digits, and 4 ends a word
 
 _WCC = str.maketrans("ATCG", "TAGC")
 
@@ -85,13 +95,61 @@ def theta_reverse_complement(n: int):
     return lambda p: reverse(p) ^ ones
 
 
+def _rank_rows(codeset: CodeSet) -> list[int]:
+    """The rank images of the code's words, in reduced echelon form with
+    ascending pivots: one row per basis dimension, lowest pivot first."""
+    n = codeset.n
+    pivots = {r.bit_length() - 1: r for r in echelon(
+        int("".join(f"{_RANK_OF_R[c]:02x}" for c in unpack(p, n)), 16) for p in codeset.basis)}
+    rows: list[int] = []
+    for bit in range(8 * n):
+        if row := pivots.get(bit):
+            for lower in rows:  # clear every lower pivot
+                if row >> lower.bit_length() - 1 & 1:
+                    row ^= lower
+            rows.append(row)
+    return rows
+
+
 def encode_codeset(codeset: CodeSet) -> list[str]:
-    """Sorted DNA strings of all codewords, walked as packed words, whose
-    little-endian bytes hold two entries each (odd n pads one, cut off)."""
-    nbytes, length = (codeset.n + 1) // 2, 2 * codeset.n
-    blocks = _BLOCKS_OF_BYTE.__getitem__
-    return sorted("".join(map(blocks, p.to_bytes(nbytes, "little")))[:length]
-                  for p in codeset.walk())
+    """Sorted DNA strings of all codewords, made in sorted order, not sorted.
+
+    A block's rank in the order A < C < G < T is GF(2)-linear in its
+    element's 4 bits (each GF(4) part x0 + x1*w gives a base with high rank
+    bit x0 and low rank bit x0 + x1).  So the word whose entry i has block
+    b0 b1 has the rank image with hex digits rank(b0) rank(b1) at entry i,
+    entry 0 first: a GF(2)-linear map, under which the strings' order is the
+    images' integer order.  Let r_0, ..., r_(k-1) be the images of the code
+    in reduced echelon form with ascending pivots, so no row but r_t has a
+    bit at r_t's pivot, its top bit.  Word j, the XOR of the rows at the set
+    bits of j, then increases with j: if t is the highest bit where j < j'
+    differ, the two words differ by r_t and rows below it, so they agree
+    above r_t's pivot, and only word j' has that bit.
+
+    The words are made 2^_CHUNK_ROWS at a time, as lanes of one integer, a
+    word's 2n digits and a separator digit 4 per lane, lane 0 on top.  The
+    lanes of the low rows are built by doubling: lane j holds the XOR of
+    the rows at the set bits of j.  Each combination of the high rows, in
+    counting order, is XORed into every lane at once, and the chunk becomes
+    text by one format, one translate and one split at the separators.
+    """
+    rows = [r << 4 for r in _rank_rows(codeset)]
+    low, high = rows[:_CHUNK_ROWS], rows[_CHUNK_ROWS:]
+    # one lane of 8n + 4 bits: the zero word and its separator; ones holds
+    # bit 0 of every lane
+    chunk, ones, bits = 4, 1, 8 * codeset.n + 4
+    for row in low:
+        chunk, ones, bits = chunk << bits | (chunk ^ row * ones), ones << bits | ones, 2 * bits
+    spec = f"0{bits // 4}x"
+    sums = [0]
+    for row in high:
+        sums += [s ^ row for s in sums]
+    strings: list[str] = []
+    for s in sums:
+        words = format(chunk ^ s * ones, spec).translate(_LETTERS).split(",")
+        words.pop()  # the empty text after the last separator
+        strings += words
+    return strings
 
 
 # ---------------------------------------------------------------------------

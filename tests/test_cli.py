@@ -121,6 +121,7 @@ def test_python_dash_m_runs_the_cli():
 @pytest.mark.parametrize("argv,code", [
     (["table1"], 0),
     (["check"] + EX3 + ["--property", "complement", "--assert"], 1),
+    (["dna"] + EX3 + ["--format", "structured"], 0),
 ])
 def test_closed_stdout_keeps_the_exit_code(argv, code):
     # the reader is gone before the child writes: no traceback, and the
@@ -405,6 +406,30 @@ def test_dna_fasta(capsys):
     assert lines[1] == "AAAAAAAAAAAA"
 
 
+@pytest.mark.parametrize("gen", (EX3, ["--n", "3", "--gen", "x+1"], [
+    "--n", "10", "--gen", "x^6 + v*x^5 + (w+v)*x^4 + v*x^3 + (w+v)*x^2 + 1"]),
+    ids=("16", "256", "65536"))
+def test_dna_output_is_byte_identical_to_json_dumps_and_print(capsys, gen):
+    # structured output as json.dumps writes it, text as one print per line
+    args = cli.build_parser().parse_args(["dna"] + gen)
+    _, doc, _ = cli._cmd_dna(args)
+    assert doc["size"] == len(doc["strings"]) == 1 << {"6": 4, "3": 8, "10": 16}[gen[1]]
+    rc, out, _ = run(capsys, ["dna"] + gen + ["--format", "structured"])
+    assert (rc, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for fasta in ([], ["--fasta"]):
+        _, _, text = cli._cmd_dna(cli.build_parser().parse_args(["dna"] + gen + fasta))
+        for line in text:
+            print(line)
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == len(doc["strings"]) * (2 if fasta else 1)
+        assert run(capsys, ["dna"] + gen + fasta) == (0, printed, "")
+
+
+def test_empty_text_prints_nothing(capsys):
+    cli._emit(argparse.Namespace(format="text"), {}, [])
+    assert capsys.readouterr().out == ""
+
+
 def test_distance_of_the_sixteen_million_word_code(capsys):
     # 2^24 words, at the default cap; walking every word took about 10 s
     for metric in ("lee", "hamming"):
@@ -413,6 +438,15 @@ def test_distance_of_the_sixteen_million_word_code(capsys):
         assert time.perf_counter() - t0 < 1
         assert rc == 0
         assert doc["min_distance"] == 3 and doc["size"] == 16777216
+
+
+def test_distance_of_the_whole_space_stops_at_weight_1(capsys):
+    # all 16^12 words: vC has 2^24, and the walk meets weight 1 at step 359
+    t0 = time.perf_counter()
+    rc, doc = run_json(capsys, ["distance", "--n", "12", "--gen", "x^4+(v+w)*x^2+1",
+                                "--cap", "281474976710656"])
+    assert time.perf_counter() - t0 < 1
+    assert (rc, doc["min_distance"], doc["size"]) == (0, 1, 1 << 48)
 
 
 def test_distance_output(capsys):

@@ -5,6 +5,7 @@ checked against an independent copy, not against itself.
 """
 
 import collections
+import functools
 import hashlib
 import itertools
 import random
@@ -97,6 +98,60 @@ def test_packed_theta_reverse_complement_matches_word_maps():
 
 def test_encode_codeset_matches_reference(sixteen_word_code, reference_dna_strings):
     assert dna.encode_codeset(sixteen_word_code) == sorted(reference_dna_strings)
+
+
+def test_rank_table_is_linear_and_orders_blocks_as_strings():
+    rank = dna._RANK_OF_R
+    for x, y in itertools.product(range(16), repeat=2):
+        assert rank[x ^ y] == rank[x] ^ rank[y]
+        assert (rank[x] < rank[y]) == (dna.encode_element(x) < dna.encode_element(y))
+
+
+def _random_small_codes(rng, per_length):
+    """Seeded codes of one to three generators at each n = 1..8, of at most
+    2^12 words: each generator a random left multiple of a random right
+    divisor of x^n - 1 of degree at least n - 3, or a nonzero constant at
+    n = 1."""
+    right_divisors = functools.cache(cd.enumerate_right_divisors)
+    for n in range(1, 9):
+        found = 0
+        while found < per_length:
+            gens = []
+            for _ in range(rng.randrange(1, 4)):
+                if n == 1:
+                    gens.append((rng.randrange(1, 16),))
+                    continue
+                t = rng.randrange(max(1, n - 3), n)
+                divisors = right_divisors(n, t, rng.choice((cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)))
+                if divisors:
+                    h = sp.normalize(rng.randrange(16) for _ in range(n - t))
+                    gens.append(sp.mul(h, rng.choice(divisors)))
+            if gens and all(gens):
+                cs = cd.materialize(cd.code_from_generators(n, gens))
+                if cs.size <= 1 << 12:
+                    found += 1
+                    yield cs
+
+
+def test_encode_codeset_matches_sorted_encoded_words(word_walk_codes, sixteen_word_code,
+                                                     monkeypatch):
+    # chunks of 1, 2, 8 and the default 2^12 words: 0 and 1 make the
+    # high-row loop run on every code, and a code of at most 2^chunk words
+    # fits one chunk.  The inventory's codes of 2^16 words would take the
+    # oracle about 12 s; one stands for them.
+    default = dna._CHUNK_ROWS
+    inventory = [cs for code, _ in word_walk_codes
+                 if (cs := cd.materialize(code)).size <= 1 << 12]
+    large = cd.materialize(cd.code_from_generator(
+        10, sp.parse_poly("x^6 + v*x^5 + (w+v)*x^4 + v*x^3 + (w+v)*x^2 + 1")))
+    assert large.size == 1 << 16
+    codesets = [*inventory, *_random_small_codes(random.Random(37), 6), sixteen_word_code, large]
+    assert {cs.n % 2 for cs in codesets} == {0, 1}
+    for cs in codesets:
+        expected = sorted(map(dna.encode_word, (cd.unpack(p, cs.n) for p in cs.walk())))
+        for rows in ((0, 1, 3, default) if cs.size <= 1 << 12 else (3, default)):
+            monkeypatch.setattr(dna, "_CHUNK_ROWS", rows)
+            assert dna.encode_codeset(cs) == expected, (cs.code, rows)
 
 
 def test_sixteen_word_code_is_reversible_not_complement(sixteen_word_code):
