@@ -143,14 +143,13 @@ def gray_inverse(pair: tuple[int, int]) -> int:
     return from_parts(q, p ^ q)
 
 
-def r_token(x: int) -> str:
-    a, b = parts(x)
-    if b == 0:
-        return _GF4_TOKENS[a]
-    vpart = "v" if b == 1 else f"{_GF4_TOKENS[b]}*v"
-    if a == 0:
-        return vpart
-    return f"{_GF4_TOKENS[a]}+{vpart}"
+# each element's token: a, then v or b*v, joined by "+", zero parts elided
+_R_TOKENS = tuple(
+    "+".join(filter(None, (_GF4_TOKENS[a] if a or not b else "",
+                           "v" if b == 1 else f"{_GF4_TOKENS[b]}*v" if b else "")))
+    for b in range(4) for a in range(4))
+
+r_token = _R_TOKENS.__getitem__
 
 
 def parse_element(text: str) -> int:

@@ -21,7 +21,8 @@ Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
 cap was hit, or memory ran out.  A reader that closes stdout early changes
 neither.
-Every subcommand takes --format structured to emit JSON instead of text.
+Every subcommand takes --format structured to emit JSON instead of text:
+the bytes of json.dumps(doc, indent=2, sort_keys=True), from the C encoders.
 All output is deterministic; verify-paper's two randomized checks (10 and
 11) take --seed.
 """
@@ -29,9 +30,12 @@ All output is deterministic; verify-paper's two randomized checks (10 and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, count, islice
 
 from . import analysis as an
 from . import codes as cd
@@ -42,28 +46,63 @@ from .algebra import ELEMENTS, gf4_token, gray, r_token
 
 
 def _coeff_tokens(f: sp.Poly) -> list[str]:
-    return [r_token(c) for c in f]
+    return list(map(r_token, f))
 
 
-# text lines per write: few calls, and no second copy of the whole output
+# text lines, or JSON list items, per write: few calls, and no whole copy
 _LINES_PER_WRITE = 4096
+_quote = json.encoder.encode_basestring_ascii  # C, as json.dumps quotes strings
+_scalar = json.JSONEncoder().encode  # C, for numbers and None
+_PLAIN = bytes(range(0x20, 0x7F))  # the ASCII that _quote copies unchanged
 
 
-def _emit(args, doc: dict, text: list[str]) -> None:
+def _pieces(obj, pad: str):
+    """_json(obj, pad) in pieces, a list's one chunk of items at a time; a
+    chunk of strings that _quote would only wrap in quotes is one join."""
+    if not (isinstance(obj, (list, tuple)) and obj):
+        yield _json(obj, pad)
+        return
+    inner = pad + "  "
+    for i in range(0, len(obj), _LINES_PER_WRITE):
+        chunk = obj[i:i + _LINES_PER_WRITE]
+        yield ("," if i else "[") + inner
+        try:
+            s = "".join(chunk)
+            plain = (s.isascii() and '"' not in s and "\\" not in s
+                     and not s.encode().translate(None, _PLAIN))
+        except TypeError:  # an item is not a string
+            plain = False
+        yield ('"' + ('",' + inner + '"').join(chunk) + '"' if plain
+               else ("," + inner).join([_json(v, inner) for v in chunk]))
+    yield pad + "]"
+
+
+def _json(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) from the C encoders, not the
+    pure-Python one an indent selects; pad is "\\n" plus obj's indent."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "".join(_pieces(obj, pad))
+    return "true" if obj is True else "false" if obj is False else _scalar(obj)
+
+
+def _emit(args, doc: dict, text: Iterable[str]) -> None:
     if args.format == "text":
-        for i in range(0, len(text), _LINES_PER_WRITE):
-            print("\n".join(text[i:i + _LINES_PER_WRITE]))
-    elif doc.get("command") == "dna":
-        # json.dumps with an indent runs the pure-Python encoder; strings is
-        # the last key sorted, never empty (every code holds the zero word),
-        # and DNA letters need no escaping, so it is joined after the rest,
-        # as json.dumps would write it
-        rest = json.dumps({k: v for k, v in doc.items() if k != "strings"},
-                          indent=2, sort_keys=True)
-        print(rest[:-2], ',\n  "strings": [\n    "', '",\n    "'.join(doc["strings"]),
-              '"\n  ]\n}', sep="")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        lines = iter(text)
+        while chunk := list(islice(lines, _LINES_PER_WRITE)):
+            print("\n".join(chunk))
+        return
+    # one top-level key, or one list chunk, per write: never the whole document
+    out = sys.stdout
+    for i, (key, value) in enumerate(sorted(doc.items())):
+        out.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
+        out.writelines(_pieces(value, "\n  "))
+    out.write("\n}\n" if doc else "{}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +214,11 @@ def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
     return cs.code.generators[0], cs
 
 
-def _cmd_dna(args) -> tuple[int, dict, list[str]]:
+def _cmd_dna(args) -> tuple[int, dict, Iterable[str]]:
     g, cs = _enumerable(args)
     strings = dna.encode_codeset(cs)
-    if args.fasta:
-        text = [line for i, s in enumerate(strings) for line in (f">w{i}", s)]
-    else:
-        text = strings
+    # FASTA headers are made as _emit writes the lines, never held
+    text = chain.from_iterable(zip(map(">w{}".format, count()), strings)) if args.fasta else strings
     doc = {"command": "dna", "n": args.n, "generator": _coeff_tokens(g),
            "size": len(strings), "strings": strings}
     return 0, doc, text
@@ -256,15 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, run, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("text", "structured"), default="text",
                        help="output format (structured = JSON)")
         return p
 
-    add("table1", "print the 16-row element / Gray pair / DNA 2-base table")
+    add("table1", _cmd_table1, "print the 16-row element / Gray pair / DNA 2-base table")
 
-    p = add("divisors", "list right divisors of x^n - 1 of a given degree")
+    p = add("divisors", _cmd_divisors, "list right divisors of x^n - 1 of a given degree")
     p.add_argument("--n", type=code_length, required=True, help="code length")
     p.add_argument("--degree", type=int, required=True, help="divisor degree")
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
@@ -273,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest search size: q^min(t, n-t), the candidates "
                         "tried; q = 16 for unit divisors at even n, else 4")
 
-    p = add("build", "construct a code and report its shape, its size and what "
+    p = add("build", _cmd_build, "construct a code and report its shape, its size and what "
                      "the paper's rules predict; the predictions include the two "
                      "refuted rules, and check decides each property exactly")
     _add_code_args(p, cap=False)
 
-    p = add("check", "decide a DNA property of a code on its GF(2) basis, "
+    p = add("check", _cmd_check, "decide a DNA property of a code on its GF(2) basis, "
                      "for any code size")
     _add_code_args(p, cap=False)
     p.add_argument("--property", required=True, dest="property",
@@ -290,36 +328,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="exit 1 when the property fails")
 
-    p = add("dna", "print the code as DNA strings, one per line")
+    p = add("dna", _cmd_dna, "print the code as DNA strings, one per line")
     _add_code_args(p)
     p.add_argument("--fasta", action="store_true", help="FASTA headers >w<index>")
 
-    p = add("distance", "minimum distance of the code")
+    p = add("distance", _cmd_distance, "minimum distance of the code")
     _add_code_args(p)
     p.add_argument("--metric", choices=("hamming", "lee"), default="lee")
 
-    p = add("verify-paper", "run the built-in reproduction and verification suite")
+    p = add("verify-paper", _cmd_verify, "run the built-in reproduction and verification suite")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
                    help="seed for the randomized sweeps")
 
     return parser
 
 
-_DISPATCH = {
-    "table1": _cmd_table1,
-    "divisors": _cmd_divisors,
-    "build": _cmd_build,
-    "check": _cmd_check,
-    "dna": _cmd_dna,
-    "distance": _cmd_distance,
-    "verify-paper": _cmd_verify,
-}
+_parser = functools.cache(build_parser)  # built by main's first call, not at import
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code, doc, text = _DISPATCH[args.subcommand](args)
+        code, doc, text = args.run(args)
         try:
             _emit(args, doc, text)
             sys.stdout.flush()  # a closed reader fails here, not at interpreter exit

@@ -24,12 +24,18 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import settings
 
 from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna.algebra import gray, is_unit, r_mul, theta
+
+# every hypothesis test draws the same examples on every run, so a failure
+# reproduces; each test keeps its example count
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # transcribed by hand: the sixteen DNA strings of the length-6 code
 # generated by v(x^4 + x^2 + 1)

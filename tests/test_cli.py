@@ -8,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from skewdna import analysis as an
 from skewdna import cli, dna, verify
@@ -423,6 +425,89 @@ def test_dna_output_is_byte_identical_to_json_dumps_and_print(capsys, gen):
         printed = capsys.readouterr().out
         assert printed.count("\n") == len(doc["strings"]) * (2 if fasta else 1)
         assert run(capsys, ["dna"] + gen + fasta) == (0, printed, "")
+
+
+# characters json.dumps escapes, lone surrogates among them, for the writer oracle
+ESCAPED = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\ud800", "\udfff",
+           "\U0001f600"]
+JSON_STRINGS = st.text() | st.lists(st.sampled_from(
+    ESCAPED + ["A", "CG", "w2*v", " ", "~"])).map("".join)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-(1 << 200), 1 << 200) | st.floats()
+                | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e300]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | JSON_STRINGS,
+    lambda kids: st.lists(kids, max_size=6) | st.lists(JSON_STRINGS, max_size=6)
+    | st.dictionaries(JSON_STRINGS, kids, max_size=5),
+    max_leaves=30)
+
+
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example([True, 1, False, 0, None, 1.0, -0.0, "1"])
+@example([["ACGT", c + "T"] for c in ESCAPED])  # one escape in a list of strings
+@example(["ACGT"] * 5000 + ['"'])  # a plain first chunk, an escaped second one
+@example(["A"] * 4096 + [1, "C"])  # a chunk boundary before a non-string
+@example({"strings": ["AC", "GT"] * 4097, "size": 8194})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _stubbed_run_all(seed=0):
+    return [verify.CheckResult("alpha", True, "fine", [], 0.01),
+            verify.CheckResult("beta", False, "broke", ["case 1", 'a "quoted" σ ≠ θ(σ)'], 0.5)]
+
+
+@pytest.mark.parametrize("argv", (
+    ["table1"],
+    ["divisors", "--n", "10", "--degree", "4"],
+    ["divisors", "--n", "12", "--degree", "3", "--leading", "any"],
+    ["build"] + EX3,
+    ["build"] + EX1,
+    ["check"] + EX3 + ["--property", "reversible"],
+    ["check"] + EX3 + ["--property", "reverse-complement", "--assert"],
+    ["distance"] + EX3,
+    ["distance"] + EX3 + ["--metric", "hamming"],
+    ["verify-paper"],
+), ids=("table1", "divisors-unit", "divisors-any", "build-16-words", "build-2^24-words",
+        "check-holds", "check-assert-fails", "distance-lee", "distance-hamming",
+        "verify-paper-stubbed"))
+def test_structured_output_is_byte_identical_to_json_dumps(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "run_all", _stubbed_run_all)
+    argv = argv + ["--format", "structured"]
+    args = cli.build_parser().parse_args(argv)
+    code, doc, _ = args.run(args)
+    assert run(capsys, argv) == (code, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # each call answers as through a fresh build_parser(), whatever came before
+    def call(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects bad arguments this way
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    calls = [
+        ["dna"] + EX3 + ["--fasta"], ["dna"] + EX3,
+        ["check"] + EX3 + ["--property", "reverse-complement", "--assert"],
+        ["check"] + EX3 + ["--property", "reverse-complement"],
+        ["divisors", "--n", "10", "--degree", "4", "--leading", "any"],
+        ["divisors", "--n", "10", "--degree", "4"],
+        ["build", "--n", "6", "--format", "structured"], ["build"] + EX3,
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert [rc for rc, _, _ in fresh] == [0, 0, 1, 0, 0, 0, 2, 0]
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_empty_text_prints_nothing(capsys):
