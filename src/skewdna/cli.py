@@ -12,17 +12,19 @@ Generators are written either as polynomial text in x over the ring
 (tokens 0, 1, w, w2, v, products like w2*v, parentheses, ^ for powers)
 or as an ascending coefficient list such as "[1, w+v, 1]".
 
-check decides on the code's GF(2) basis at any size; dna walks every word,
-distance walks the component vC alone (about sqrt(size) words), and both
-refuse codes above --cap.  --n is at most skewpoly.MAX_PARSE_DEGREE (2048),
-checked before any work, so every size printed has under 4,300 digits.
+check decides on the code's GF(2) basis at any size; dna writes the words
+sorted, 4,096 at a time as it makes them, in memory that does not grow with
+the code; distance walks the component vC alone (about sqrt(size) words),
+and both refuse codes above --cap.  --n is at most skewpoly.MAX_PARSE_DEGREE
+(2048), checked before any work, so every size printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
 cap was hit, or memory ran out.  A reader that closes stdout early changes
 neither.
 Every subcommand takes --format structured to emit JSON instead of text:
-the bytes of json.dumps(doc, indent=2, sort_keys=True), from the C encoders.
+the bytes of json.dumps(doc, indent=2, sort_keys=True), from the C encoders,
+written a top-level key or a list chunk at a time.
 All output is deterministic; verify-paper's two randomized checks (10 and
 11) take --seed.
 """
@@ -35,7 +37,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 
 from . import analysis as an
 from . import codes as cd
@@ -53,55 +55,57 @@ def _coeff_tokens(f: sp.Poly) -> list[str]:
 _LINES_PER_WRITE = 4096
 _quote = json.encoder.encode_basestring_ascii  # C, as json.dumps quotes strings
 _scalar = json.JSONEncoder().encode  # C, for numbers and None
-_PLAIN = bytes(range(0x20, 0x7F))  # the ASCII that _quote copies unchanged
+_TOP = "\n  "  # the pad of a top-level value
 
 
 def _pieces(obj, pad: str):
-    """_json(obj, pad) in pieces, a list's one chunk of items at a time; a
-    chunk of strings that _quote would only wrap in quotes is one join."""
-    if not (isinstance(obj, (list, tuple)) and obj):
+    """_json(obj, pad) in pieces: a callable is a stream, pad -> its JSON in
+    pieces, and a long list is written one chunk of items at a time."""
+    if callable(obj):
+        yield from obj(pad)
+    elif type(obj) not in (list, tuple) or len(obj) <= _LINES_PER_WRITE:
         yield _json(obj, pad)
-        return
-    inner = pad + "  "
-    for i in range(0, len(obj), _LINES_PER_WRITE):
-        chunk = obj[i:i + _LINES_PER_WRITE]
-        yield ("," if i else "[") + inner
-        try:
-            s = "".join(chunk)
-            plain = (s.isascii() and '"' not in s and "\\" not in s
-                     and not s.encode().translate(None, _PLAIN))
-        except TypeError:  # an item is not a string
-            plain = False
-        yield ('"' + ('",' + inner + '"').join(chunk) + '"' if plain
-               else ("," + inner).join([_json(v, inner) for v in chunk]))
-    yield pad + "]"
+    else:
+        inner = pad + "  "
+        for i in range(0, len(obj), _LINES_PER_WRITE):
+            yield ("," if i else "[") + inner
+            yield ("," + inner).join([_json(v, inner) for v in obj[i:i + _LINES_PER_WRITE]])
+        yield pad + "]"
 
 
 def _json(obj, pad: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) from the C encoders, not the
     pure-Python one an indent selects; pad is "\\n" plus obj's indent."""
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is str:
         return _quote(obj)
-    if isinstance(obj, dict) and obj:
+    if kind is dict and obj:
         inner = pad + "  "
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                 for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        return "".join(_pieces(obj, pad))
+    if (kind is list or kind is tuple) and obj:
+        inner = pad + "  "
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return "true" if obj is True else "false" if obj is False else _scalar(obj)
 
 
 def _emit(args, doc: dict, text: Iterable[str]) -> None:
     if args.format == "text":
-        lines = iter(text)
-        while chunk := list(islice(lines, _LINES_PER_WRITE)):
-            print("\n".join(chunk))
+        # a list holds lines, joined a few thousand to a write; any other
+        # iterable yields blocks of lines, each written as it is made
+        if isinstance(text, list):
+            text = ["\n".join(text[i:i + _LINES_PER_WRITE])
+                    for i in range(0, len(text), _LINES_PER_WRITE)]
+        for block in text:
+            print(block)
         return
     # one top-level key, or one list chunk, per write: never the whole document
     out = sys.stdout
     for i, (key, value) in enumerate(sorted(doc.items())):
-        out.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
-        out.writelines(_pieces(value, "\n  "))
+        out.write(f"{',' if i else '{'}{_TOP}{_quote(key)}: ")
+        out.writelines(_pieces(value, _TOP))
     out.write("\n}\n" if doc else "{}\n")
 
 
@@ -216,11 +220,19 @@ def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
 
 def _cmd_dna(args) -> tuple[int, dict, Iterable[str]]:
     g, cs = _enumerable(args)
-    strings = dna.encode_codeset(cs)
-    # FASTA headers are made as _emit writes the lines, never held
-    text = chain.from_iterable(zip(map(">w{}".format, count()), strings)) if args.fasta else strings
+    # set up before anything is written, so running out of memory writes nothing
+    sep = '",' + _TOP + '  "' if args.format == "structured" else "\n"
+    chunks = dna.encoded_chunks(cs, sep)
+    headers = map(">w{}".format, count())  # --fasta: each chunk's lines with their headers
+    text = (("\n".join(chain.from_iterable(zip(islice(headers, len(lines)), lines)))
+             for lines in (chunk.split("\n") for chunk in chunks)) if args.fasta else chunks)
+
+    def strings(pad: str):  # the JSON list, sep between chunks; pad is _TOP, as in sep
+        yield from chain.from_iterable(zip(chain(["[" + pad + '  "'], repeat(sep)), chunks))
+        yield '"' + pad + "]"
+
     doc = {"command": "dna", "n": args.n, "generator": _coeff_tokens(g),
-           "size": len(strings), "strings": strings}
+           "size": cs.size, "strings": strings}
     return 0, doc, text
 
 
@@ -308,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leading", choices=("unit", "v", "v1", "any"), default="unit",
                    help="leading coefficient shape")
     p.add_argument("--cap", type=size_cap, default=cd.DEFAULT_CAP,
-                   help="largest search size: q^min(t, n-t), the candidates "
+                   help="largest search size: q^min(t, n-t), at least the candidates "
                         "tried; q = 16 for unit divisors at even n, else 4")
 
     p = add("build", _cmd_build, "construct a code and report its shape, its size and what "

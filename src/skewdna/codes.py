@@ -44,7 +44,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import skewpoly as sp
-from .algebra import V, V1, _THETA as _TH, gray, is_unit
+from .algebra import UNITS, V, V1, _THETA as _TH, gray, is_unit
 
 Word = tuple[int, ...]
 
@@ -314,12 +314,12 @@ def _exact_lanes(n: int, g: list[tuple[int, ...]], ones: int) -> int:
 
 def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
     """The monic degree-t right divisors of x^n - 1 over R (q = 16) or over
-    GF(4) (q = 4); enumerate_right_divisors has the argument."""
+    GF(4) (q = 4), sorted; enumerate_right_divisors has the argument."""
     xn1 = sp.x_pow_minus_one(n)
     if t > n - t:
-        return [sp.right_divmod(xn1, h)[0] for h in _monic_divisors(n, n - t, q)]
+        return sorted(sp.right_divmod(xn1, h)[0] for h in _monic_divisors(n, n - t, q))
     bits = q.bit_length() - 1  # of a coefficient: a | b << 2 over R, a over GF(4)
-    k = min(t, _LANE_BITS // bits)  # g_0 .. g_(k-1) vary across the lanes
+    k = min(t, _LANE_BITS // bits)  # g_(t-k) .. g_(t-1) vary across the lanes
     width = 1 << bits * k
     ones = (1 << width) - 1
 
@@ -331,17 +331,19 @@ def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
 
     consts = [tuple(ones if bit else 0 for bit in (p & 1, p & 2, r & 1, r & 2))
               for p, r in map(gray, range(q))]  # the planes of each constant
-    low = []
-    for j in range(k):  # g_j = a + b*v is digit j of the lane index
-        a0, a1 = lane_bit(bits * j), lane_bit(bits * j + 1)
-        b0, b1 = (lane_bit(bits * j + 2), lane_bit(bits * j + 3)) if q == 16 else (0, 0)
+    low, digits = [], range(k - 1, -1, -1)  # of the lane index, the top one first
+    for d in digits:  # g_(t-1-d) = a + b*v is digit d
+        a0, a1 = lane_bit(bits * d), lane_bit(bits * d + 1)
+        b0, b1 = (lane_bit(bits * d + 2), lane_bit(bits * d + 3)) if q == 16 else (0, 0)
         low.append((a0 ^ b0, a1 ^ b1, a0, a1))  # gray(a + b*v) = (a + b, a)
+    heads = itertools.product([u for u in UNITS if u < q], *[range(q)] * (t - k - 1)) \
+        if t > k else [()]  # g_0 is a unit: h_0 * g_0 = 1
     found = []
-    for high in itertools.product(range(q), repeat=t - k):
-        hits = bin(_exact_lanes(n, low + [consts[c] for c in high], ones))[:1:-1]
+    for head in heads:
+        hits = bin(_exact_lanes(n, [consts[c] for c in head] + low, ones))[:1:-1]
         lane = hits.find("1")
         while lane >= 0:
-            found.append(tuple(lane >> bits * j & q - 1 for j in range(k)) + high + (1,))
+            found.append(head + tuple(lane >> bits * d & q - 1 for d in digits) + (1,))
             lane = hits.find("1", lane + 1)
     return found
 
@@ -378,23 +380,25 @@ def enumerate_right_divisors(
       Seneviratne, "Skew cyclic codes of arbitrary length", 2011).
 
     So for t > n - t the search lists the divisors h of degree n - t and
-    divides x^n - 1 by each.
+    divides x^n - 1 by each, and sorts the quotients.
 
-    The shorter side divides x^n - 1 by all q^t monic g of degree t, with
-    q = 16 for "unit" at even n and 4 otherwise, many at once.  Each candidate
-    is a lane: the lanes of a chunk hold every combination of the lowest
-    coefficients g_0..g_(k-1), at most 2^16 of them, and g_k..g_(t-1) are
-    one constant per chunk.  A coefficient is 4 integers with one bit per
-    lane, the bit planes of its Gray pair (algebra.gray).  In those
-    coordinates R is GF(4) x GF(4), a product is two GF(4) products of a
-    few ANDs and XORs, and theta swaps the two components.  g is monic, so
-    each quotient digit c is the remainder's top coefficient, and one
-    update r_(s+j) += c * theta^s(g_j) serves every lane.  Only the t + 1
-    coefficients r_s..r_(s+t) that step s reads are kept, as x^n - 1 is
-    sparse, so memory does not grow with n.  g divides exactly in the
+    The shorter side divides x^n - 1 by the monic g of degree t, with
+    q = 16 for "unit" at even n and 4 otherwise, many at once.  Each
+    candidate is a lane: the lanes of a chunk hold every combination of the
+    highest coefficients g_(t-k)..g_(t-1), at most 2^16 of them, g_(t-k) the
+    top digit of the lane index, and the head g_0..g_(t-k-1) is one
+    constant per chunk, the heads in lexicographic order.  So the divisors
+    come out sorted, by head and then by lane.  A coefficient is 4 integers
+    with one bit per lane, the bit planes of its Gray pair (algebra.gray).
+    In those coordinates R is GF(4) x GF(4), a product is two GF(4)
+    products of a few ANDs and XORs, and theta swaps the two components.  g
+    is monic, so each quotient digit c is the remainder's top coefficient,
+    and one update r_(s+j) += c * theta^s(g_j) serves every lane.  Only the
+    t + 1 coefficients r_s..r_(s+t) that step s reads are kept, as x^n - 1
+    is sparse, so memory does not grow with n.  g divides exactly in the
     lanes whose low t remainder coefficients are all zero; a non-unit g_0
-    never does, as h_0 * g_0 = 1.  The budget counts q^min(t, n - t), the
-    candidates tried.
+    never does, as h_0 * g_0 = 1, so a head's g_0 is a unit.  The budget
+    counts q^min(t, n - t), an upper bound on the candidates tried.
     """
     if not 1 <= t < n:
         raise ValueError("need 1 <= t < n")
@@ -406,7 +410,9 @@ def enumerate_right_divisors(
         raise SizeCapExceeded(
             f"{candidates} candidates for degree-{t} divisors exceed the search budget {budget}"
         )
-    return sorted(sp.scale(_LEADS[leading], g) for g in _monic_divisors(n, t, q))
+    found = _monic_divisors(n, t, q)
+    # v * c = c << 2 and (v+1) * c = 5c increase on GF(4): the order holds
+    return found if leading == FORM_UNIT else [sp.scale(_LEADS[leading], g) for g in found]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ nothing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import skewpoly as sp
@@ -48,7 +49,8 @@ _BLOCK_OF_R = tuple(
 _RANK_OF_R = tuple(int(block.translate(str.maketrans("ACGT", "0123")), 16)
                    for block in _BLOCK_OF_R)
 _CHUNK_ROWS = 12  # encode_codeset formats 2^12 words at a time
-_LETTERS = str.maketrans("01234", "ACGT,")  # rank digits, and 4 ends a word
+_LETTERS = str.maketrans("01234567", 'ACGT",\n ')  # rank digits, then separators
+_SEP_DIGITS = str.maketrans('",\n ', "4567")
 
 _WCC = str.maketrans("ATCG", "TAGC")
 
@@ -111,6 +113,36 @@ def _rank_rows(codeset: CodeSet) -> list[int]:
     return rows
 
 
+def encoded_chunks(codeset: CodeSet, sep: str) -> Iterator[str]:
+    """The sorted DNA strings of all codewords joined by sep, in chunks of
+    2^_CHUNK_ROWS strings with sep between chunks as within them; sep is
+    made of '"', ',', newline and space.  The call makes the rank rows and
+    a chunk's lanes, and iterating makes each chunk's text, so the text is
+    never held whole.
+
+    The words of a chunk are lanes of one integer, a word's 2n rank digits
+    followed by sep's digits (4 to 7 for '"', ',', newline and space), lane
+    0 on top; the last lane's sep is shifted out.  The lanes of the low rows
+    are built by doubling: lane j holds the XOR of the rows at the set bits
+    of j.  Each combination of the high rows, in counting order, is XORed
+    into every lane at once, and the chunk becomes text by one format and
+    one translate.
+    """
+    tail = 4 * len(sep)
+    rows = _rank_rows(codeset)
+    # one lane: the zero word and sep; ones holds bit 0 of every lane
+    chunk, ones, bits = int(sep.translate(_SEP_DIGITS), 16), 1, 8 * codeset.n + tail
+    for row in rows[:_CHUNK_ROWS]:
+        chunk, ones = chunk << bits | (chunk ^ row * ones << tail), ones << bits | ones
+        bits *= 2
+    chunk >>= tail  # the words sit at bit 0 of each lane now, like the sums
+    spec = f"0{bits // 4 - len(sep)}x"
+    sums = [0]
+    for row in rows[_CHUNK_ROWS:]:
+        sums += [s ^ row for s in sums]
+    return (format(chunk ^ s * ones, spec).translate(_LETTERS) for s in sums)
+
+
 def encode_codeset(codeset: CodeSet) -> list[str]:
     """Sorted DNA strings of all codewords, made in sorted order, not sorted.
 
@@ -124,32 +156,10 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
     bit at r_t's pivot, its top bit.  Word j, the XOR of the rows at the set
     bits of j, then increases with j: if t is the highest bit where j < j'
     differ, the two words differ by r_t and rows below it, so they agree
-    above r_t's pivot, and only word j' has that bit.
-
-    The words are made 2^_CHUNK_ROWS at a time, as lanes of one integer, a
-    word's 2n digits and a separator digit 4 per lane, lane 0 on top.  The
-    lanes of the low rows are built by doubling: lane j holds the XOR of
-    the rows at the set bits of j.  Each combination of the high rows, in
-    counting order, is XORed into every lane at once, and the chunk becomes
-    text by one format, one translate and one split at the separators.
+    above r_t's pivot, and only word j' has that bit.  encoded_chunks makes
+    the words in that order, a chunk at a time; this splits its chunks.
     """
-    rows = [r << 4 for r in _rank_rows(codeset)]
-    low, high = rows[:_CHUNK_ROWS], rows[_CHUNK_ROWS:]
-    # one lane of 8n + 4 bits: the zero word and its separator; ones holds
-    # bit 0 of every lane
-    chunk, ones, bits = 4, 1, 8 * codeset.n + 4
-    for row in low:
-        chunk, ones, bits = chunk << bits | (chunk ^ row * ones), ones << bits | ones, 2 * bits
-    spec = f"0{bits // 4}x"
-    sums = [0]
-    for row in high:
-        sums += [s ^ row for s in sums]
-    strings: list[str] = []
-    for s in sums:
-        words = format(chunk ^ s * ones, spec).translate(_LETTERS).split(",")
-        words.pop()  # the empty text after the last separator
-        strings += words
-    return strings
+    return [s for chunk in encoded_chunks(codeset, ",") for s in chunk.split(",")]
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,55 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+DNA_2_20 = ["dna", "--n", "10", "--gen", "x^5+1", "--cap", "1048576"]
+DNA_2_12 = ["dna", "--n", "10", "--gen", "x^7 + w*x^6 + x^5 + x^2 + w*x + 1"]
+DNA_FORMATS = ([], ["--fasta"], ["--format", "structured"])
+
+
+def _dna_in_subprocess(argv, lines=None):
+    """Wall seconds, exit code, stderr, peak resident memory in KiB and the
+    bytes read of a fresh `dna` process; after `lines` lines the reader
+    closes, else it reads everything in 64 KiB pieces and discards them."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    start, read = time.perf_counter(), 0
+    with subprocess.Popen([sys.executable, "-m", "skewdna"] + argv, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src)) as proc:
+        if lines is None:
+            while piece := proc.stdout.read(1 << 16):
+                read += len(piece)
+        else:
+            read = sum(len(proc.stdout.readline()) for _ in range(lines))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return time.perf_counter() - start, proc.returncode, err, usage.ru_maxrss, read
+
+
+@pytest.mark.parametrize("form", DNA_FORMATS, ids=("text", "fasta", "structured"))
+def test_dna_memory_does_not_grow_with_the_code(form):
+    # the strings are written a chunk of 4,096 at a time, never held whole:
+    # 2^20 words peaked at 104 MB when the output was one list
+    _, rc, err, rss, read = _dna_in_subprocess(DNA_2_20 + form)
+    assert (rc, err) == (0, b"")
+    assert read >= 21 << 20  # 2^20 lines of 20 letters, or more with headers or quotes
+    _, rc, _, small_rss, _ = _dna_in_subprocess(DNA_2_12 + form)
+    assert rc == 0
+    assert rss <= small_rss + 10 * 1024
+
+
+@pytest.mark.parametrize("form", DNA_FORMATS, ids=("text", "fasta", "structured"))
+def test_closed_reader_mid_stream_ends_the_run_early(form):
+    # the reader leaves after the first line of 2^20 words: no traceback, exit
+    # 0, and as dna writes while it computes, the run ends about as soon as a
+    # 16-word one, well before writing every word would
+    closed = min(_dna_in_subprocess(DNA_2_20 + form, lines=1) for _ in range(3))
+    assert closed[1:3] == (0, b"") and closed[4] > 0
+    start = min(_dna_in_subprocess(["dna"] + EX3 + form)[0] for _ in range(3))
+    full = min(_dna_in_subprocess(DNA_2_20 + form)[0] for _ in range(3))
+    assert closed[0] - start < (full - start) / 2
+
+
 def test_divisors_budget_exit(capsys):
     # 16^10 candidates on either side of x^20 - 1 = h * g
     rc, _, err = run(capsys, ["divisors", "--n", "20", "--degree", "10"])
@@ -412,18 +461,22 @@ def test_dna_fasta(capsys):
     "--n", "10", "--gen", "x^6 + v*x^5 + (w+v)*x^4 + v*x^3 + (w+v)*x^2 + 1"]),
     ids=("16", "256", "65536"))
 def test_dna_output_is_byte_identical_to_json_dumps_and_print(capsys, gen):
-    # structured output as json.dumps writes it, text as one print per line
-    args = cli.build_parser().parse_args(["dna"] + gen)
-    _, doc, _ = cli._cmd_dna(args)
-    assert doc["size"] == len(doc["strings"]) == 1 << {"6": 4, "3": 8, "10": 16}[gen[1]]
+    # the oracle: json.dumps of the document with its strings listed by
+    # encode_codeset, and one print per line of text
+    _, doc, _ = cli._cmd_dna(cli.build_parser().parse_args(["dna"] + gen))
+    strings = dna.encode_codeset(cd.materialize(cd.code_from_generator(
+        int(gen[1]), sp.parse_poly(gen[3]))))
+    assert doc["size"] == len(strings) == 1 << {"6": 4, "3": 8, "10": 16}[gen[1]]
+    doc["strings"] = strings
     rc, out, _ = run(capsys, ["dna"] + gen + ["--format", "structured"])
     assert (rc, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for fasta in ([], ["--fasta"]):
-        _, _, text = cli._cmd_dna(cli.build_parser().parse_args(["dna"] + gen + fasta))
-        for line in text:
+        for i, line in enumerate(strings):
+            if fasta:
+                print(f">w{i}")
             print(line)
         printed = capsys.readouterr().out
-        assert printed.count("\n") == len(doc["strings"]) * (2 if fasta else 1)
+        assert printed.count("\n") == len(strings) * (2 if fasta else 1)
         assert run(capsys, ["dna"] + gen + fasta) == (0, printed, "")
 
 
@@ -583,10 +636,10 @@ def test_fault_injection_is_caught_and_named(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
-    def exhaust(codeset):
+    def exhaust(codeset, sep):
         raise MemoryError
 
-    monkeypatch.setattr(dna, "encode_codeset", exhaust)
+    monkeypatch.setattr(dna, "encoded_chunks", exhaust)
     rc, out, err = run(capsys, ["dna"] + EX3)
     assert rc == 3
     assert out == ""

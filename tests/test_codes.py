@@ -288,6 +288,22 @@ def test_balanced_search_matches_brute_force():
         assert cd.enumerate_right_divisors(n, t) == _brute_force_divisors(n, t), (n, t)
 
 
+def test_unit_search_heads_match_brute_force(monkeypatch):
+    # the lanes hold g_(t-k)..g_(t-1) and each chunk one head g_0..g_(t-k-1),
+    # g_0 a unit, so the list comes out sorted.  At the default 2^16 lanes no
+    # n <= 8 spot has a head (k = 4 over R); at 2^8 lanes k = 2 over R, and
+    # at 2^4 lanes k = 1 over R and k = 2 over GF(4).  The quotient spots
+    # (t > n - t) take the one sort left, against the cofactor oracle
+    direct = [(4, 2), (6, 3), (8, 4), (3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)]
+    quotient = [(3, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (6, 5), (7, 5), (7, 6)]
+    oracle = {**{spot: _brute_force_divisors(*spot) for spot in direct},
+              **{spot: _brute_force_cofactor_divisors(*spot) for spot in quotient}}
+    for lane_bits in (16, 8, 4):
+        monkeypatch.setattr(cd, "_LANE_BITS", lane_bits)
+        for (n, t), found in oracle.items():
+            assert cd.enumerate_right_divisors(n, t) == found, (n, t, lane_bits)
+
+
 def test_gf4_shapes_match_brute_force(monkeypatch):
     # v * g1 and (v+1) * g1 for every g1 the GF(4) brute force finds; at
     # n = 9..12 only t <= 6 (at most 4^6 oracle candidates).  A chunk holds
