@@ -15,8 +15,10 @@ or as an ascending coefficient list such as "[1, w+v, 1]".
 check decides on the code's GF(2) basis at any size; dna writes the words
 sorted, 4,096 at a time as it makes them, in memory that does not grow with
 the code; distance walks the component vC alone (about sqrt(size) words),
-and both refuse codes above --cap.  --n is at most skewpoly.MAX_PARSE_DEGREE
-(2048), checked before any work, so every size printed has under 4,300 digits.
+and both refuse codes above --cap.  divisors streams its output like dna,
+4,096 rows at a time, once its search has listed every divisor.  --n is at
+most skewpoly.MAX_PARSE_DEGREE (2048), checked before any work, so every
+size printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
@@ -58,21 +60,6 @@ _scalar = json.JSONEncoder().encode  # C, for numbers and None
 _TOP = "\n  "  # the pad of a top-level value
 
 
-def _pieces(obj, pad: str):
-    """_json(obj, pad) in pieces: a callable is a stream, pad -> its JSON in
-    pieces, and a long list is written one chunk of items at a time."""
-    if callable(obj):
-        yield from obj(pad)
-    elif type(obj) not in (list, tuple) or len(obj) <= _LINES_PER_WRITE:
-        yield _json(obj, pad)
-    else:
-        inner = pad + "  "
-        for i in range(0, len(obj), _LINES_PER_WRITE):
-            yield ("," if i else "[") + inner
-            yield ("," + inner).join([_json(v, inner) for v in obj[i:i + _LINES_PER_WRITE]])
-        yield pad + "]"
-
-
 def _json(obj, pad: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) from the C encoders, not the
     pure-Python one an indent selects; pad is "\\n" plus obj's indent."""
@@ -93,19 +80,15 @@ def _json(obj, pad: str) -> str:
 
 def _emit(args, doc: dict, text: Iterable[str]) -> None:
     if args.format == "text":
-        # a list holds lines, joined a few thousand to a write; any other
-        # iterable yields blocks of lines, each written as it is made
-        if isinstance(text, list):
-            text = ["\n".join(text[i:i + _LINES_PER_WRITE])
-                    for i in range(0, len(text), _LINES_PER_WRITE)]
-        for block in text:
+        for block in text:  # a line, or a block of lines a stream made
             print(block)
         return
-    # one top-level key, or one list chunk, per write: never the whole document
+    # one top-level key per write, or one piece of a callable value, a stream
+    # that takes the pad and yields its JSON in pieces: never the whole document
     out = sys.stdout
     for i, (key, value) in enumerate(sorted(doc.items())):
         out.write(f"{',' if i else '{'}{_TOP}{_quote(key)}: ")
-        out.writelines(_pieces(value, _TOP))
+        out.writelines(value(_TOP) if callable(value) else [_json(value, _TOP)])
     out.write("\n}\n" if doc else "{}\n")
 
 
@@ -135,25 +118,45 @@ _SHAPES = {"unit": (cd.FORM_UNIT,), "v": (cd.FORM_V,), "v1": (cd.FORM_V1,),
            "any": (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
 
 
-def _cmd_divisors(args) -> tuple[int, dict, list[str]]:
-    rows = []
-    for shape in _SHAPES[args.leading]:
-        for g in cd.enumerate_right_divisors(args.n, args.degree,
-                                             leading=shape, budget=args.cap):
-            rows.append({
-                "coeffs": _coeff_tokens(g),
-                "leading": shape,
-                "palindromic": sp.is_palindromic(g),
-                "theta_palindromic": sp.is_theta_palindromic(g),
-            })
-    text = [f"{len(rows)} right divisors of x^{args.n} - 1, degree {args.degree}, "
-            f"leading {args.leading}"]
-    for row in rows:
-        flags = [name for name in ("palindromic", "theta_palindromic") if row[name]]
-        tag = ", ".join(f.replace("_", "-") for f in flags) if flags else "-"
-        text.append(f"[{', '.join(row['coeffs'])}]  ({row['leading']})  {tag}")
+_QUOTED = tuple(map(_quote, map(r_token, ELEMENTS)))  # each token as a JSON string
+_TAGS = ("-", "theta-palindromic", "palindromic", "palindromic, theta-palindromic")
+
+
+def _divisor_rows(found, head: str, tokens, sep: str, tails, glue: str):
+    """The rows of found, (shape, divisors) pairs, up to _LINES_PER_WRITE
+    joined by glue at a time: head, g's tokens joined by sep, and the one of
+    tails(shape) that 2 * palindromic + theta-palindromic of g picks."""
+    for shape, gs in found:
+        ends = tails(shape)
+        for i in range(0, len(gs), _LINES_PER_WRITE):
+            yield glue.join([head + sep.join(map(tokens, g))
+                             + ends[sp.is_palindromic(g) << 1 | sp.is_theta_palindromic(g)]
+                             for g in gs[i:i + _LINES_PER_WRITE]])
+
+
+def _cmd_divisors(args) -> tuple[int, dict, Iterable[str]]:
+    found = [(shape, cd.enumerate_right_divisors(args.n, args.degree,
+                                                 leading=shape, budget=args.cap))
+             for shape in _SHAPES[args.leading]]
+    count = sum(len(gs) for _, gs in found)
+
+    def divisors(pad: str):  # the JSON list of row objects, their keys sorted
+        item, key = pad + "  ", pad + "    "
+        rows = _divisor_rows(
+            found, "{" + key + '"coeffs": [' + key + "  ", _QUOTED.__getitem__, "," + key + "  ",
+            lambda shape: [f'{key}],{key}"leading": {_quote(shape)},{key}"palindromic": {pal},'
+                           f'{key}"theta_palindromic": {tpal}{item}}}'
+                           for pal in ("false", "true") for tpal in ("false", "true")],
+            "," + item)
+        yield from chain.from_iterable(zip(chain(["[" + item], repeat("," + item)), rows))
+        yield pad + "]" if count else "[]"
+
+    text = chain([f"{count} right divisors of x^{args.n} - 1, degree {args.degree}, "
+                  f"leading {args.leading}"],
+                 _divisor_rows(found, "[", r_token, ", ",
+                               lambda shape: [f"]  ({shape})  {tag}" for tag in _TAGS], "\n"))
     doc = {"command": "divisors", "n": args.n, "degree": args.degree,
-           "leading": args.leading, "divisors": rows}
+           "leading": args.leading, "divisors": divisors}
     return 0, doc, text
 
 

@@ -289,17 +289,26 @@ def _gf4_lanes(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int]:
     return a ^ b, ((x0 ^ x1) & (y0 ^ y1)) ^ a
 
 
-def _exact_lanes(n: int, g: list[tuple[int, ...]], ones: int) -> int:
-    """The lanes in which the monic g = g_0 + ... + g_(t-1) x^(t-1) + x^t,
-    each g_j given as the planes (p0, p1, q0, q1) of its Gray pair,
-    right-divides x^n - 1 (n - t >= t >= 1); ones holds every lane."""
-    t = len(g)
-    g_theta = [(q0, q1, p0, p1) for p0, p1, q0, q1 in g]
+def _exact_lanes(n: int, head: list[tuple[int, int]], low: list, ones: int) -> int:
+    """The lanes in which the monic g = g_0 + ... + g_(t-1) x^(t-1) + x^t
+    right-divides x^n - 1 (n - t >= t >= 1); ones holds every lane.  The
+    head g_0..g_(h-1), the same in every lane, is given as Gray pairs (p, r),
+    and each g_j of the rest, low, as the bit planes (p0, p1, r0, r1) of its
+    pair.  A constant times c = c0 + c1*w is at most one XOR of c's planes:
+    c*1 = (c0, c1), c*w = (c1, c0 + c1) and c*w2 = (c0 + c1, c0)."""
+    h, t = len(head), len(head) + len(low)
+    head_theta = [(r, p) for p, r in head]
+    low_theta = [(q0, q1, p0, p1) for p0, p1, q0, q1 in low]
     zero, one = (0, 0, 0, 0), (ones, 0, ones, 0)  # Gray pairs (0, 0) and (1, 1)
     win = [zero] * t + [one]  # r_s .. r_(s+t), here of x^n - 1 at s = n - t
     for s in range(n - t, -1, -1):
         c0, c1, c2, c3 = win[t]  # the quotient digit, as theta^s(1) = 1 leads g
-        for j, (y0, y1, y2, y3) in enumerate(g_theta if s % 2 else g):
+        e, f = c0 ^ c1, c2 ^ c3
+        by_p, by_r = ((0, 0), (c0, c1), (c1, e), (e, c0)), ((0, 0), (c2, c3), (c3, f), (f, c2))
+        for j, (y, z) in enumerate(head_theta if s % 2 else head):
+            (p0, p1), (q0, q1), (r0, r1, r2, r3) = by_p[y], by_r[z], win[j]
+            win[j] = (r0 ^ p0, r1 ^ p1, r2 ^ q0, r3 ^ q1)
+        for j, (y0, y1, y2, y3) in enumerate(low_theta if s % 2 else low, h):
             p0, p1 = _gf4_lanes(c0, c1, y0, y1)
             q0, q1 = _gf4_lanes(c2, c3, y2, y3)
             r0, r1, r2, r3 = win[j]
@@ -329,8 +338,6 @@ def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
             plane, period = plane | plane << period, 2 * period
         return plane
 
-    consts = [tuple(ones if bit else 0 for bit in (p & 1, p & 2, r & 1, r & 2))
-              for p, r in map(gray, range(q))]  # the planes of each constant
     low, digits = [], range(k - 1, -1, -1)  # of the lane index, the top one first
     for d in digits:  # g_(t-1-d) = a + b*v is digit d
         a0, a1 = lane_bit(bits * d), lane_bit(bits * d + 1)
@@ -338,13 +345,21 @@ def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
         low.append((a0 ^ b0, a1 ^ b1, a0, a1))  # gray(a + b*v) = (a + b, a)
     heads = itertools.product([u for u in UNITS if u < q], *[range(q)] * (t - k - 1)) \
         if t > k else [()]  # g_0 is a unit: h_0 * g_0 = 1
+    # each hit is written as its head's digits, its lane index in hex and the
+    # leading 1, then read back as digits through table; a hex digit holds two
+    # GF(4) digits, so an odd count of them is written as 4 * lane + 1
+    odd = k % 2 if q == 4 else 0
+    field = "{:0%dx}" % ((bits * k + 3) // 4) + ("" if odd else "\x01")
+    table = {ord(f"{d:x}"): chr(d) if q == 16 else chr(d >> 2) + chr(d & 3) for d in range(16)}
     found = []
     for head in heads:
-        hits = bin(_exact_lanes(n, [consts[c] for c in head] + low, ones))[:1:-1]
-        lane = hits.find("1")
+        hits = bin(_exact_lanes(n, [gray(c) for c in head], low, ones))[:1:-1]
+        lanes, lane = [], hits.find("1")
         while lane >= 0:
-            found.append(head + tuple(lane >> bits * d & q - 1 for d in digits) + (1,))
+            lanes.append(lane << 2 * odd | odd)
             lane = hits.find("1", lane + 1)
+        text = ("".join(map(chr, head)) + field) * len(lanes)
+        found += zip(*[iter(text.format(*lanes).translate(table).encode("latin-1"))] * (t + 1))
     return found
 
 

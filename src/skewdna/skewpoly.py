@@ -128,18 +128,23 @@ def x_pow_minus_one(n: int) -> Poly:
     return (1,) + (0,) * (n - 1) + (1,)
 
 
+# theta on a byte of bytes(f), for bytes.translate; bytes 16..255 never occur
+_THETA_BYTES = bytes(_TH) + bytes(range(16, 256))
+
+
 def is_palindromic(f: Poly) -> bool:
     """a_i == a_(t-i) for all i."""
     if not f:
         raise ValueError("palindromic is undefined for the zero polynomial")
-    return f == tuple(reversed(f))
+    return f == f[::-1]
 
 
 def is_theta_palindromic(f: Poly) -> bool:
     """a_i == theta(a_(t-i)) for all i."""
     if not f:
         raise ValueError("palindromic is undefined for the zero polynomial")
-    return f == tuple(_TH[c] for c in reversed(f))
+    b = bytes(f)
+    return b == b[::-1].translate(_THETA_BYTES)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from skewdna import analysis as an
 from skewdna import cli, dna, verify
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
-from skewdna.algebra import parse_element
+from skewdna.algebra import parse_element, r_token
 
 EX3 = ["--n", "6", "--gen", "v(x^4+x^2+1)"]
 EX1 = ["--n", "10", "--gen", "x^4+(v+w)*x^2+1"]
@@ -513,10 +513,28 @@ def _stubbed_run_all(seed=0):
             verify.CheckResult("beta", False, "broke", ["case 1", 'a "quoted" σ ≠ θ(σ)'], 0.5)]
 
 
+DIVISORS = {  # an empty list, 7,735 rows (two chunks), the quotient side, v and v1 at odd n
+    "divisors-unit": ["divisors", "--n", "10", "--degree", "4"],
+    "divisors-any": ["divisors", "--n", "12", "--degree", "3", "--leading", "any"],
+    "divisors-empty": ["divisors", "--n", "7", "--degree", "2"],
+    "divisors-7735-rows": ["divisors", "--n", "12", "--degree", "6"],
+    "divisors-quotients-any": ["divisors", "--n", "12", "--degree", "9", "--leading", "any"],
+    "divisors-v-odd-n": ["divisors", "--n", "9", "--degree", "3", "--leading", "v"],
+    "divisors-v1-odd-n": ["divisors", "--n", "9", "--degree", "3", "--leading", "v1"],
+}
+
+
+def _divisor_rows(argv):
+    """The rows divisors writes for argv, as dicts, from the search and the predicates."""
+    args = cli.build_parser().parse_args(argv)
+    shapes = ("unit", "v", "v1") if args.leading == "any" else (args.leading,)
+    return [{"coeffs": [r_token(c) for c in g], "leading": shape,
+             "palindromic": sp.is_palindromic(g), "theta_palindromic": sp.is_theta_palindromic(g)}
+            for shape in shapes for g in cd.enumerate_right_divisors(args.n, args.degree, shape)]
+
+
 @pytest.mark.parametrize("argv", (
     ["table1"],
-    ["divisors", "--n", "10", "--degree", "4"],
-    ["divisors", "--n", "12", "--degree", "3", "--leading", "any"],
     ["build"] + EX3,
     ["build"] + EX1,
     ["check"] + EX3 + ["--property", "reversible"],
@@ -524,15 +542,32 @@ def _stubbed_run_all(seed=0):
     ["distance"] + EX3,
     ["distance"] + EX3 + ["--metric", "hamming"],
     ["verify-paper"],
-), ids=("table1", "divisors-unit", "divisors-any", "build-16-words", "build-2^24-words",
-        "check-holds", "check-assert-fails", "distance-lee", "distance-hamming",
-        "verify-paper-stubbed"))
+    *DIVISORS.values(),
+), ids=("table1", "build-16-words", "build-2^24-words", "check-holds", "check-assert-fails",
+        "distance-lee", "distance-hamming", "verify-paper-stubbed", *DIVISORS))
 def test_structured_output_is_byte_identical_to_json_dumps(capsys, monkeypatch, argv):
+    # divisors streams its list; the oracle lists the rows as dicts
     monkeypatch.setattr(verify, "run_all", _stubbed_run_all)
     argv = argv + ["--format", "structured"]
     args = cli.build_parser().parse_args(argv)
     code, doc, _ = args.run(args)
+    if argv[0] == "divisors":
+        doc["divisors"] = _divisor_rows(argv)
     assert run(capsys, argv) == (code, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("argv", DIVISORS.values(), ids=DIVISORS)
+def test_divisors_text_is_one_print_per_row(capsys, argv):
+    rows = _divisor_rows(argv)
+    print(f"{len(rows)} right divisors of x^{argv[2]} - 1, degree {argv[4]}, "
+          f"leading {argv[6] if len(argv) > 5 else 'unit'}")
+    for row in rows:
+        flags = [name.replace("_", "-") for name in ("palindromic", "theta_palindromic")
+                 if row[name]]
+        print(f"[{', '.join(row['coeffs'])}]  ({row['leading']})  {', '.join(flags) or '-'}")
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == len(rows) + 1
+    assert run(capsys, argv) == (0, printed, "")
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
