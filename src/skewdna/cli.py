@@ -25,8 +25,8 @@ failed; 2 input could not be parsed or is out of range; 3 a size or search
 cap was hit, or memory ran out.  A reader that closes stdout early changes
 neither.
 Every subcommand takes --format structured to emit JSON instead of text:
-the bytes of json.dumps(doc, indent=2, sort_keys=True), from the C encoders,
-written a top-level key or a list chunk at a time.
+the bytes of json.dumps(doc, indent=2, sort_keys=True), written a top-level
+value at a time, and dna's strings and divisors' rows a chunk at a time.
 All output is deterministic; verify-paper's two randomized checks (10 and
 11) take --seed.
 """
@@ -38,7 +38,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain, count, islice, repeat
 
 from . import analysis as an
@@ -49,33 +49,11 @@ from . import verify
 from .algebra import ELEMENTS, gf4_token, gray, r_token
 
 
-def _coeff_tokens(f: sp.Poly) -> list[str]:
-    return list(map(r_token, f))
-
-
-# text lines, or JSON list items, per write: few calls, and no whole copy
+# divisors rows per write: few calls, and no whole copy
 _LINES_PER_WRITE = 4096
-_quote = json.encoder.encode_basestring_ascii  # C, as json.dumps quotes strings
-_scalar = json.JSONEncoder().encode  # C, for numbers and None
-_TOP = "\n  "  # the pad of a top-level value
-
-
-def _json(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) from the C encoders, not the
-    pure-Python one an indent selects; pad is "\\n" plus obj's indent."""
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is dict and obj:
-        inner = pad + "  "
-        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if (kind is list or kind is tuple) and obj:
-        inner = pad + "  "
-        items = [_quote(v) if type(v) is str else _json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return "true" if obj is True else "false" if obj is False else _scalar(obj)
+_ENCODE = json.JSONEncoder(indent=2, sort_keys=True).encode
+_TOP = "\n  "  # the newline and indent of a top-level value
+_ROW = _TOP + "  "  # and of an item in a top-level list
 
 
 def _emit(args, doc: dict, text: Iterable[str]) -> None:
@@ -83,13 +61,17 @@ def _emit(args, doc: dict, text: Iterable[str]) -> None:
         for block in text:  # a line, or a block of lines a stream made
             print(block)
         return
-    # one top-level key per write, or one piece of a callable value, a stream
-    # that takes the pad and yields its JSON in pieces: never the whole document
+    # a stream is an iterator value that yields its JSON in pieces, written
+    # as they come in the place of its null: the whole document is never held
     out = sys.stdout
-    for i, (key, value) in enumerate(sorted(doc.items())):
-        out.write(f"{',' if i else '{'}{_TOP}{_quote(key)}: ")
-        out.writelines(value(_TOP) if callable(value) else [_json(value, _TOP)])
-    out.write("\n}\n" if doc else "{}\n")
+    streams = {key: value for key, value in doc.items() if isinstance(value, Iterator)}
+    rest = _ENCODE({**doc, **dict.fromkeys(streams)})
+    for key in sorted(streams):
+        mark = f"{_TOP}{json.dumps(key)}: "
+        head, rest = rest.split(mark + "null", 1)
+        out.write(head + mark)
+        out.writelines(streams[key])
+    out.write(rest + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +100,23 @@ _SHAPES = {"unit": (cd.FORM_UNIT,), "v": (cd.FORM_V,), "v1": (cd.FORM_V1,),
            "any": (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
 
 
-_QUOTED = tuple(map(_quote, map(r_token, ELEMENTS)))  # each token as a JSON string
+_QUOTED = tuple(map(json.dumps, map(r_token, ELEMENTS)))  # each token as a JSON string
+_KEY = _ROW + "  "  # the indent of a divisors row's keys
 _TAGS = ("-", "theta-palindromic", "palindromic", "palindromic, theta-palindromic")
+# each shape's row tails, picked by 2 * palindromic + theta-palindromic
+_TEXT_TAILS = {shape: [f"]  ({shape})  {tag}" for tag in _TAGS] for shape in _SHAPES["any"]}
+_JSON_TAILS = {shape: [f'{_KEY}],{_KEY}"leading": {json.dumps(shape)},{_KEY}"palindromic": {pal},'
+                       f'{_KEY}"theta_palindromic": {tpal}{_ROW}}}'
+                       for pal in ("false", "true") for tpal in ("false", "true")]
+               for shape in _SHAPES["any"]}
 
 
-def _divisor_rows(found, head: str, tokens, sep: str, tails, glue: str):
+def _divisor_rows(found, head: str, tokens, sep: str, tails: dict, glue: str):
     """The rows of found, (shape, divisors) pairs, up to _LINES_PER_WRITE
     joined by glue at a time: head, g's tokens joined by sep, and the one of
-    tails(shape) that 2 * palindromic + theta-palindromic of g picks."""
+    tails[shape] that 2 * palindromic + theta-palindromic of g picks."""
     for shape, gs in found:
-        ends = tails(shape)
+        ends = tails[shape]
         for i in range(0, len(gs), _LINES_PER_WRITE):
             yield glue.join([head + sep.join(map(tokens, g))
                              + ends[sp.is_palindromic(g) << 1 | sp.is_theta_palindromic(g)]
@@ -139,22 +128,14 @@ def _cmd_divisors(args) -> tuple[int, dict, Iterable[str]]:
                                                  leading=shape, budget=args.cap))
              for shape in _SHAPES[args.leading]]
     count = sum(len(gs) for _, gs in found)
-
-    def divisors(pad: str):  # the JSON list of row objects, their keys sorted
-        item, key = pad + "  ", pad + "    "
-        rows = _divisor_rows(
-            found, "{" + key + '"coeffs": [' + key + "  ", _QUOTED.__getitem__, "," + key + "  ",
-            lambda shape: [f'{key}],{key}"leading": {_quote(shape)},{key}"palindromic": {pal},'
-                           f'{key}"theta_palindromic": {tpal}{item}}}'
-                           for pal in ("false", "true") for tpal in ("false", "true")],
-            "," + item)
-        yield from chain.from_iterable(zip(chain(["[" + item], repeat("," + item)), rows))
-        yield pad + "]" if count else "[]"
-
+    # the JSON list of row objects, their keys sorted
+    rows = _divisor_rows(found, "{" + _KEY + '"coeffs": [' + _KEY + "  ", _QUOTED.__getitem__,
+                         "," + _KEY + "  ", _JSON_TAILS, "," + _ROW)
+    divisors = chain(chain.from_iterable(zip(chain(["[" + _ROW], repeat("," + _ROW)), rows)),
+                     [_TOP + "]" if count else "[]"])
     text = chain([f"{count} right divisors of x^{args.n} - 1, degree {args.degree}, "
                   f"leading {args.leading}"],
-                 _divisor_rows(found, "[", r_token, ", ",
-                               lambda shape: [f"]  ({shape})  {tag}" for tag in _TAGS], "\n"))
+                 _divisor_rows(found, "[", r_token, ", ", _TEXT_TAILS, "\n"))
     doc = {"command": "divisors", "n": args.n, "degree": args.degree,
            "leading": args.leading, "divisors": divisors}
     return 0, doc, text
@@ -169,7 +150,7 @@ def _cmd_build(args) -> tuple[int, dict, list[str]]:
     doc = {
         "command": "build",
         "n": args.n,
-        "generator": _coeff_tokens(g),
+        "generator": list(map(r_token, g)),
         "polynomial": sp.format_poly(g),
         "leading_form": info.form,
         "size": 1 << k,
@@ -205,7 +186,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         "reverse-complement": dna.reverse_complement_on_basis,
         "quasi-cyclic": an.image_closed_on_basis,
     }[prop](code, basis)
-    doc = {"command": "check", "n": args.n, "generator": _coeff_tokens(g),
+    doc = {"command": "check", "n": args.n, "generator": list(map(r_token, g)),
            "property": prop, "holds": holds, "size": 1 << len(basis)}
     verdict = "holds" if holds else "fails"
     text = [f"{prop} {verdict} for <{sp.format_poly(g)}> at length {args.n}"]
@@ -224,17 +205,14 @@ def _enumerable(args) -> tuple[sp.Poly, cd.CodeSet]:
 def _cmd_dna(args) -> tuple[int, dict, Iterable[str]]:
     g, cs = _enumerable(args)
     # set up before anything is written, so running out of memory writes nothing
-    sep = '",' + _TOP + '  "' if args.format == "structured" else "\n"
+    sep = '",' + _ROW + '"' if args.format == "structured" else "\n"
     chunks = dna.encoded_chunks(cs, sep)
     headers = map(">w{}".format, count())  # --fasta: each chunk's lines with their headers
     text = (("\n".join(chain.from_iterable(zip(islice(headers, len(lines)), lines)))
              for lines in (chunk.split("\n") for chunk in chunks)) if args.fasta else chunks)
-
-    def strings(pad: str):  # the JSON list, sep between chunks; pad is _TOP, as in sep
-        yield from chain.from_iterable(zip(chain(["[" + pad + '  "'], repeat(sep)), chunks))
-        yield '"' + pad + "]"
-
-    doc = {"command": "dna", "n": args.n, "generator": _coeff_tokens(g),
+    strings = chain(chain.from_iterable(zip(chain(["[" + _ROW + '"'], repeat(sep)), chunks)),
+                    ['"' + _TOP + "]"])  # the JSON list, sep between chunks as within them
+    doc = {"command": "dna", "n": args.n, "generator": list(map(r_token, g)),
            "size": cs.size, "strings": strings}
     return 0, doc, text
 
@@ -242,7 +220,7 @@ def _cmd_dna(args) -> tuple[int, dict, Iterable[str]]:
 def _cmd_distance(args) -> tuple[int, dict, list[str]]:
     g, cs = _enumerable(args)
     d = an.min_distance(cs, args.metric)
-    doc = {"command": "distance", "n": args.n, "generator": _coeff_tokens(g),
+    doc = {"command": "distance", "n": args.n, "generator": list(map(r_token, g)),
            "metric": args.metric, "min_distance": d, "size": cs.size}
     if args.metric == "lee":
         note = "equals Hamming distance on the DNA strings"

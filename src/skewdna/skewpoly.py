@@ -28,12 +28,12 @@ from .algebra import (
 
 Poly = tuple[int, ...]
 
-# The largest degree a parsed power or product may have, and the longest
-# code length the command line takes.  It bounds the parser's work (a
-# product costs at most the product of its factors' lengths), so hostile
-# text such as "x^100000000" is refused at once; and a code of length n has
-# at most 16^n words, so at n = 2048 its size, 2^8192, has 2,467 digits,
-# under the 4,300 that Python prints by default.
+# The largest degree a parsed power, product or coefficient list may have,
+# and the longest code length the command line takes.  It bounds the
+# parser's work (a product costs at most the product of its factors'
+# lengths), so hostile text such as "x^100000000" is refused at once; and a
+# code of length n has at most 16^n words, so at n = 2048 its size, 2^8192,
+# has 2,467 digits, under the 4,300 that Python prints by default.
 MAX_PARSE_DEGREE = 1 << 11
 # The deepest parenthesis nesting parsed, inside Python's recursion limit.
 MAX_PARSE_NESTING = 100
@@ -291,7 +291,9 @@ def parse_poly(text: str) -> Poly:
         body = s[1:-1].strip()
         if not body:
             return ()
-        return normalize(parse_element(p) for p in body.split(","))
+        coeffs = normalize(parse_element(p) for p in body.split(","))
+        _check_degree(len(coeffs) - 1)
+        return coeffs
     ts = _Tokens(s)
     out = _parse_expr(ts)
     if ts.peek() is not None:

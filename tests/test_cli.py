@@ -1,6 +1,8 @@
 """CLI plumbing: output shapes, exit codes, fault injection."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -339,6 +341,16 @@ def test_hostile_power_exits_2_at_once(capsys):
     assert "limit" in err
 
 
+def test_long_coefficient_list_exits_2_at_once(capsys):
+    # 20,001 coefficients: degree 20,000, refused like x^20000 before any work
+    gen = "[" + ", ".join(["1"] * 20001) + "]"
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, ["build", "--n", str(sp.MAX_PARSE_DEGREE), "--gen", gen])
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (2, "")
+    assert err == f"skewdna: degree 20000 exceeds the parser's limit of {sp.MAX_PARSE_DEGREE}\n"
+
+
 def test_hostile_length_exits_2_at_once(capsys):
     for argv in (["build", "--n", "100000", "--gen", "x+1"],
                  ["divisors", "--n", "100000000", "--degree", "1"]):
@@ -495,17 +507,34 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
-@given(JSON_VALUES)
-@example([])
-@example({})
-@example({"a": [], "b": {}, "c": [[], {}]})
-@example([True, 1, False, 0, None, 1.0, -0.0, "1"])
-@example([["ACGT", c + "T"] for c in ESCAPED])  # one escape in a list of strings
-@example(["ACGT"] * 5000 + ['"'])  # a plain first chunk, an escaped second one
-@example(["A"] * 4096 + [1, "C"])  # a chunk boundary before a non-string
-@example({"strings": ["AC", "GT"] * 4097, "size": 8194})
-def test_json_writer_matches_json_dumps(value):
-    assert cli._json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+JSON_DOCS = st.dictionaries(JSON_STRINGS, JSON_VALUES, max_size=6)
+
+
+def _streamed(value):
+    """value's JSON, as _emit writes a top-level value, yielded a line at a time"""
+    text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield from text.splitlines(keepends=True)
+
+
+@given(JSON_DOCS, st.sampled_from((None, 0, 0.5, 1)))
+@example({}, None)
+@example({"a": [], "b": {}, "c": [[], {}]}, None)
+@example({"a": [], "b": {}, "c": [[], {}]}, 0.5)
+@example({"scalars": [True, 1, False, 0, None, 1.0, -0.0, "1"]}, None)
+@example({c: [["ACGT", c + "T"] for c in ESCAPED] for c in ESCAPED}, 1)  # escaped keys too
+@example({"size": 8194, "strings": ["AC", "GT"] * 4097}, 1)
+@example({"nan": float("nan"), "inf": [float("inf"), float("-inf")], "int": 1 << 200}, 0)
+def test_json_writer_matches_json_dumps(doc, stream_at):
+    # the document with one value, the one at the first, middle or last
+    # sorted key, handed to _emit as a stream of its JSON instead
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if doc and stream_at is not None:
+        keys = sorted(doc)
+        key = keys[int(stream_at * (len(keys) - 1))]
+        doc = {**doc, key: _streamed(doc[key])}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(argparse.Namespace(format="structured"), doc, [])
+    assert out.getvalue() == expected
 
 
 def _stubbed_run_all(seed=0):

@@ -200,9 +200,12 @@ def test_parse_degree_limit():
     limit = sp.MAX_PARSE_DEGREE
     assert len(sp.parse_poly(f"x^{limit}")) == limit + 1
     for text in (f"x^{limit + 1}", f"(x^2 + 1)^{limit // 2 + 1}", f"x^{limit} * x",
-                 f"x^{limit}(x + 1)", "x^100000000 + 1"):
-        with pytest.raises(ValueError, match="limit"):
+                 f"x^{limit}(x + 1)", "x^100000000 + 1", "[" + "1, " * (limit + 1) + "w]"):
+        with pytest.raises(ValueError, match="exceeds the parser's limit"):
             sp.parse_poly(text)
+    # a coefficient list is held to the same degree, after its zeros are dropped
+    assert len(sp.parse_poly("[" + "1, " * limit + "w]")) == limit + 1
+    assert sp.parse_poly("[w" + ", 0" * (2 * limit) + "]") == (2,)
 
 
 def test_parse_nesting_limit():

@@ -17,6 +17,8 @@ boundary.  A public function annotated with the tuple type codes.Word is
 one of a listed few: the boundary itself, a tracer pin, or an oracle.  A
 new tuple twin of a packed map fails this test; its oracle belongs in
 tests/conftest.py.
+
+Every module parses under the oldest Python that pyproject.toml declares.
 """
 
 import ast
@@ -125,3 +127,9 @@ def test_only_listed_functions_take_or_return_tuple_words():
     found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _tuple_word_functions(ast.parse(path.read_text()))}
     assert found == set(TUPLE_WORD_FUNCTIONS)
+
+
+def test_every_module_parses_as_the_oldest_declared_python():
+    # pyproject.toml declares requires-python >= 3.10; the suite runs on a later one
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
