@@ -22,7 +22,7 @@ image's closure under the permutation, on a code's basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 # skew_shift is read nowhere here: perfbench's tracer pins this binding
@@ -124,14 +124,14 @@ def image_shift_defect(n: int, lanes: int = 1):
     return defect
 
 
-@dataclass(frozen=True)
-class GrayImageReport:
-    n: int
-    size: int
-    identity_holds: bool        # image_shift_defect 0 on every codeword
-    image_closed: bool          # image set fixed by swap-pairs o rotate2
-    lee_min: int
-    gray_hamming_min: int
+class GrayImageReport(namedtuple("GrayImageReport", (
+        "n size identity_holds image_closed lee_min gray_hamming_min"))):
+    """The Gray image of a code of length n and size words.  identity_holds:
+    image_shift_defect is 0 on every codeword; image_closed: the image set
+    is fixed by swap-pairs o rotate2; lee_min and gray_hamming_min: the
+    code's least Lee weight and its image's least Hamming weight."""
+
+    __slots__ = ()
 
     @property
     def distance_preserved(self) -> bool:

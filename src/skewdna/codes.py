@@ -40,8 +40,8 @@ kept as an independent cross-check of the basis.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import skewpoly as sp
 from .algebra import UNITS, V, V1, _THETA as _TH, gray, is_unit
@@ -183,13 +183,12 @@ def classify_generator(n: int, g: sp.Poly) -> str:
     return form if form and sp.right_divides(g1, xn1) else FORM_OTHER
 
 
-@dataclass(frozen=True)
-class SkewCyclicCode:
-    """Handle for a skew cyclic code given by generators (not materialized)."""
+class SkewCyclicCode(namedtuple("SkewCyclicCode", "n generators forms")):
+    """Handle for a skew cyclic code given by generators (not materialized):
+    the length n, the generators (a tuple of sp.Poly) and their forms (one
+    FORM_* string each)."""
 
-    n: int
-    generators: tuple[sp.Poly, ...]
-    forms: tuple[str, ...]
+    __slots__ = ()
 
     def generator_words(self) -> tuple[int, ...]:
         return tuple(map(pack, self.generators))
@@ -217,12 +216,11 @@ def code_from_generator(n: int, g: sp.Poly) -> SkewCyclicCode:
     return code_from_generators(n, [g])
 
 
-@dataclass(frozen=True)
-class CodeSet:
-    """A code with its GF(2) basis of packed words, as span_basis gives it."""
+class CodeSet(namedtuple("CodeSet", "code basis")):
+    """A code (a SkewCyclicCode) with its GF(2) basis, a tuple of packed
+    words, as span_basis gives it."""
 
-    code: SkewCyclicCode
-    basis: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -433,21 +431,18 @@ def enumerate_right_divisors(
 # ---------------------------------------------------------------------------
 # minimal degree scan
 
-@dataclass(frozen=True)
-class MinimalDegreeReport:
+class MinimalDegreeReport(namedtuple("MinimalDegreeReport",
+                                      "exists degree words forms all_factor")):
     """Minimal-degree codewords whose leading coefficient is not a unit.
 
     exists is False when every nonzero codeword has a unit leading
-    coefficient.  When it is True, words holds all minimal-degree offenders
-    and all_factor says whether each is v * g1 or (v+1) * g1 with g1 over
-    GF(4) (forms records which, in the same order).
+    coefficient, and degree and all_factor are then None.  When it is True,
+    words holds all minimal-degree offenders (a tuple of sp.Poly) and
+    all_factor says whether each is v * g1 or (v+1) * g1 with g1 over GF(4)
+    (forms records which, in the same order, None for neither).
     """
 
-    exists: bool
-    degree: int | None
-    words: tuple[sp.Poly, ...]
-    forms: tuple[str | None, ...]
-    all_factor: bool | None
+    __slots__ = ()
 
 
 def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:

@@ -22,8 +22,8 @@ nothing.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import skewpoly as sp
 from .algebra import gray, is_unit
@@ -33,7 +33,6 @@ from .codes import (
     FORM_V1,
     CodeSet,
     SkewCyclicCode,
-    Word,
     echelon,
     remainder_membership,
     spans,
@@ -52,27 +51,9 @@ _CHUNK_ROWS = 12  # encode_codeset formats 2^12 words at a time
 _LETTERS = str.maketrans("01234567", 'ACGT",\n ')  # rank digits, then separators
 _SEP_DIGITS = str.maketrans('",\n ', "4567")
 
-_WCC = str.maketrans("ATCG", "TAGC")
-
 
 def encode_element(x: int) -> str:
     return _BLOCK_OF_R[x]
-
-
-def encode_word(word: Word) -> str:
-    return "".join(_BLOCK_OF_R[c] for c in word)
-
-
-def dna_reverse(s: str) -> str:
-    return s[::-1]
-
-
-def dna_complement(s: str) -> str:
-    return s.translate(_WCC)
-
-
-def dna_reverse_complement(s: str) -> str:
-    return s[::-1].translate(_WCC)
 
 
 def theta_reverse(n: int):
@@ -221,9 +202,12 @@ def reversible_by_remainder(code: SkewCyclicCode) -> bool:
 # rule-based classification
 
 
-@dataclass(frozen=True)
-class DnaClassification:
-    """What the structural rules predict for a single-generator code.
+class DnaClassification(namedtuple("DnaClassification", (
+        "n generator form palindromic theta_palindromic"
+        " predicted_reversible predicted_reverse_complement"))):
+    """What the structural rules predict for a single-generator code: its
+    length, its generator (an sp.Poly), the generator's FORM_* shape and
+    whether it is palindromic and theta-palindromic, then two predictions.
 
     predicted_* fields are "yes", "no" or "unknown"; "unknown" means no rule
     with matching hypotheses applies.  The predictions follow the paper's
@@ -236,13 +220,7 @@ class DnaClassification:
     closed, as the *_on_basis decisions (the check command) find exactly.
     """
 
-    n: int
-    generator: sp.Poly
-    form: str
-    palindromic: bool
-    theta_palindromic: bool
-    predicted_reversible: str
-    predicted_reverse_complement: str
+    __slots__ = ()
 
 
 def theta_palindromic_generator_exists(g: sp.Poly) -> bool:

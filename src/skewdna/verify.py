@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import analysis as an
 from . import codes as cd
@@ -59,13 +58,26 @@ SIXTEEN_WORD_TABLE = frozenset((
 ))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    summary: str
-    details: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    """One check's outcome, the one mutable record: _timed sets seconds.
+    Each instance gets its own details list unless it is given one."""
+
+    __slots__ = ("name", "passed", "summary", "details", "seconds")
+
+    def __init__(self, name: str, passed: bool, summary: str,
+                 details: list[str] | None = None, seconds: float = 0.0):
+        self.name, self.passed, self.summary = name, passed, summary
+        self.details = [] if details is None else details
+        self.seconds = seconds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"CheckResult({fields})"
 
 
 def _timed(func):

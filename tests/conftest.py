@@ -17,7 +17,9 @@ oracles walk every word.
 The tuple word maps (the skew shift's Gray-image form, weights and
 distances, theta-reverse and complement) define each map entry by entry on
 tuples of ring elements.  The package runs only their packed forms, and the
-tests pin those to these.
+tests pin those to these.  The DNA string maps (a tuple word's string, and
+the string reverse and Watson-Crick complement) are the string-level
+definitions that the packed theta-reverse and complement pull back.
 """
 
 import random
@@ -118,6 +120,30 @@ def theta_reverse(word):
 def complement_word(word):
     """Ring image of Watson-Crick complementation: add the all-ones word."""
     return tuple(c ^ 1 for c in word)
+
+
+# ---------------------------------------------------------------------------
+# DNA string maps
+
+
+_WCC = str.maketrans("ATCG", "TAGC")
+
+
+def encode_word(word):
+    """The DNA string of a tuple word, one 2-base block per entry."""
+    return "".join(map(dna.encode_element, word))
+
+
+def dna_reverse(s):
+    return s[::-1]
+
+
+def dna_complement(s):
+    return s.translate(_WCC)
+
+
+def dna_reverse_complement(s):
+    return s[::-1].translate(_WCC)
 
 
 def randrange_word(rng, n):

@@ -15,7 +15,7 @@ from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna.algebra import gray, gray_inverse
 
-from conftest import (LEE_WEIGHT, gray_image, hamming_distance, hamming_weight,
+from conftest import (LEE_WEIGHT, encode_word, gray_image, hamming_distance, hamming_weight,
                       image_shift_commutes, lee_distance, lee_weight, rotate_right2,
                       swap_adjacent_pairs)
 
@@ -68,11 +68,13 @@ def test_word_walks_cache_no_words(codeset_words):
     assert cs.size == 1 << 16
     lee = an.min_distance(cs, "lee")
     strings = dna.encode_codeset(cs)
-    assert set(vars(cs)) == {"code", "basis"}  # the walks kept no words
+    # the walks kept no words: a CodeSet has no attribute dict to keep them in
+    assert not hasattr(cs, "__dict__")
+    assert cs._fields == ("code", "basis") and len(cs) == 2
     # the walks against the tuple words
     words = codeset_words(cs)
     assert lee == min(lee_weight(w) for w in words if any(w))
-    assert strings == sorted(map(dna.encode_word, words))
+    assert strings == sorted(map(encode_word, words))
 
 
 def test_min_distance_equals_pairwise_minimum(codeset_words):

@@ -19,7 +19,8 @@ from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 
-from conftest import complement_word, theta_reverse
+from conftest import (complement_word, dna_complement, dna_reverse, dna_reverse_complement,
+                      encode_word, theta_reverse)
 
 # element index -> 2-base block, hand-transcribed
 BLOCKS = ("AA", "TT", "CC", "GG", "TA", "AT", "GC", "CG",
@@ -38,19 +39,19 @@ def test_encode_decode_round_trip():
 
     for n in (1, 2):
         for word in itertools.product(range(16), repeat=n):
-            assert decode(dna.encode_word(word)) == word
+            assert decode(encode_word(word)) == word
     rng = random.Random(3)
     for _ in range(500):
         word = tuple(rng.randrange(16) for _ in range(rng.randint(1, 8)))
-        assert decode(dna.encode_word(word)) == word
+        assert decode(encode_word(word)) == word
 
 
 def test_string_operations():
-    assert dna.encode_word((4, 0)) == "TAAA"
-    assert dna.dna_reverse("TAAA") == "AAAT"
-    assert dna.dna_complement("TAAA") == "ATTT"
-    assert dna.dna_reverse_complement("TAAA") == "TTTA"
-    assert dna.dna_complement("CG") == "GC"
+    assert encode_word((4, 0)) == "TAAA"
+    assert dna_reverse("TAAA") == "AAAT"
+    assert dna_complement("TAAA") == "ATTT"
+    assert dna_reverse_complement("TAAA") == "TTTA"
+    assert dna_complement("CG") == "GC"
 
 
 def test_reversal_pulls_back_to_theta_reverse():
@@ -59,17 +60,17 @@ def test_reversal_pulls_back_to_theta_reverse():
     words = list(itertools.product(range(16), repeat=2))
     words += [tuple(rng.randrange(16) for _ in range(6)) for _ in range(2000)]
     for word in words:
-        reversed_dna = dna.dna_reverse(dna.encode_word(word))
+        reversed_dna = dna_reverse(encode_word(word))
         n = len(word)
-        assert dna.encode_word(theta_reverse(word)) == reversed_dna
-        assert dna.encode_word(cd.unpack(dna.theta_reverse(n)(cd.pack(word)), n)) == reversed_dna
+        assert encode_word(theta_reverse(word)) == reversed_dna
+        assert encode_word(cd.unpack(dna.theta_reverse(n)(cd.pack(word)), n)) == reversed_dna
 
 
 def test_complement_pulls_back_to_plus_one():
     rng = random.Random(6)
     for _ in range(2000):
         word = tuple(rng.randrange(16) for _ in range(5))
-        assert dna.encode_word(complement_word(word)) == dna.dna_complement(dna.encode_word(word))
+        assert encode_word(complement_word(word)) == dna_complement(encode_word(word))
         assert complement_word(word) == tuple(c ^ 1 for c in word)
 
 
@@ -148,7 +149,7 @@ def test_encode_codeset_matches_sorted_encoded_words(word_walk_codes, sixteen_wo
     codesets = [*inventory, *_random_small_codes(random.Random(37), 6), sixteen_word_code, large]
     assert {cs.n % 2 for cs in codesets} == {0, 1}
     for cs in codesets:
-        expected = sorted(map(dna.encode_word, (cd.unpack(p, cs.n) for p in cs.walk())))
+        expected = sorted(map(encode_word, (cd.unpack(p, cs.n) for p in cs.walk())))
         for rows in ((0, 1, 3, default) if cs.size <= 1 << 12 else (3, default)):
             monkeypatch.setattr(dna, "_CHUNK_ROWS", rows)
             assert dna.encode_codeset(cs) == expected, (cs.code, rows)

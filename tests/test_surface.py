@@ -1,5 +1,5 @@
 """Guards on the package surface: unread public names, private imports,
-tuple word maps.
+tuple word maps, start-up imports.
 
 Every public top-level name in skewdna's modules is read somewhere in the
 package, or it is listed in UNREAD with a one-word reason: an oracle that
@@ -19,10 +19,17 @@ new tuple twin of a packed map fails this test; its oracle belongs in
 tests/conftest.py.
 
 Every module parses under the oldest Python that pyproject.toml declares.
+
+Importing the CLI loads neither dataclasses nor inspect, which would add
+about 4 ms to every command's start-up: the result records are named
+tuples and one slotted class, and no module imports dataclasses.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import skewdna
@@ -33,10 +40,6 @@ UNREAD = {
     "algebra.theta": "oracle",
     "algebra.gray_inverse": "oracle",
     "codes.membership": "oracle",
-    "dna.encode_word": "oracle",
-    "dna.dna_reverse": "oracle",
-    "dna.dna_complement": "oracle",
-    "dna.dna_reverse_complement": "oracle",
     "analysis.gray_image_report": "tracer",
     "dna.is_reverse_complement_closed": "tracer",
 }
@@ -48,7 +51,6 @@ TUPLE_WORD_FUNCTIONS = {
     "codes.skew_shift": "tracer",
     "codes.remainder_membership": "tracer",
     "codes.membership": "oracle",
-    "dna.encode_word": "oracle",
 }
 
 
@@ -133,3 +135,27 @@ def test_every_module_parses_as_the_oldest_declared_python():
     # pyproject.toml declares requires-python >= 3.10; the suite runs on a later one
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_module_imports_dataclasses():
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.stem, a.name.partition(".")[0]) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.stem, node.module.partition(".")[0]))
+    assert {mod for mod, name in imported if name == "dataclasses"} == set()
+    assert ("verify", "functools") in imported  # the walk sees imports
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # modules that site hooks load before the import do not count
+    code = ("import sys; before = set(sys.modules); import skewdna.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"skewdna.cli", "skewdna.verify"} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
