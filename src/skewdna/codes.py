@@ -45,6 +45,7 @@ from collections.abc import Iterator
 
 from . import skewpoly as sp
 from .algebra import UNITS, V, V1, _THETA as _TH, gray, is_unit
+from .skewpoly import _THETA_BYTES
 
 Word = tuple[int, ...]
 
@@ -281,12 +282,6 @@ def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
 _LANE_BITS = 16  # a chunk of the divisor search tries at most 2^16 candidates
 
 
-def _gf4_lanes(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int]:
-    """Lanewise GF(4) product of x0 + x1*w and y0 + y1*w, w^2 = w + 1."""
-    a, b = x0 & y0, x1 & y1
-    return a ^ b, ((x0 ^ x1) & (y0 ^ y1)) ^ a
-
-
 def _exact_lanes(n: int, head: list[tuple[int, int]], low: list, ones: int) -> int:
     """The lanes in which the monic g = g_0 + ... + g_(t-1) x^(t-1) + x^t
     right-divides x^n - 1 (n - t >= t >= 1); ones holds every lane.  The
@@ -296,7 +291,8 @@ def _exact_lanes(n: int, head: list[tuple[int, int]], low: list, ones: int) -> i
     c*1 = (c0, c1), c*w = (c1, c0 + c1) and c*w2 = (c0 + c1, c0)."""
     h, t = len(head), len(head) + len(low)
     head_theta = [(r, p) for p, r in head]
-    low_theta = [(q0, q1, p0, p1) for p0, p1, q0, q1 in low]
+    low = [(p0, p1, p0 ^ p1, r0, r1, r0 ^ r1) for p0, p1, r0, r1 in low]  # XOR planes once
+    low_theta = [y[3:] + y[:3] for y in low]
     zero, one = (0, 0, 0, 0), (ones, 0, ones, 0)  # Gray pairs (0, 0) and (1, 1)
     win = [zero] * t + [one]  # r_s .. r_(s+t), here of x^n - 1 at s = n - t
     for s in range(n - t, -1, -1):
@@ -306,11 +302,10 @@ def _exact_lanes(n: int, head: list[tuple[int, int]], low: list, ones: int) -> i
         for j, (y, z) in enumerate(head_theta if s % 2 else head):
             (p0, p1), (q0, q1), (r0, r1, r2, r3) = by_p[y], by_r[z], win[j]
             win[j] = (r0 ^ p0, r1 ^ p1, r2 ^ q0, r3 ^ q1)
-        for j, (y0, y1, y2, y3) in enumerate(low_theta if s % 2 else low, h):
-            p0, p1 = _gf4_lanes(c0, c1, y0, y1)
-            q0, q1 = _gf4_lanes(c2, c3, y2, y3)
+        for j, (y0, y1, y01, y2, y3, y23) in enumerate(low_theta if s % 2 else low, h):
+            a, b = c0 & y0, c2 & y2  # two lanewise GF(4) products c * y
             r0, r1, r2, r3 = win[j]
-            win[j] = (r0 ^ p0, r1 ^ p1, r2 ^ q0, r3 ^ q1)
+            win[j] = (r0 ^ a ^ c1 & y1, r1 ^ a ^ e & y01, r2 ^ b ^ c3 & y3, r3 ^ b ^ f & y23)
         if s:
             win = [one if s == 1 else zero] + win[:t]
     miss = 0
@@ -349,15 +344,23 @@ def _monic_divisors(n: int, t: int, q: int) -> list[sp.Poly]:
     odd = k % 2 if q == 4 else 0
     field = "{:0%dx}" % ((bits * k + 3) // 4) + ("" if odd else "\x01")
     table = {ord(f"{d:x}"): chr(d) if q == 16 else chr(d >> 2) + chr(d & 3) for d in range(16)}
-    found = []
+    found, twins = [], {}
     for head in heads:
+        key = bytes(head)
+        twin = key.translate(_THETA_BYTES)
+        if twin < key:  # a head past its theta twin: the twin's block through theta
+            found += sorted(zip(*[iter(twins.pop(twin).translate(_THETA_BYTES))] * (t + 1)))
+            continue
         hits = bin(_exact_lanes(n, [gray(c) for c in head], low, ones))[:1:-1]
         lanes, lane = [], hits.find("1")
         while lane >= 0:
             lanes.append(lane << 2 * odd | odd)
             lane = hits.find("1", lane + 1)
-        text = ("".join(map(chr, head)) + field) * len(lanes)
-        found += zip(*[iter(text.format(*lanes).translate(table).encode("latin-1"))] * (t + 1))
+        block = ((key.decode("latin-1") + field) * len(lanes)).format(*lanes)
+        block = block.translate(table).encode("latin-1")
+        if twin > key:
+            twins[key] = block
+        found += zip(*[iter(block)] * (t + 1))
     return found
 
 
@@ -410,7 +413,10 @@ def enumerate_right_divisors(
     t + 1 coefficients r_s..r_(s+t) that step s reads are kept, as x^n - 1
     is sparse, so memory does not grow with n.  g divides exactly in the
     lanes whose low t remainder coefficients are all zero; a non-unit g_0
-    never does, as h_0 * g_0 = 1, so a head's g_0 is a unit.  The budget
+    never does, as h_0 * g_0 = 1, so a head's g_0 is a unit.  Over R, theta
+    on every coefficient is an automorphism of R[x; theta] (it commutes with
+    theta) fixing x^n - 1, so a head H after its twin theta(H) is not
+    searched: its divisors are theta of the twin's, sorted.  The budget
     counts q^min(t, n - t), an upper bound on the candidates tried.
     """
     if not 1 <= t < n:

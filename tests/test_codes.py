@@ -292,7 +292,9 @@ def test_unit_search_heads_match_brute_force(monkeypatch):
     # the lanes hold g_(t-k)..g_(t-1) and each chunk one head g_0..g_(t-k-1),
     # g_0 a unit, so the list comes out sorted.  At the default 2^16 lanes no
     # n <= 8 spot has a head (k = 4 over R); at 2^8 lanes k = 2 over R, and
-    # at 2^4 lanes k = 1 over R and k = 2 over GF(4).  The quotient spots
+    # at 2^4 lanes k = 1 over R and k = 2 over GF(4).  So at 2^8 and 2^4
+    # lanes the even-n spots over R have heads whose theta twin came first,
+    # and which take the twin's divisors through theta.  The quotient spots
     # (t > n - t) take the one sort left, against the cofactor oracle
     direct = [(4, 2), (6, 3), (8, 4), (3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)]
     quotient = [(3, 2), (4, 3), (5, 3), (5, 4), (6, 4), (7, 4), (6, 5), (7, 5), (7, 6)]
@@ -302,6 +304,39 @@ def test_unit_search_heads_match_brute_force(monkeypatch):
         monkeypatch.setattr(cd, "_LANE_BITS", lane_bits)
         for (n, t), found in oracle.items():
             assert cd.enumerate_right_divisors(n, t) == found, (n, t, lane_bits)
+
+
+def test_theta_maps_each_divisor_list_onto_itself():
+    # at even n, theta on every coefficient is a ring automorphism of
+    # R[x; theta] that fixes x^n - 1, so it permutes the monic divisors of
+    # each degree; the search takes a head's divisors from its theta twin on
+    # that ground.  Checked on the brute-force lists, which do not use it
+    for n in (2, 4, 6, 8):
+        for t in range(1, n):
+            found = (_brute_force_divisors(n, t) if t <= n - t
+                     else _brute_force_cofactor_divisors(n, t))
+            assert sorted(tuple(theta(c) for c in g) for g in found) == found, (n, t)
+
+
+def _scalar_long_side(n, t, shape):
+    """The degree-t divisors for t > n - t by one scalar right division of
+    x^n - 1 per monic short-side divisor, sorted, the shape's factor (v or
+    v + 1, on GF(4) c << 2 or c | c << 2) put back."""
+    xn1, short = sp.x_pow_minus_one(n), cd.enumerate_right_divisors(n, n - t, shape)
+    lead = {cd.FORM_UNIT: 1, cd.FORM_V: 4, cd.FORM_V1: 5}[shape]
+    monic = short if shape == cd.FORM_UNIT else [tuple(c >> 2 for c in g) for g in short]
+    return sorted(sp.scale(lead, sp.right_divmod(xn1, h)[0]) for h in monic)
+
+
+def test_long_side_matches_scalar_quotients(monkeypatch):
+    # every t > n - t with n <= 12, all three shapes, at 2^16, 2^8 and 2^4
+    # lanes, where the short side has heads and mirrored heads
+    oracle = {(n, t, s): _scalar_long_side(n, t, s)
+              for n in range(2, 13) for t in range(n // 2 + 1, n) for s in ("unit", "v", "v1")}
+    for lane_bits in (16, 8, 4):
+        monkeypatch.setattr(cd, "_LANE_BITS", lane_bits)
+        for (n, t, s), found in oracle.items():
+            assert cd.enumerate_right_divisors(n, t, s) == found, (n, t, s, lane_bits)
 
 
 def test_gf4_shapes_match_brute_force(monkeypatch):
@@ -374,6 +409,18 @@ def test_search_is_frozen_at_12_6():
     assert len(found) == 7735
     assert hashlib.sha256(repr(found).encode()).hexdigest() \
         == "d65e78bfc0773ddd23d1b2b56fa6cb3dfae9ebc5e1952cbed7adaffa8f1cafa9"
+
+
+@pytest.mark.parametrize("n,t,count,digest", [
+    (14, 7, 12681, "2a6cbab02a0adc8206921a36823b83fd963704c271b665c5b07ec467aa77a221"),
+    (16, 6, 3277, "e4dda42261788eb22993514c766ab6d90db6eabda7b83fc802e1d65c2270b9f7"),
+])
+def test_search_is_frozen_at_deeper_heads(n, t, count, digest):
+    # counts and hashes computed before heads took their theta twins'
+    # divisors: 2,304 heads g_0 g_1 g_2 at (14, 7), 144 heads g_0 g_1 at (16, 6)
+    found = cd.enumerate_right_divisors(n, t, budget=2 ** 28)
+    assert len(found) == count
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
 def test_enumerate_budget():
