@@ -233,10 +233,6 @@ def theta_palindromic_generator_exists(g: sp.Poly) -> bool:
     return any(sp.is_theta_palindromic(sp.scale(u, g)) for u in range(1, 16) if is_unit(u))
 
 
-def palindromic_generator_exists(g: sp.Poly) -> bool:
-    return any(sp.is_palindromic(sp.scale(u, g)) for u in range(1, 16) if is_unit(u))
-
-
 def classify(code: SkewCyclicCode, basis) -> DnaClassification:
     """The rules' predictions for code.  basis is its GF(2) basis
     (codes.code_basis); only the unit-form rules read it, for the all-ones
@@ -260,8 +256,9 @@ def classify(code: SkewCyclicCode, basis) -> DnaClassification:
             rc = "yes" if (rev == "yes" and all_ones) else "no"
         else:
             # odd length: palindromic or theta-palindromic generators are
-            # sufficient; no necessary criterion is applied.
-            if palindromic_generator_exists(g) or theta_palindromic_generator_exists(g):
+            # sufficient; no necessary criterion is applied.  A unit multiple
+            # u*g is palindromic exactly when g is, so pal stands for them all.
+            if pal or theta_palindromic_generator_exists(g):
                 rev = "yes"
             if not all_ones:
                 rc = "no"  # complement closure forces the all-ones word

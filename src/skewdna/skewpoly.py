@@ -254,9 +254,12 @@ def _parse_factor(ts: _Tokens) -> Poly:
         return base
     ts.take()
     exp_tok = ts.take()
-    if not exp_tok.isdigit():
+    if not (exp_tok.isascii() and exp_tok.isdigit()):
         raise ValueError(f"bad exponent {exp_tok!r}")
-    e = int(exp_tok)
+    try:
+        e = int(exp_tok)
+    except ValueError:  # past the interpreter's limit on int() digits
+        raise ValueError(f"exponent of {len(exp_tok)} digits is too long") from None
     _check_degree(max(len(base) - 1, 0) * e)
     out: Poly = (1,)  # base^e by repeated squaring
     while e:
@@ -277,6 +280,8 @@ def _parse_atom(ts: _Tokens) -> Poly:
         return inner
     if tok == "x":
         return (0, 1)
+    if not tok.isalnum():
+        raise ValueError(f"expected a term, found {tok!r}")
     return normalize((parse_element(tok),))
 
 

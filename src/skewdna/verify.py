@@ -8,10 +8,11 @@ single-generator code at desk-scale lengths, with no sampling except where a
 check says so explicitly.
 
 A check returns a CheckResult rather than raising, so the suite always runs
-to completion and reports everything at once.  Two of the structural rules
-are known to fail as literally stated: the non-unit impossibility rule
-(check 8) and the no-complement rule (check 9).  Their checks report the
-counterexamples they find, and their docstrings give the causes.
+to completion and reports everything at once; run_all times each check and
+sets its seconds.  Two of the structural rules are known to fail as
+literally stated: the non-unit impossibility rule (check 8) and the
+no-complement rule (check 9).  Their checks report the counterexamples they
+find, and their docstrings give the causes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections import namedtuple
 
 from . import analysis as an
 from . import codes as cd
@@ -58,37 +60,14 @@ SIXTEEN_WORD_TABLE = frozenset((
 ))
 
 
-class CheckResult:
-    """One check's outcome, the one mutable record: _timed sets seconds.
-    Each instance gets its own details list unless it is given one."""
+class CheckResult(namedtuple("CheckResult", "name passed summary details seconds",
+                             defaults=(0.0,))):
+    """One check's outcome: its name, whether it passed, a one-line summary,
+    a list of detail lines and the seconds it took, which run_all sets; a
+    check called on its own leaves them 0.0.  details is a list, so the
+    record is unhashable."""
 
-    __slots__ = ("name", "passed", "summary", "details", "seconds")
-
-    def __init__(self, name: str, passed: bool, summary: str,
-                 details: list[str] | None = None, seconds: float = 0.0):
-        self.name, self.passed, self.summary = name, passed, summary
-        self.details = [] if details is None else details
-        self.seconds = seconds
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"CheckResult({fields})"
-
-
-def _timed(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        result = func(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-
-    return wrapper
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +109,6 @@ def _g_desc(n: int, shape: str, g: sp.Poly) -> str:
 # the checks
 
 
-@_timed
 def check_element_dna_table() -> CheckResult:
     """All 16 rows of the element / Gray pair / 2-base correspondence."""
     bad = []
@@ -148,7 +126,6 @@ def check_element_dna_table() -> CheckResult:
     )
 
 
-@_timed
 def check_unit_inverse_formula() -> CheckResult:
     """lambda = a+bv a unit iff a != 0 and a+b != 0; inverse a^-1 + b^2*v."""
     bad = []
@@ -185,14 +162,12 @@ def _worked_divisor(name: str, n: int, text: str, kind: str, is_kind) -> CheckRe
     return CheckResult(name, not bad, summary, bad)
 
 
-@_timed
 def check_palindromic_divisor_length10() -> CheckResult:
     """x^4+(v+w)x^2+1 right-divides x^10-1, is palindromic, code reversible."""
     return _worked_divisor("palindromic-divisor-length-10", 10, "x^4 + (v+w)*x^2 + 1",
                            "palindromic", sp.is_palindromic)
 
 
-@_timed
 def check_theta_palindromic_divisor_length12() -> CheckResult:
     """x^3+(v+w2)x^2+(v+w)x+1 right-divides x^12-1 and is theta-palindromic."""
     return _worked_divisor("theta-palindromic-divisor-length-12", 12,
@@ -200,7 +175,6 @@ def check_theta_palindromic_divisor_length12() -> CheckResult:
                            "theta-palindromic", sp.is_theta_palindromic)
 
 
-@_timed
 def check_sixteen_codeword_table() -> CheckResult:
     """<v(x^4+x^2+1)> at length 6: exactly the 16 reference DNA strings."""
     code = cd.code_from_generator(6, sp.parse_poly("v(x^4+x^2+1)"))
@@ -225,7 +199,6 @@ def check_sixteen_codeword_table() -> CheckResult:
     )
 
 
-@_timed
 def check_even_length_even_degree_rule() -> CheckResult:
     """Even n, even degree, every shape: reversible iff generator palindromic."""
     bad = []
@@ -242,7 +215,6 @@ def check_even_length_even_degree_rule() -> CheckResult:
     )
 
 
-@_timed
 def check_even_length_odd_degree_rule() -> CheckResult:
     """Even n, odd degree, unit-monic: reversible iff a0*g is theta-palindromic."""
     bad = []
@@ -261,7 +233,6 @@ def check_even_length_odd_degree_rule() -> CheckResult:
     )
 
 
-@_timed
 def check_odd_length_cyclic_and_impossibility() -> CheckResult:
     """Odd n: every code is plain-cyclic; non-unit shapes: the claimed
     impossibility of reversibility (odd n, or even n with odd degree).
@@ -310,7 +281,6 @@ def _rc_closed(cs: cd.CodeSet) -> bool:
     return cd.spans(cs.basis, map(rc, (0, *cs.basis)))
 
 
-@_timed
 def check_reverse_complement_rules() -> CheckResult:
     """On the even-length sweeps: reverse-complement closed iff (reversible
     and all-ones word present); and the claim that no v/v1-shape code is
@@ -360,7 +330,7 @@ def check_reverse_complement_rules() -> CheckResult:
 _DRAW_DIGIT = bytes.maketrans(bytes(range(128)),
                               bytes(b"0123456789abcdef"[b >> 3] for b in range(128)))
 _REJECTED = bytes(range(128, 256))
-_LANES = 1000  # words per chunk of checks 10 and 11; divides their 10^4 draws
+_LANES = 1000  # words per chunk of checks 10 and 11: their 10^4 draws are 10 chunks
 
 
 def _failing_lanes(defect: int, p: int, width: int, lanes: int) -> list[int]:
@@ -373,10 +343,10 @@ def _failing_lanes(defect: int, p: int, width: int, lanes: int) -> list[int]:
 
 def _packed_draws(rng: random.Random, n: int, count: int):
     """The words pack(tuple(rng.randrange(16) for _ in range(n))), count of
-    them in order, from the same generator outputs drawn in bulk: a chunk
-    at a time, as an int holding word i of the chunk in lane i (bits 4n*i
-    up) and its number of lanes, min(_LANES, words still to come).  A
-    caller builds its lane maps for at most two lane counts per n.
+    them in order, count a multiple of _LANES, from the same generator
+    outputs drawn in bulk: _LANES words at a time, as an int holding word i
+    of the chunk in lane i (bits 4n*i up).  So a caller builds its lane maps
+    once per n, for _LANES lanes.
 
     Why it is exactly the randrange(16) stream: in CPython randrange(16) is
     getrandbits(5), the top 5 bits of one 32-bit Mersenne Twister output,
@@ -391,19 +361,16 @@ def _packed_draws(rng: random.Random, n: int, count: int):
     at most one draw, so no output is drawn that the loop would not draw:
     the generator ends in the state the loop leaves it in.
     """
-    while count > 0:
-        lanes = min(_LANES, count)
-        digits, missing = b"", n * lanes
+    for _ in range(count // _LANES):
+        digits, missing = b"", n * _LANES
         while missing:
             got = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4]
             got = got.translate(_DRAW_DIGIT, _REJECTED)
             missing -= len(got)
             digits += got
-        yield int(digits[::-1], 16), lanes
-        count -= lanes
+        yield int(digits[::-1], 16)
 
 
-@_timed
 def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     """swap-pairs(rotate-right-2(image)) = image(skew shift), all words,
     on the packed maps the package runs (analysis.image_shift_defect).
@@ -420,15 +387,13 @@ def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     bad, total = [], 0
     for n in range(1, 7):
         # n <= 2: all 16^n words, in the order of itertools.product, as one chunk
-        chunks = ([(int("".join(f"{i:0{n}x}" for i in range(16 ** n))[::-1], 16), 16 ** n)]
+        lanes = 16 ** n if n <= 2 else _LANES
+        chunks = ([int("".join(f"{i:0{n}x}" for i in range(lanes))[::-1], 16)]
                   if n <= 2 else _packed_draws(rng, n, 10_000))
-        defects = {}  # lane count -> defect map
-        for p, lanes in chunks:
+        defect = an.image_shift_defect(n, lanes)
+        for p in chunks:
             total += lanes
-            if lanes not in defects:
-                defects[lanes] = an.image_shift_defect(n, lanes)
-            defect = defects[lanes](p)
-            bad += (str(cd.unpack(w, n)) for w in _failing_lanes(defect, p, 4 * n, lanes))
+            bad += (str(cd.unpack(w, n)) for w in _failing_lanes(defect(p), p, 4 * n, lanes))
     return CheckResult(
         name="image-rotation-identity",
         passed=not bad,
@@ -437,7 +402,6 @@ def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-@_timed
 def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     """Lee distance equals Gray-image Hamming distance: the packed Lee weight
     of u - w against the Hamming weight of gray(u) - gray(w).
@@ -462,14 +426,11 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed)
     for n in range(1, 7):
         sums = int("1" * n, 16)
-        maps = {}  # lane count -> its maps and masks
-        for p, lanes in _packed_draws(rng, 2 * n, 10_000):
-            if lanes not in maps:
-                low = int(("0" * n + "f" * n) * lanes, 16)  # u's half of every lane
-                # low // 15: a one in each nibble of u's half; the last mask
-                # selects nibble n - 1 of every lane
-                maps[lanes] = (*gray_maps(2 * n * lanes), low, low // 15, low ^ low >> 4 & low)
-            lee, image, fold, low, ones, select = maps[lanes]
+        lee, image, fold = gray_maps(2 * n * _LANES)
+        low = int(("0" * n + "f" * n) * _LANES, 16)  # u's half of every lane
+        # a one in each nibble of u's half; nibble n - 1 of every lane
+        ones, select = low // 15, low ^ low >> 4 & low
+        for p in _packed_draws(rng, 2 * n, 10_000):
             img = image(p)
             # per-entry weights, 0 to 2 (a fold's bits 0 and 2), times n
             # one-nibbles: nibble n - 1 of a lane is the lane's sum, at most
@@ -479,7 +440,7 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
                                             fold((img ^ img >> 4 * n) & low)))
             defect = (lee_sum ^ image_sum) & select
             bad += (f"words {cd.unpack(w, n)}, {cd.unpack(w >> 4 * n, n)}"
-                    for w in _failing_lanes(defect, p, 8 * n, lanes))
+                    for w in _failing_lanes(defect, p, 8 * n, _LANES))
     return CheckResult(
         name="distance-preservation",
         passed=not bad,
@@ -488,7 +449,6 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-@_timed
 def check_minimal_degree_forms() -> CheckResult:
     """Minimal-degree words with non-unit leading coefficient factor as
     v*g1 or (v+1)*g1 with g1 over GF(4), across the whole sweep inventory."""
@@ -529,9 +489,15 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Every check in ALL_CHECKS, in order, each result with its seconds."""
     seeded = (check_image_rotation_identity, check_distance_preservation)
     _swept.cache_clear()  # each run builds each swept code once
+    results = []
     try:
-        return [check(seed=seed) if check in seeded else check() for check in ALL_CHECKS]
+        for check in ALL_CHECKS:
+            t0 = time.perf_counter()
+            result = check(seed=seed) if check in seeded else check()
+            results.append(result._replace(seconds=time.perf_counter() - t0))
+        return results
     finally:
         _swept.cache_clear()

@@ -14,6 +14,7 @@ import collections
 import inspect
 import itertools
 import random
+import time
 import tracemalloc
 
 from skewdna import analysis as an
@@ -29,20 +30,28 @@ V = parse_element("v")
 V1 = parse_element("1+v")
 
 
-def _report(number: int, result, budget_seconds: float):
-    status = "PASS" if result.passed else "FAIL"
-    print(f"criterion {number:2d} [{result.name}] {status} "
-          f"({result.seconds:.2f}s) {result.summary}")
-    assert result.seconds < budget_seconds, "over the runtime budget"
+def _timed_call(number: int, check, budget_seconds: float, status):
+    """check()'s result, printed on one line and held to the budget; a check
+    called on its own leaves its seconds 0.0, so the call is timed here."""
+    t0 = time.perf_counter()
+    result = check()
+    seconds = time.perf_counter() - t0
+    print(f"criterion {number:2d} [{result.name}] {status[result.passed]} "
+          f"({seconds:.2f}s) {result.summary}")
+    assert seconds < budget_seconds, "over the runtime budget"
+    return result
+
+
+def _report(number: int, check, budget_seconds: float):
+    result = _timed_call(number, check, budget_seconds, ("FAIL", "PASS"))
     assert result.passed, "\n".join([result.summary, *result.details])
+    return result
 
 
-def _report_refuted(number: int, result, budget_seconds: float):
-    status = "REFUTED" if not result.passed else "NOT REFUTED"
-    print(f"criterion {number:2d} [{result.name}] {status} "
-          f"({result.seconds:.2f}s) {result.summary}")
-    assert result.seconds < budget_seconds, "over the runtime budget"
+def _report_refuted(number: int, check, budget_seconds: float):
+    result = _timed_call(number, check, budget_seconds, ("REFUTED", "NOT REFUTED"))
     assert not result.passed, "the check no longer refutes its rule"
+    return result
 
 
 def _v_shape_codes(spots):
@@ -61,40 +70,37 @@ def _desc(n, shape, g):
 
 
 def test_criterion_01_correspondence_table():
-    _report(1, verify.check_element_dna_table(), 1)
+    _report(1, verify.check_element_dna_table, 1)
 
 
 def test_criterion_02_unit_inverses():
-    _report(2, verify.check_unit_inverse_formula(), 1)
+    _report(2, verify.check_unit_inverse_formula, 1)
 
 
 def test_criterion_03_length10_palindromic_code():
-    _report(3, verify.check_palindromic_divisor_length10(), 10)
+    _report(3, verify.check_palindromic_divisor_length10, 10)
 
 
 def test_criterion_04_length12_theta_palindromic_divisor():
-    _report(4, verify.check_theta_palindromic_divisor_length12(), 10)
+    _report(4, verify.check_theta_palindromic_divisor_length12, 10)
 
 
 def test_criterion_05_sixteen_word_code_table():
-    _report(5, verify.check_sixteen_codeword_table(), 5)
+    _report(5, verify.check_sixteen_codeword_table, 5)
 
 
 def test_criterion_06_even_length_even_degree_equivalence():
-    r = verify.check_even_length_even_degree_rule()
+    r = _report(6, verify.check_even_length_even_degree_rule, 120)
     assert "147 codes" in r.summary  # frozen sweep inventory
-    _report(6, r, 120)
 
 
 def test_criterion_07_even_length_odd_degree_equivalence():
-    r = verify.check_even_length_odd_degree_rule()
+    r = _report(7, verify.check_even_length_odd_degree_rule, 60)
     assert "117 codes" in r.summary
-    _report(7, r, 60)
 
 
 def test_criterion_08_odd_length_closure_and_impossibility(set_oracles):
-    r = verify.check_odd_length_cyclic_and_impossibility()
-    _report_refuted(8, r, 60)
+    r = _report_refuted(8, verify.check_odd_length_cyclic_and_impossibility, 60)
     # the shift-closure half is sound and must stay clean
     assert r.details[0] == "plain-shift closure: 36 codes, 0 failures"
     # the impossibility half is refuted by exactly the codes the set oracle
@@ -126,8 +132,7 @@ def test_criterion_08_odd_length_closure_and_impossibility(set_oracles):
 
 
 def test_criterion_09_reverse_complement_rules(set_oracles, naive_closure):
-    r = verify.check_reverse_complement_rules()
-    _report_refuted(9, r, 60)
+    r = _report_refuted(9, verify.check_reverse_complement_rules, 60)
     # the equivalence half is sound and must stay clean
     assert r.details[0] == "290 codes; equivalence failures: 0"
     # the no-complement half is refuted by exactly the codes the set oracle
@@ -222,11 +227,11 @@ def test_criterion_09_walks_no_codeword(monkeypatch):
 
 
 def test_criterion_10_image_rotation_identity():
-    _report(10, verify.check_image_rotation_identity(), 30)
+    _report(10, verify.check_image_rotation_identity, 30)
 
 
 def test_criterion_11_distance_preservation():
-    _report(11, verify.check_distance_preservation(), 30)
+    _report(11, verify.check_distance_preservation, 30)
 
 
 def _tuple_draw_rotation_failures():
@@ -298,37 +303,36 @@ def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
 def test_packed_draws_match_the_randrange_loop():
     # the bulk draw is exactly the randrange(16) stream: the same words, in
     # lane order chunk after chunk, and the generator left in the same
-    # state; counts cross chunk boundaries
+    # state; every chunk holds exactly _LANES words
+    lanes = verify._LANES
+    assert 10_000 % lanes == 0  # checks 10 and 11 draw whole chunks
     for seed in (verify.DEFAULT_SEED, 48611):
         for n in range(1, 7):
             width = 4 * n
-            for count in (0, 1, 3 * verify._LANES + 1):
+            for count in (0, lanes, 3 * lanes):
                 bulk, loop = random.Random(seed), random.Random(seed)
                 words = []
                 chunks = list(verify._packed_draws(bulk, n, count))
-                for p, lanes in chunks:
-                    assert lanes > 0 and p >> width * lanes == 0
+                assert len(chunks) == count // lanes
+                for p in chunks:
+                    assert p >> width * lanes == 0
                     words += (p >> width * i & (1 << width) - 1 for i in range(lanes))
-                # every chunk but the last holds exactly _LANES words
-                assert all(lanes == verify._LANES for _, lanes in chunks[:-1])
                 assert words == [cd.pack(randrange_word(loop, n)) for _ in range(count)]
                 assert bulk.getstate() == loop.getstate(), (seed, n, count)
 
 
 def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
-    # lanes and pairs cross chunk boundaries: chunks of 1,000, 3 and 4,096
-    # lanes, the last two leaving a remainder chunk of the 10,000 draws per
-    # length.  Unmutated and mutated, the results are the same.  The two
-    # mutations of test_criteria_10_and_11_test_the_packed_maps are applied
-    # at once: check 10 reads no weight fold and check 11 no shift, so each
-    # check runs under its own mutation.  Each check builds its lane maps at
-    # most twice per length: once for _LANES lanes and once for the
-    # remainder.
+    # lanes and pairs cross chunk boundaries: chunks of 1,000, 16 and
+    # 10,000 lanes, each dividing the 10,000 draws per length.  Unmutated
+    # and mutated, the results are the same.  The two mutations of
+    # test_criteria_10_and_11_test_the_packed_maps are applied at once:
+    # check 10 reads no weight fold and check 11 no shift, so each check
+    # runs under its own mutation.  Each check builds its lane maps once
+    # per length.
     fold, defect, weigh = an.packed_weight_fold, an.image_shift_defect, an.image_weight_fold
     results = []
-    for lanes in (1000, 3, 4096):
+    for lanes in (1000, 16, 10_000):
         monkeypatch.setattr(verify, "_LANES", lanes)
-        counts = [lanes] + [10_000 % lanes] * (10_000 % lanes > 0)
         for mutated in (False, True):
             built = []  # one entry per lane-map build
             with monkeypatch.context() as m:
@@ -343,8 +347,8 @@ def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
                 results.append([(r.summary, r.details) for r in (
                     verify.check_image_rotation_identity(), verify.check_distance_preservation())])
             assert built == ([(10, 1, 16), (10, 2, 256)]
-                             + [(10, n, k) for n in range(3, 7) for k in counts]
-                             + [(11, 1)] + [(11, 2 * n * k) for n in range(1, 7) for k in counts])
+                             + [(10, n, lanes) for n in range(3, 7)]
+                             + [(11, 1)] + [(11, 2 * n * lanes) for n in range(1, 7)])
     assert results[:2] == results[2:4] == results[4:]
     assert [r[0] for r in results[1]] == ["40272 words checked, 40040 identity failures",
                                           "256 element pairs + 60000 word pairs, 52523 failures"]
@@ -364,9 +368,8 @@ def test_criteria_10_and_11_stream_their_words():
 
 
 def test_criterion_12_minimal_degree_factor_forms():
-    r = verify.check_minimal_degree_forms()
+    r = _report(12, verify.check_minimal_degree_forms, 60)
     assert "326" in r.summary
-    _report(12, r, 60)
 
 
 def test_run_all_builds_each_swept_code_once(monkeypatch):
@@ -406,7 +409,7 @@ def test_verify_paper_answers_the_same_at_every_seed():
 
 
 def test_checks_keep_their_names_docstrings_and_signatures():
-    # _timed wraps each check without hiding it, so help() shows its proof
+    # each check is the plain function, so help() shows its proof
     for check in verify.ALL_CHECKS:
         assert check.__name__.startswith("check_") and check.__doc__, check
         assert getattr(verify, check.__name__) is check

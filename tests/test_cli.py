@@ -448,6 +448,14 @@ def test_parse_error_exit(capsys):
     assert "skewdna:" in err
 
 
+def test_parse_error_names_the_token_found(capsys):
+    for gen, message in (("x++1", "expected a term, found '+'"), ("x^٣", "bad exponent '٣'"),
+                         ("x^" + "0" * 4400 + "1", "exponent of 4401 digits is too long")):
+        rc, out, err = run(capsys, ["build", "--n", "6", "--gen", gen])
+        assert (rc, out) == (2, "")
+        assert message in err and "set_int_max_str_digits" not in err
+
+
 def test_cap_exit(capsys):
     rc, _, err = run(capsys, ["dna"] + EX1 + ["--cap", "65536"])
     assert rc == 3

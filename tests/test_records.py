@@ -2,7 +2,8 @@
 
 The five frozen records are named tuples with no attribute dict, so each
 is equal to, and hashes like, the plain tuple of its fields.  CheckResult
-is the one mutable record: verify._timed sets its seconds after the check.
+is a named tuple too, but its details list leaves it unhashable; run_all
+sets its seconds with _replace.
 """
 
 import pytest
@@ -63,31 +64,29 @@ def test_records_keep_their_methods_and_properties():
     assert changed != gray and not changed.distance_preserved
 
 
-def test_check_result_defaults_and_mutable_seconds():
+def test_check_result_is_a_named_tuple_with_a_seconds_default():
     names = ("name", "passed", "summary", "details", "seconds")
-    assert verify.CheckResult.__slots__ == names
-    a = verify.CheckResult("alpha", True, "fine")
-    b = verify.CheckResult("alpha", True, "fine")
-    assert (a.details, a.seconds) == ([], 0.0)
-    assert a.details is not b.details  # each instance gets its own list
-    a.details.append("x")
-    assert b.details == []
-    given = ["case 1"]
-    assert verify.CheckResult("beta", False, "broke", given).details is given
+    assert verify.CheckResult._fields == names
+    assert verify.CheckResult("alpha", True, "fine", []).seconds == 0.0
     values = ("beta", False, "broke", ["case 1"], 0.5)
     c = verify.CheckResult(*values)
-    assert c == verify.CheckResult(**dict(zip(names, values)))
-    assert tuple(getattr(c, name) for name in names) == values
+    assert c == verify.CheckResult(**dict(zip(names, values))) == values
     assert repr(c) == "CheckResult(name='beta', passed=False, summary='broke', details=['case 1'], seconds=0.5)"
-    c.seconds = 1.25
-    assert c.seconds == 1.25
-    assert c != verify.CheckResult(*values) and c != values
-    with pytest.raises(TypeError):
-        hash(c)  # mutable, so unhashable
+    timed = c._replace(seconds=1.25)
+    assert timed == ("beta", False, "broke", ["case 1"], 1.25) and c.seconds == 0.5
+    assert timed.details is c.details
+    assert not hasattr(c, "__dict__")
+    with pytest.raises(AttributeError):
+        c.seconds = 1.25
     with pytest.raises(AttributeError):
         c.extra = 1
+    with pytest.raises(TypeError):
+        hash(c)  # details is a list
+    with pytest.raises(TypeError):
+        verify.CheckResult("alpha", True, "fine")  # details has no default
 
 
-def test_timed_checks_set_their_seconds():
-    result = verify.check_element_dna_table()
-    assert result.passed and result.seconds > 0
+def test_run_all_sets_every_checks_seconds():
+    results = verify.run_all()
+    assert len(results) == 12
+    assert all(r.seconds > 0 for r in results), [(r.name, r.seconds) for r in results]

@@ -154,6 +154,15 @@ def test_palindromic_predicates_match_direct_definition():
         assert sp.is_theta_palindromic(f) == (f == tuple(theta(c) for c in reversed(f)))
 
 
+@given(POLYS.filter(bool), st.booleans())
+def test_unit_multiples_keep_palindromy(f, mirror):
+    # a unit scales every coefficient injectively, so u*g is palindromic
+    # exactly when g is; dna.classify reads g's own palindromy for all u*g
+    g = sp.normalize(f + f[::-1]) if mirror else f
+    for u in UNITS:
+        assert sp.is_palindromic(sp.scale(u, g)) == sp.is_palindromic(g)
+
+
 def test_zero_polynomial_has_no_palindrome_notion():
     for fn in (sp.is_palindromic, sp.is_theta_palindromic):
         with pytest.raises(ValueError):
@@ -181,6 +190,19 @@ def test_parse_compact_products():
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         sp.parse_poly(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("+x", "expected a term, found '+'"), ("x++1", "expected a term, found '+'"),
+    ("*x", "expected a term, found '*'"), ("()", "expected a term, found ')'"),
+    ("^2", "expected a term, found '^'"),
+    ("x^²", "bad exponent '²'"), ("x^٣", "bad exponent '٣'"), ("x^a", "bad exponent 'a'"),
+    ("x^" + "0" * 4400 + "1", "exponent of 4401 digits is too long"),
+])
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ValueError) as exc:
+        sp.parse_poly(bad)
+    assert str(exc.value) == message
 
 
 def test_coeff_list_str():
