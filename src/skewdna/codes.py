@@ -142,8 +142,17 @@ def span_basis(n: int, generator_words) -> list[int]:
     a sum of the four multiples.  On a packed word, w sends each GF(4) part
     x0 + x1*w to x1 + (x0 + x1)*w, v is packed_times_v, and sigma is
     packed_skew_shift, each on all n entries a | b << 2 at once.
+
+    Each new basis vector walks its sigma-chain in place: theta sends
+    a + b*v to (a + b) + b*v, keeping every entry's top bit, and below entry
+    n - 1 sigma is theta and a 4-bit shift, so the shift of a vector with
+    top bit b < 4n - 4 has top bit b + 4 and, with no pivot there, is the
+    next basis vector, as the queue would pop and keep it.  Only the chain's
+    last vector, which wraps or meets a pivot, queues its shift.
     """
-    m5, shift, times_v = 5 * int("1" * n, 16), packed_skew_shift(n), packed_times_v(n)
+    ones = int("1" * n, 16)
+    m3, m5, top = 3 * ones, 5 * ones, 4 * n - 4
+    shift, times_v = packed_skew_shift(n), packed_times_v(n)
     queue = []
     for g in generator_words:
         for p in (g, times_v(g)):  # each with w times it
@@ -152,7 +161,12 @@ def span_basis(n: int, generator_words) -> list[int]:
     while queue:
         vec = _reduce(queue.pop(), pivots)
         if vec:
-            pivots[vec.bit_length() - 1] = vec
+            b = vec.bit_length() - 1
+            pivots[b] = vec
+            while b < top and b + 4 not in pivots:
+                b += 4
+                vec = (vec ^ (vec >> 2) & m3) << 4
+                pivots[b] = vec
             queue.append(shift(vec))
     return list(pivots.values())
 

@@ -6,7 +6,9 @@ quadratic and slow on purpose; the packed span engine is validated against
 it, never the other way around.  The three-rule span oracle applies the
 skew shift, w and v to every new basis vector; the engine, which applies
 the shift alone to the orbits of four scalar multiples, is compared with
-it, also at lengths the closure oracle cannot reach.  The set oracles
+it, also at lengths the closure oracle cannot reach.  The queue oracle is
+the engine's loop with every shift sent round its queue; the engine walks
+each shift chain in place and must return the very same list.  The set oracles
 decide the DNA closure properties and the Gray-image rotation by their
 definitions, word by word over the enumerated code; the package decides
 them on the code's basis or generators and is validated against these, as
@@ -200,6 +202,25 @@ def three_rule_span_basis(n, generator_words):
     return list(pivots.values())
 
 
+def queue_span_basis(n, generator_words):
+    """The span engine's closure with every shift sent round its queue: each
+    new basis vector queues its skew shift, and the next pop reduces it.
+    codes.span_basis walks each shift chain in place instead and must give
+    the same vectors in the same order."""
+    m5, shift, times_v = 5 * int("1" * n, 16), cd.packed_skew_shift(n), cd.packed_times_v(n)
+    queue = []
+    for g in generator_words:
+        for p in (g, times_v(g)):  # each with w times it
+            queue += (p, (p >> 1) & m5 | ((p ^ p >> 1) & m5) << 1)
+    pivots = {}
+    while queue:
+        vec = cd._reduce(queue.pop(), pivots)
+        if vec:
+            pivots[vec.bit_length() - 1] = vec
+            queue.append(shift(vec))
+    return list(pivots.values())
+
+
 def tuple_words(codeset):
     """Every codeword as a tuple of ring elements, walked from the basis."""
     return frozenset(cd.unpack(p, codeset.n) for p in codeset.walk())
@@ -319,6 +340,11 @@ def naive_closure():
 @pytest.fixture(scope="session")
 def three_rule_span():
     return three_rule_span_basis
+
+
+@pytest.fixture(scope="session")
+def queue_span():
+    return queue_span_basis
 
 
 @pytest.fixture(scope="session")

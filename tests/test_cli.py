@@ -694,6 +694,13 @@ def test_verify_command_structured(capsys, monkeypatch):
     assert doc["results"][0]["name"] == "alpha"
 
 
+def test_verify_structured_seconds_are_unrounded(capsys):
+    # rounded to milliseconds, the table checks would read 0.0
+    rc, doc = run_json(capsys, ["verify-paper"])
+    assert rc == 1 and len(doc["results"]) == 12
+    assert all(r["seconds"] > 0 for r in doc["results"]), doc["results"]
+
+
 def test_fault_injection_is_caught_and_named(capsys, monkeypatch):
     # corrupt one entry of the element-to-block table; the table check must
     # fail by name, end to end through the CLI

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
@@ -59,10 +61,11 @@ def _same_span(a, b):
     return len(a) == len(b) and cd.spans(a, b) and cd.spans(b, a)
 
 
-def test_span_engine_matches_three_rule_fixpoint(three_rule_span, monkeypatch):
+def test_span_engine_matches_three_rule_fixpoint(three_rule_span, queue_span, monkeypatch):
     # the shift-only fixpoint from g, w*g, v*g and wv*g spans what the
     # fixpoint under the shift, w and v spans: on the 335 codes verify-paper
-    # sweeps and on seeded random codes of one to three generators
+    # sweeps and on seeded random codes of one to three generators; and its
+    # in-place shift chains give the queue loop's basis, vector for vector
     swept, materialize = {}, cd.materialize
 
     def collect(code):
@@ -84,11 +87,13 @@ def test_span_engine_matches_three_rule_fixpoint(three_rule_span, monkeypatch):
            if not _same_span(cd.code_basis(code),
                              three_rule_span(code.n, code.generator_words()))]
     assert bad == []
+    assert [code for code in [*swept.values(), *drawn]
+            if cd.code_basis(code) != tuple(queue_span(code.n, code.generator_words()))] == []
     assert {len(cd.code_basis(code)) for code in drawn} >= {4, 8, 12, 16, 20, 24}
 
 
 # the cli-large benchmark's generators, each a right divisor of x^n - 1
-@pytest.mark.parametrize("n,texts", [
+LARGE_POOLS = [
     (400, ("x^4 + (w+v)*x^2 + 1", "x^4 + (w2+v)*x^2 + 1", "x^4 + w*x^2 + 1",
            "x^4 + x^3 + x^2 + x + 1", "x^4 + w*x^3 + w*x + 1", "x^4 + w2*x^3 + w2*x + 1",
            "x^4 + v*x^3 + (w+v)*x^2 + v*x + 1", "x^4 + (1+v)*x^3 + (w+v)*x^2 + (1+v)*x + 1",
@@ -99,11 +104,50 @@ def test_span_engine_matches_three_rule_fixpoint(three_rule_span, monkeypatch):
     (800, ("x^4 + v*x^3 + (w2+v)*x^2 + v*x + 1", "x^4 + (w+v)*x^3 + x^2 + (w+v)*x + 1",
            "x^4 + w2*x^2 + 1")),
     (2048, ("x + 1",)),
-])
-def test_span_engine_matches_three_rule_fixpoint_at_large_lengths(n, texts, three_rule_span):
+]
+
+
+@pytest.mark.parametrize("n,texts", LARGE_POOLS)
+def test_span_engine_matches_three_rule_fixpoint_at_large_lengths(n, texts, three_rule_span,
+                                                                   queue_span):
     for text in texts:
         code = cd.code_from_generator(n, sp.parse_poly(text))
-        assert _same_span(cd.code_basis(code), three_rule_span(n, code.generator_words())), text
+        basis, words = cd.code_basis(code), code.generator_words()
+        assert _same_span(basis, three_rule_span(n, words)), text
+        assert basis == tuple(queue_span(n, words)), text
+
+
+@given(case=st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.one_of(st.lists(st.integers(0, 15), min_size=n, max_size=n),           # dense
+              st.dictionaries(st.integers(0, n - 1), st.integers(1, 15),       # sparse
+                              min_size=1, max_size=3)
+              .map(lambda d: [d.get(i, 0) for i in range(n)])),
+    min_size=1, max_size=3))))
+def test_span_engine_matches_the_queue_loop(case, queue_span):
+    # the same vectors in the same order as the loop that queues every shift
+    n, gens = case
+    gens = [g for g in map(sp.normalize, gens) if g]
+    assume(gens)
+    code = cd.code_from_generators(n, gens)
+    assert cd.code_basis(code) == tuple(queue_span(n, code.generator_words()))
+
+
+@pytest.mark.parametrize("n,texts", LARGE_POOLS)
+def test_span_engine_reduces_only_chain_ends(n, texts, monkeypatch):
+    # a work guard, not a timing test: each shift chain runs in place, so
+    # only the seeds and each chain's last shift are reduced (the queue loop
+    # reduced one vector per basis vector, 800 to 8,192 here)
+    calls, reduce = [0], cd._reduce
+
+    def counted(vec, pivots):
+        calls[0] += 1
+        return reduce(vec, pivots)
+
+    monkeypatch.setattr(cd, "_reduce", counted)
+    for text in texts:
+        calls[0] = 0
+        cd.code_basis(cd.code_from_generator(n, sp.parse_poly(text)))
+        assert calls[0] <= 16, (text, calls[0])
 
 
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 4), (6, 5)])
