@@ -235,8 +235,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     rows = []
     text = []
     for r in results:
-        rows.append({"name": r.name, "passed": r.passed, "seconds": r.seconds,
-                     "summary": r.summary, "details": r.details})
+        rows.append(r._asdict())
         mark = "ok  " if r.passed else "FAIL"
         text.append(f"{mark}  {r.name:<40} ({r.seconds:5.2f}s)  {r.summary}")
         if not r.passed:

@@ -25,7 +25,7 @@ code shape and size; a caller that needs the words walks them
 hash-set work queue computes the same closure and is kept as a test oracle;
 it is quadratic in the code size and unusable beyond a few thousand words.
 
-Generators are classified by shape:
+classify_generator sorts a generator by shape:
 
     "unit"   unit leading coefficient and right-divides x^n - 1
     "v"      v * g1 with g1 over GF(4) dividing x^n - 1 in GF(4)[x]
@@ -198,10 +198,10 @@ def classify_generator(n: int, g: sp.Poly) -> str:
     return form if form and sp.right_divides(g1, xn1) else FORM_OTHER
 
 
-class SkewCyclicCode(namedtuple("SkewCyclicCode", "n generators forms")):
+class SkewCyclicCode(namedtuple("SkewCyclicCode", "n generators")):
     """Handle for a skew cyclic code given by generators (not materialized):
-    the length n, the generators (a tuple of sp.Poly) and their forms (one
-    FORM_* string each)."""
+    the length n and the generators, a tuple of nonzero sp.Poly of degree
+    below n.  classify_generator gives a generator's FORM_* shape."""
 
     __slots__ = ()
 
@@ -212,19 +212,17 @@ class SkewCyclicCode(namedtuple("SkewCyclicCode", "n generators forms")):
 def code_from_generators(n: int, gens) -> SkewCyclicCode:
     if n < 1:
         raise ValueError("need length n >= 1")
-    xn1 = sp.x_pow_minus_one(n)
     reduced = []
     for g in gens:
         g = sp.normalize(g)
         if len(g) > n:
-            g = sp.right_divmod(g, xn1)[1]
+            g = sp.right_divmod(g, sp.x_pow_minus_one(n))[1]
         if not g:
             raise ValueError("zero generator after reduction mod x^n - 1")
         reduced.append(g)
     if not reduced:
         raise ValueError("a code needs at least one generator")
-    gens_t = tuple(reduced)
-    return SkewCyclicCode(n, gens_t, tuple(classify_generator(n, g) for g in gens_t))
+    return SkewCyclicCode(n, tuple(reduced))
 
 
 def code_from_generator(n: int, g: sp.Poly) -> SkewCyclicCode:
@@ -283,7 +281,7 @@ def is_plain_cyclic(codeset: CodeSet) -> bool:
 
 def remainder_membership(code: SkewCyclicCode, word: Word) -> bool:
     """Membership for a single unit-form generator: remainder == 0."""
-    if len(code.generators) != 1 or code.forms[0] != FORM_UNIT:
+    if len(code.generators) != 1 or classify_generator(code.n, code.generators[0]) != FORM_UNIT:
         raise ValueError("remainder membership needs a single unit-form generator")
     if len(word) != code.n:
         raise ValueError("word length does not match the code length")

@@ -33,6 +33,7 @@ from .codes import (
     FORM_V1,
     CodeSet,
     SkewCyclicCode,
+    classify_generator,
     echelon,
     remainder_membership,
     spans,
@@ -239,7 +240,8 @@ def classify(code: SkewCyclicCode, basis) -> DnaClassification:
     word."""
     if len(code.generators) != 1:
         raise ValueError("classification covers single-generator codes")
-    n, g, form = code.n, code.generators[0], code.forms[0]
+    n, g = code.n, code.generators[0]
+    form = classify_generator(n, g)
     t = len(g) - 1
     pal = sp.is_palindromic(g)
     tpal = sp.is_theta_palindromic(g)

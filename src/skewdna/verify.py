@@ -153,10 +153,11 @@ def _worked_divisor(name: str, n: int, text: str, kind: str, is_kind) -> CheckRe
         bad.append(f"does not right-divide x^{n} - 1")
     if not is_kind(g):
         bad.append(f"not {kind}")
-    if code.forms != (cd.FORM_UNIT,):
-        bad.append(f"unexpected form {code.forms}")
-    # 16^(n-t) words: reversibility via the remainder membership path
-    if not dna.reversible_by_remainder(code):
+    form = cd.classify_generator(n, g)
+    if form != cd.FORM_UNIT:
+        bad.append(f"unexpected form {form}")
+    # 16^(n-t) words: reversibility via the remainder path, which needs the unit form
+    elif not dna.reversible_by_remainder(code):
         bad.append("remainder-path reversibility check failed")
     summary = f"length-{n} {kind} generator: divisibility + reversibility"
     return CheckResult(name, not bad, summary, bad)

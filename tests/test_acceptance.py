@@ -17,12 +17,14 @@ import random
 import time
 import tracemalloc
 
+import pytest
+
 from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna import verify
-from skewdna.algebra import parse_element, parts, r_token
+from skewdna.algebra import parse_element, parts, r_inv, r_token
 
 from conftest import complement_word, poly_to_word, randrange_word
 
@@ -415,3 +417,95 @@ def test_checks_keep_their_names_docstrings_and_signatures():
         assert getattr(verify, check.__name__) is check
     assert "GF(2)-affine" in verify.check_reverse_complement_rules.__doc__
     assert list(inspect.signature(verify.check_distance_preservation).parameters) == ["seed"]
+
+
+# ---------------------------------------------------------------------------
+# failure paths: each check, with the package broken under it, fails and
+# names what broke
+
+
+def _swept_codes(spots, shapes=("unit", "v", "v1"), limit=None):
+    """(n, shape, g, codeset) for every divisor of each (n, t) spot and shape,
+    in the order the verify sweeps visit them, codes over limit words left out."""
+    for n, t in spots:
+        for shape in shapes:
+            for g in cd.enumerate_right_divisors(n, t, leading=shape):
+                cs = cd.materialize(cd.code_from_generator(n, g))
+                if limit is None or cs.size <= limit:
+                    yield n, shape, g, cs
+
+
+def _failed(check, monkeypatch, *patches):
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
+    t0 = time.perf_counter()
+    result = check()
+    assert time.perf_counter() - t0 < 0.5
+    assert not result.passed and len(result.details) > 0
+    return result
+
+
+def test_checks_2_and_5_name_each_failure(monkeypatch):
+    r = _failed(verify.check_unit_inverse_formula, monkeypatch,
+                (verify, "r_mul", lambda a, b: 0), (verify, "UNITS", verify.UNITS[:-1]))
+    assert r.details[0] == f"unit set mismatch: {sorted(verify.UNITS)}"
+    assert r.details[1:] == [f"({r_token(inv)}) * ({r_token(u)}) != 1" for u, inv in
+                             zip(sorted(verify.UNITS), map(r_inv, sorted(verify.UNITS)))]
+    r = _failed(verify.check_sixteen_codeword_table, monkeypatch,
+                (cd, "materialize", lambda code: cd.CodeSet(code, ())),
+                (dna, "encode_codeset", lambda cs: ["AAAAAAAAAAAA", "ACGT"]),
+                (dna, "is_reversible", lambda cs: False),
+                (an, "min_distance", lambda cs, metric: 2))
+    assert r.details == ["expected 16 codewords, got 1",
+                         f"missing: {sorted(verify.SIXTEEN_WORD_TABLE - {'AAAAAAAAAAAA'})}",
+                         "extra: ['ACGT']", "not reversible", "min Lee distance 2, expected 3"]
+
+
+@pytest.mark.parametrize("check", [verify.check_palindromic_divisor_length10,
+                                   verify.check_theta_palindromic_divisor_length12])
+def test_worked_divisors_report_an_unexpected_form(check, monkeypatch):
+    r = _failed(check, monkeypatch, (cd, "classify_generator", lambda n, g: cd.FORM_OTHER))
+    assert r.details == ["unexpected form other"]
+
+
+def test_check_6_lists_each_reversible_code_of_a_non_palindromic_generator(monkeypatch):
+    spots = [(n, t) for n in (2, 4, 6) for t in range(2, n, 2)]
+    reversible = [_desc(n, shape, g) for n, shape, g, cs in _swept_codes(spots)
+                  if dna.is_reversible(cs)]
+    r = _failed(verify.check_even_length_even_degree_rule, monkeypatch,
+                (sp, "is_palindromic", lambda f: False))
+    assert r.details == reversible
+    assert r.summary == f"147 codes swept, {len(reversible)} equivalence failures"
+
+
+def test_check_7_lists_each_reversible_code_of_a_non_theta_palindromic_generator(monkeypatch):
+    spots = [(n, t) for n in (4, 6) for t in range(1, n, 2)]
+    reversible = [_desc(n, shape, g) + ": reversible=True"
+                  for n, shape, g, cs in _swept_codes(spots, ("unit",)) if dna.is_reversible(cs)]
+    r = _failed(verify.check_even_length_odd_degree_rule, monkeypatch,
+                (sp, "is_theta_palindromic", lambda f: False))
+    assert r.details == reversible
+    assert r.summary == f"117 codes swept, {len(reversible)} equivalence failures"
+
+
+def test_checks_8_9_and_12_list_each_code_their_broken_half_fails(monkeypatch):
+    odd = [(n, t) for n in (3, 5) for t in range(1, n)]
+    codes = [_desc(n, shape, g) for n, shape, g, _ in _swept_codes(odd)]
+    r = _failed(verify.check_odd_length_cyclic_and_impossibility, monkeypatch,
+                (cd, "is_plain_cyclic", lambda cs: False))
+    assert r.details[:len(codes) + 1] == [
+        f"plain-shift closure: {len(codes)} codes, {len(codes)} failures", *codes]
+
+    spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
+    codes = [_desc(n, shape, g) for n, shape, g, _ in
+             _swept_codes(spots, limit=verify.MATERIALIZE_LIMIT)]
+    rc_closed = verify._rc_closed
+    r = _failed(verify.check_reverse_complement_rules, monkeypatch,
+                (verify, "_rc_closed", lambda cs: not rc_closed(cs)))
+    assert r.details[:291] == ["290 codes; equivalence failures: 290", *codes]
+
+    scan = cd.minimal_degree_scan
+    r = _failed(verify.check_minimal_degree_forms, monkeypatch,
+                (cd, "minimal_degree_scan", lambda cs: scan(cs)._replace(all_factor=False)))
+    assert len(r.details) == int(r.summary.split()[0]) > 0
+    assert all(": degree " in line and " offenders (" in line for line in r.details)

@@ -244,6 +244,15 @@ def test_build_report(capsys):
     assert doc["predicted_reverse_complement"] == "no"
 
 
+@pytest.mark.parametrize("n, gen, form", [
+    (10, "x^4+(v+w)*x^2+1", "unit"), (6, "v(x^4+x^2+1)", "v"),
+    (6, "(1+v)(x^4+x^2+1)", "v1"), (4, "x + v", "other"),
+])
+def test_build_reports_the_leading_form(capsys, n, gen, form):
+    rc, doc = run_json(capsys, ["build", "--n", str(n), "--gen", gen])
+    assert rc == 0 and doc["leading_form"] == form
+
+
 def test_build_prints_the_generator_reduced_mod_x_n_minus_1(capsys):
     # x^6 + x^4 + x^2 + 1 is palindromic, but at n = 3 it leaves the
     # remainder x^2 + x, which generates the code and carries the flags

@@ -50,7 +50,7 @@ def test_span_engine_at_large_lengths(n, text):
     # vectors (distinct pivots), each right-divisible by g, span all of it
     g = sp.parse_poly(text)
     code = cd.code_from_generator(n, g)
-    assert code.forms == (cd.FORM_UNIT,)
+    assert cd.classify_generator(n, g) == cd.FORM_UNIT
     basis = cd.code_basis(code)
     assert len(basis) == 4 * (n - (len(g) - 1))
     assert len({b.bit_length() for b in basis}) == len(basis)
@@ -489,6 +489,42 @@ def test_classify_generator_forms():
     assert cd.classify_generator(4, (4, 1)) == cd.FORM_OTHER  # x + v: unit lead, no division
     with pytest.raises(ValueError):
         cd.classify_generator(3, ())
+
+
+def test_building_a_code_divides_nothing(monkeypatch):
+    # a code is its length and its generators: one below degree n needs no
+    # division, and its shape is left to classify_generator
+    calls = []
+    right_divmod = sp.right_divmod
+    monkeypatch.setattr(sp, "right_divmod", lambda f, d: calls.append(d) or right_divmod(f, d))
+    for n, g in [(10, sp.parse_poly("x^4 + (v+w)*x^2 + 1")), (6, EX3), (4, (4, 1))]:
+        assert cd.code_from_generator(n, g) == (n, (g,))
+    assert cd.code_from_generators(3, [(4, 4), (1, 1, 1)]).generators == ((4, 4), (1, 1, 1))
+    assert calls == []
+    assert cd.code_from_generator(2, (1, 0, 1, 1)).generators == ((0, 1),)  # x^3 + x^2 + 1
+    assert calls == [sp.x_pow_minus_one(2)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cd.code_from_generators(0, [(1,)]), "need length n >= 1"),
+    (lambda: cd.code_from_generators(3, []), "a code needs at least one generator"),
+    (lambda: cd.membership(cd.materialize(cd.code_from_generator(6, EX3)), (0,) * 5),
+     "word length does not match the code length"),
+    (lambda: cd.remainder_membership(cd.code_from_generators(2, [(1, 1), (1, 1)]), (0, 0)),
+     "remainder membership needs a single unit-form generator"),
+    (lambda: cd.remainder_membership(cd.code_from_generator(6, EX3), (0,) * 6),
+     "remainder membership needs a single unit-form generator"),
+    (lambda: cd.remainder_membership(cd.code_from_generator(2, (1, 1)), (0,) * 3),
+     "word length does not match the code length"),
+    (lambda: cd.enumerate_right_divisors(4, 0), "need 1 <= t < n"),
+    (lambda: cd.enumerate_right_divisors(4, 4), "need 1 <= t < n"),
+    (lambda: cd.enumerate_right_divisors(4, 1, leading="w"), "unknown divisor shape 'w'"),
+], ids=["length-0", "no-generators", "membership-length", "two-generators", "v-shape",
+        "remainder-length", "degree-0", "degree-n", "unknown-shape"])
+def test_error_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_generator_reduced_modulo_length():

@@ -211,7 +211,8 @@ def test_basis_closure_decisions_agree_with_set_oracles(set_oracles):
         for decide, oracle in set_oracles:
             if decide(cs) != oracle(cs):
                 disagreements.append((code, decide.__name__))
-        if code.forms == (cd.FORM_UNIT,):
+        n, gens = code
+        if len(gens) == 1 and cd.classify_generator(n, gens[0]) == cd.FORM_UNIT:
             if dna.reversible_by_remainder(code) != dna.is_reversible(cs):
                 disagreements.append((code, "reversible_by_remainder"))
     assert disagreements == []

@@ -15,7 +15,7 @@ from skewdna import skewpoly as sp
 from skewdna import verify
 
 FIELDS = {
-    cd.SkewCyclicCode: ("n", "generators", "forms"),
+    cd.SkewCyclicCode: ("n", "generators"),
     cd.CodeSet: ("code", "basis"),
     cd.MinimalDegreeReport: ("exists", "degree", "words", "forms", "all_factor"),
     dna.DnaClassification: ("n", "generator", "form", "palindromic", "theta_palindromic",

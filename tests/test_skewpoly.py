@@ -98,6 +98,8 @@ def test_right_division_needs_unit_leading():
 def test_x_plus_one_divides_x2_minus_one():
     assert sp.x_pow_minus_one(2) == (1, 0, 1)
     assert sp.right_divides((1, 1), sp.x_pow_minus_one(2))
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        sp.x_pow_minus_one(0)
 
 
 def test_degree_one_divisors_of_x2_minus_one_by_expansion():
@@ -198,6 +200,9 @@ def test_parse_errors(bad):
     ("^2", "expected a term, found '^'"),
     ("x^²", "bad exponent '²'"), ("x^٣", "bad exponent '٣'"), ("x^a", "bad exponent 'a'"),
     ("x^" + "0" * 4400 + "1", "exponent of 4401 digits is too long"),
+    ("x$1", "unexpected character '$' in polynomial"),
+    ("(x]", "unbalanced parenthesis in polynomial"),
+    ("[1, w", "unterminated coefficient list"), ("x)", "trailing input in polynomial: ')'"),
 ])
 def test_parse_error_messages(bad, message):
     with pytest.raises(ValueError) as exc:
@@ -207,6 +212,9 @@ def test_parse_error_messages(bad, message):
 
 def test_coeff_list_str():
     assert sp.coeff_list_str((V, 0, V, 0, V)) == "[v, 0, v, 0, v]"
+    # the zero polynomial's list, and empty lists, parse back to it
+    assert sp.coeff_list_str(()) == "[0]"
+    assert sp.parse_poly("[0]") == sp.parse_poly("[]") == sp.parse_poly("[ ]") == ()
 
 
 def test_parse_powers_match_repeated_products():
