@@ -28,8 +28,8 @@ from __future__ import annotations
 
 __all__ = [
     "gf4_mul", "gf4_inv", "gf4_token", "parse_gf4", "ELEMENTS", "UNITS", "V",
-    "V1", "from_parts", "parts", "r_mul", "r_inv", "is_unit", "theta", "gray",
-    "gray_inverse", "r_token", "parse_element",
+    "V1", "from_parts", "parts", "r_mul", "r_inv", "is_unit", "gray", "r_token",
+    "parse_element",
 ]
 
 _GF4_MUL = (
@@ -128,19 +128,10 @@ def r_inv(x: int) -> int:
     return inv
 
 
-def theta(x: int) -> int:
-    return _THETA[x]
-
-
 def gray(x: int) -> tuple[int, int]:
     """GF(4) coordinate pair (a + b, a) of the element a + b*v: its images
     modulo <v + 1> and modulo <v>, a ring homomorphism in each component."""
     return _GRAY[x]
-
-
-def gray_inverse(pair: tuple[int, int]) -> int:
-    p, q = pair
-    return from_parts(q, p ^ q)
 
 
 # each element's token: a, then v or b*v, joined by "+", zero parts elided

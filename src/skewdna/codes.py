@@ -264,12 +264,6 @@ def materialize(code: SkewCyclicCode) -> CodeSet:
     return CodeSet(code, code_basis(code))
 
 
-def membership(codeset: CodeSet, word: Word) -> bool:
-    if len(word) != codeset.n:
-        raise ValueError("word length does not match the code length")
-    return spans(codeset.basis, [pack(word)])
-
-
 def is_plain_cyclic(codeset: CodeSet) -> bool:
     """Closure under the plain cyclic shift rho (no theta), tested on the
     generators, whose words the basis must span.  rho commutes with the skew

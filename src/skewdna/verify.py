@@ -91,14 +91,12 @@ def _swept(n: int, t: int, shape: str) -> tuple[tuple[sp.Poly, cd.CodeSet], ...]
                  for g in cd.enumerate_right_divisors(n, t, leading=shape))
 
 
-def _sweep(spots, shapes=("unit", "v", "v1"), limit=None):
-    """(n, shape, g, codeset) for each divisor g of each (n, t) spot and
-    shape, codes of more than limit words left out."""
-    for n, t in spots:
-        for shape in shapes:
-            for g, cs in _swept(n, t, shape):
-                if limit is None or cs.size <= limit:
-                    yield n, shape, g, cs
+def _sweep(spots, shapes=("unit", "v", "v1"), limit=None) -> list:
+    """The list of (n, shape, g, codeset), for each divisor g of each (n, t)
+    spot and shape in that order, codes of more than limit words left out.
+    A check counts the codes it swept with len()."""
+    return [(n, shape, g, cs) for n, t in spots for shape in shapes
+            for g, cs in _swept(n, t, shape) if limit is None or cs.size <= limit]
 
 
 def _g_desc(n: int, shape: str, g: sp.Poly) -> str:
@@ -118,12 +116,8 @@ def check_element_dna_table() -> CheckResult:
         got = (r_token(x), (gf4_token(p), gf4_token(q)), dna.encode_element(x))
         if got != (token, gray_tokens, block):
             bad.append(f"element {x}: expected {token} {gray_tokens} {block}, got {got}")
-    return CheckResult(
-        name="element-dna-table",
-        passed=not bad,
-        summary=f"16-row correspondence table, {len(bad)} mismatches",
-        details=bad,
-    )
+    return CheckResult("element-dna-table", not bad,
+                       f"16-row correspondence table, {len(bad)} mismatches", bad)
 
 
 def check_unit_inverse_formula() -> CheckResult:
@@ -137,28 +131,26 @@ def check_unit_inverse_formula() -> CheckResult:
         formula = from_parts(gf4_inv(a), gf4_mul(b, b))
         if r_mul(formula, lam) != 1:
             bad.append(f"({r_token(formula)}) * ({r_token(lam)}) != 1")
-    return CheckResult(
-        name="unit-inverse-formula",
-        passed=not bad,
-        summary=f"9 units, closed-form inverse verified, {len(bad)} failures",
-        details=bad,
-    )
+    return CheckResult("unit-inverse-formula", not bad,
+                       f"9 units, closed-form inverse verified, {len(bad)} failures", bad)
 
 
 def _worked_divisor(name: str, n: int, text: str, kind: str, is_kind) -> CheckResult:
+    """The paper's worked generator g (text) at length n: it is of kind, it
+    right-divides x^n - 1 and its code is reversible.  g is monic, so its
+    form is unit exactly when it right-divides x^n - 1, and one division
+    decides both; reversibility is decided on the code's basis, as the
+    check command decides it."""
     g = sp.parse_poly(text)
     code = cd.code_from_generator(n, g)
     bad = []
-    if not sp.right_divides(g, sp.x_pow_minus_one(n)):
-        bad.append(f"does not right-divide x^{n} - 1")
-    if not is_kind(g):
-        bad.append(f"not {kind}")
     form = cd.classify_generator(n, g)
     if form != cd.FORM_UNIT:
         bad.append(f"unexpected form {form}")
-    # 16^(n-t) words: reversibility via the remainder path, which needs the unit form
-    elif not dna.reversible_by_remainder(code):
-        bad.append("remainder-path reversibility check failed")
+    if not is_kind(g):
+        bad.append(f"not {kind}")
+    if not dna.reversible_on_basis(code, cd.code_basis(code)):
+        bad.append("not reversible")
     summary = f"length-{n} {kind} generator: divisibility + reversibility"
     return CheckResult(name, not bad, summary, bad)
 
@@ -192,46 +184,26 @@ def check_sixteen_codeword_table() -> CheckResult:
     d = an.min_distance(cs, "lee")
     if d != 3:
         bad.append(f"min Lee distance {d}, expected 3")
-    return CheckResult(
-        name="sixteen-codeword-table",
-        passed=not bad,
-        summary="16-word length-6 code: DNA table, reversibility, distance 3",
-        details=bad,
-    )
+    return CheckResult("sixteen-codeword-table", not bad,
+                       "16-word length-6 code: DNA table, reversibility, distance 3", bad)
 
 
 def check_even_length_even_degree_rule() -> CheckResult:
     """Even n, even degree, every shape: reversible iff generator palindromic."""
-    bad = []
-    total = 0
-    for n, shape, g, cs in _sweep((n, t) for n in (2, 4, 6) for t in range(2, n, 2)):
-        total += 1
-        if dna.is_reversible(cs) != sp.is_palindromic(g):
-            bad.append(_g_desc(n, shape, g))
-    return CheckResult(
-        name="even-length-even-degree-rule",
-        passed=not bad,
-        summary=f"{total} codes swept, {len(bad)} equivalence failures",
-        details=bad,
-    )
+    swept = _sweep((n, t) for n in (2, 4, 6) for t in range(2, n, 2))
+    bad = [_g_desc(n, shape, g) for n, shape, g, cs in swept
+           if dna.is_reversible(cs) != sp.is_palindromic(g)]
+    return CheckResult("even-length-even-degree-rule", not bad,
+                       f"{len(swept)} codes swept, {len(bad)} equivalence failures", bad)
 
 
 def check_even_length_odd_degree_rule() -> CheckResult:
     """Even n, odd degree, unit-monic: reversible iff a0*g is theta-palindromic."""
-    bad = []
-    total = 0
-    spots = [(n, t) for n in (4, 6) for t in range(1, n, 2)]
-    for n, shape, g, cs in _sweep(spots, shapes=("unit",)):
-        total += 1
-        rev = dna.is_reversible(cs)
-        if rev != sp.is_theta_palindromic(sp.scale(g[0], g)):
-            bad.append(_g_desc(n, shape, g) + f": reversible={rev}")
-    return CheckResult(
-        name="even-length-odd-degree-rule",
-        passed=not bad,
-        summary=f"{total} codes swept, {len(bad)} equivalence failures",
-        details=bad,
-    )
+    swept = _sweep([(n, t) for n in (4, 6) for t in range(1, n, 2)], shapes=("unit",))
+    bad = [_g_desc(n, shape, g) + f": reversible={rev}" for n, shape, g, cs in swept
+           if (rev := dna.is_reversible(cs)) != sp.is_theta_palindromic(sp.scale(g[0], g))]
+    return CheckResult("even-length-odd-degree-rule", not bad,
+                       f"{len(swept)} codes swept, {len(bad)} equivalence failures", bad)
 
 
 def check_odd_length_cyclic_and_impossibility() -> CheckResult:
@@ -244,36 +216,20 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
     exist at even lengths.  Counterexamples are listed in the details.
     """
     odd = [(n, t) for n in (3, 5) for t in range(1, n)]
-    bad_cyclic = []
-    total_cyclic = 0
-    for n, shape, g, cs in _sweep(odd):
-        total_cyclic += 1
-        if not cd.is_plain_cyclic(cs):
-            bad_cyclic.append(_g_desc(n, shape, g))
+    cyclic = _sweep(odd)
+    bad_cyclic = [_g_desc(n, shape, g) for n, shape, g, cs in cyclic
+                  if not cd.is_plain_cyclic(cs)]
+    nonunit = _sweep(odd + [(n, t) for n in (4, 6) for t in range(1, n, 2)],
+                     shapes=("v", "v1"))
+    bad_rev = [_g_desc(n, shape, g) + f" is reversible ({cs.size} words)"
+               for n, shape, g, cs in nonunit if dna.is_reversible(cs)]
 
-    bad_rev = []
-    total_rev = 0
-    spots = odd + [(n, t) for n in (4, 6) for t in range(1, n, 2)]
-    for n, shape, g, cs in _sweep(spots, shapes=("v", "v1")):
-        total_rev += 1
-        if dna.is_reversible(cs):
-            bad_rev.append(_g_desc(n, shape, g) + f" is reversible ({cs.size} words)")
-
-    details = [f"plain-shift closure: {total_cyclic} codes, {len(bad_cyclic)} failures"]
-    details += bad_cyclic
-    details.append(
-        f"claimed-impossible reversibility: {total_rev} codes, {len(bad_rev)} reversible"
-    )
-    details += bad_rev
-    return CheckResult(
-        name="odd-length-cyclic-and-impossibility",
-        passed=not bad_cyclic and not bad_rev,
-        summary=(
-            f"shift closure {total_cyclic} codes ok; "
-            f"impossibility claim has {len(bad_rev)} counterexamples"
-        ),
-        details=details,
-    )
+    details = [f"plain-shift closure: {len(cyclic)} codes, {len(bad_cyclic)} failures",
+               *bad_cyclic, f"claimed-impossible reversibility: {len(nonunit)} codes, "
+               f"{len(bad_rev)} reversible", *bad_rev]
+    return CheckResult("odd-length-cyclic-and-impossibility", not bad_cyclic and not bad_rev,
+                       f"shift closure {len(cyclic)} codes ok; "
+                       f"impossibility claim has {len(bad_rev)} counterexamples", details)
 
 
 def _rc_closed(cs: cd.CodeSet) -> bool:
@@ -304,28 +260,18 @@ def check_reverse_complement_rules() -> CheckResult:
     """
     bad_iff = []
     bad_comp = []
-    total = 0
-    spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
-    for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
-        total += 1
+    swept = _sweep([(n, t) for n in (2, 4, 6) for t in range(1, n)], limit=MATERIALIZE_LIMIT)
+    for n, shape, g, cs in swept:
         ones = dna.is_complement_closed(cs)
         if _rc_closed(cs) != (dna.is_reversible(cs) and ones):
             bad_iff.append(_g_desc(n, shape, g))
         if shape != "unit" and ones:
             bad_comp.append(_g_desc(n, shape, g) + " is complement-closed")
-    details = [f"{total} codes; equivalence failures: {len(bad_iff)}"]
-    details += bad_iff
-    details.append(f"complement-closed non-unit codes: {len(bad_comp)}")
-    details += bad_comp
-    return CheckResult(
-        name="reverse-complement-rules",
-        passed=not bad_iff and not bad_comp,
-        summary=(
-            f"rc-equivalence clean on {total} codes; "
-            f"no-complement claim has {len(bad_comp)} counterexamples"
-        ),
-        details=details,
-    )
+    details = [f"{len(swept)} codes; equivalence failures: {len(bad_iff)}", *bad_iff,
+               f"complement-closed non-unit codes: {len(bad_comp)}", *bad_comp]
+    return CheckResult("reverse-complement-rules", not bad_iff and not bad_comp,
+                       f"rc-equivalence clean on {len(swept)} codes; "
+                       f"no-complement claim has {len(bad_comp)} counterexamples", details)
 
 
 _DRAW_DIGIT = bytes.maketrans(bytes(range(128)),
@@ -395,12 +341,8 @@ def check_image_rotation_identity(seed: int = DEFAULT_SEED) -> CheckResult:
         for p in chunks:
             total += lanes
             bad += (str(cd.unpack(w, n)) for w in _failing_lanes(defect(p), p, 4 * n, lanes))
-    return CheckResult(
-        name="image-rotation-identity",
-        passed=not bad,
-        summary=f"{total} words checked, {len(bad)} identity failures",
-        details=bad[:20],
-    )
+    return CheckResult("image-rotation-identity", not bad,
+                       f"{total} words checked, {len(bad)} identity failures", bad[:20])
 
 
 def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
@@ -442,35 +384,21 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
             defect = (lee_sum ^ image_sum) & select
             bad += (f"words {cd.unpack(w, n)}, {cd.unpack(w >> 4 * n, n)}"
                     for w in _failing_lanes(defect, p, 8 * n, _LANES))
-    return CheckResult(
-        name="distance-preservation",
-        passed=not bad,
-        summary=f"256 element pairs + 60000 word pairs, {len(bad)} failures",
-        details=bad[:20],
-    )
+    return CheckResult("distance-preservation", not bad,
+                       f"256 element pairs + 60000 word pairs, {len(bad)} failures", bad[:20])
 
 
 def check_minimal_degree_forms() -> CheckResult:
     """Minimal-degree words with non-unit leading coefficient factor as
     v*g1 or (v+1)*g1 with g1 over GF(4), across the whole sweep inventory."""
-    bad = []
-    total = 0
-    scanned = 0
-    spots = [(n, t) for n in range(2, 7) for t in range(1, n)]
-    for n, shape, g, cs in _sweep(spots, limit=MATERIALIZE_LIMIT):
-        total += 1
-        report = cd.minimal_degree_scan(cs)
-        if report.exists:
-            scanned += 1
-            if not report.all_factor:
-                bad.append(_g_desc(n, shape, g)
-                           + f": degree {report.degree} offenders {report.forms}")
-    return CheckResult(
-        name="minimal-degree-forms",
-        passed=not bad,
-        summary=f"{scanned} of {total} codes had non-unit-leading words; {len(bad)} bad forms",
-        details=bad,
-    )
+    swept = _sweep([(n, t) for n in range(2, 7) for t in range(1, n)], limit=MATERIALIZE_LIMIT)
+    scanned = [(n, shape, g, report) for n, shape, g, cs in swept
+               if (report := cd.minimal_degree_scan(cs)).exists]
+    bad = [_g_desc(n, shape, g) + f": degree {report.degree} offenders {report.forms}"
+           for n, shape, g, report in scanned if not report.all_factor]
+    return CheckResult("minimal-degree-forms", not bad,
+                       f"{len(scanned)} of {len(swept)} codes had non-unit-leading words; "
+                       f"{len(bad)} bad forms", bad)
 
 
 ALL_CHECKS = (

@@ -16,12 +16,15 @@ are the plain-shift decision and the minimal-degree scan, which read the
 basis, and the minimum distance, which walks the component vC alone; their
 oracles walk every word.
 
+The ring oracles theta and gray_inverse follow the paper's formulas on an
+element's parts, not the package's tables, which the tests pin to them.
 The tuple word maps (the skew shift's Gray-image form, weights and
-distances, theta-reverse and complement) define each map entry by entry on
-tuples of ring elements.  The package runs only their packed forms, and the
-tests pin those to these.  The DNA string maps (a tuple word's string, and
-the string reverse and Watson-Crick complement) are the string-level
-definitions that the packed theta-reverse and complement pull back.
+distances, theta-reverse and complement, and membership of a tuple word)
+define each map entry by entry on tuples of ring elements.  The package
+runs only their packed forms, and the tests pin those to these.  The DNA
+string maps (a tuple word's string, and the string reverse and Watson-Crick
+complement) are the string-level definitions that the packed theta-reverse
+and complement pull back.
 """
 
 import random
@@ -34,7 +37,7 @@ from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import gray, is_unit, r_mul, theta
+from skewdna.algebra import from_parts, gray, is_unit, parts, r_mul
 
 # every hypothesis test draws the same examples on every run, so a failure
 # reproduces; each test keeps its example count
@@ -52,7 +55,30 @@ REFERENCE_DNA_STRINGS = (
 
 
 # ---------------------------------------------------------------------------
+# ring oracles
+
+
+def theta(x):
+    """The automorphism theta(a + b*v) = (a + b) + b*v."""
+    a, b = parts(x)
+    return from_parts(a ^ b, b)
+
+
+def gray_inverse(pair):
+    """The element a + b*v whose Gray pair (a + b, a) is pair."""
+    p, q = pair
+    return from_parts(q, p ^ q)
+
+
+# ---------------------------------------------------------------------------
 # tuple word maps
+
+
+def membership(codeset, word):
+    """Whether the tuple word lies in the code: its packed word in the span."""
+    if len(word) != codeset.n:
+        raise ValueError("word length does not match the code length")
+    return cd.spans(codeset.basis, [cd.pack(word)])
 
 
 def poly_to_word(f, n):

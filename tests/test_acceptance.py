@@ -26,7 +26,7 @@ from skewdna import skewpoly as sp
 from skewdna import verify
 from skewdna.algebra import parse_element, parts, r_inv, r_token
 
-from conftest import complement_word, poly_to_word, randrange_word
+from conftest import complement_word, membership, poly_to_word, randrange_word
 
 V = parse_element("v")
 V1 = parse_element("1+v")
@@ -113,7 +113,7 @@ def test_criterion_08_odd_length_closure_and_impossibility(set_oracles):
     reversible = []
     lacking_g1 = odd_n = 0
     for n, shape, g, g1, cs in _v_shape_codes(spots):
-        contains_g1 = cd.membership(cs, poly_to_word(g1, n))
+        contains_g1 = membership(cs, poly_to_word(g1, n))
         if set_is_reversible(cs):
             # the cause: every counterexample contains g1 itself
             assert contains_g1, _desc(n, shape, g)
@@ -147,7 +147,7 @@ def test_criterion_09_reverse_complement_rules(set_oracles, naive_closure):
         if cs.size > verify.MATERIALIZE_LIMIT or not set_is_complement_closed(cs):
             continue
         closed.append(_desc(n, shape, g) + " is complement-closed")
-        contain_g1 += cd.membership(cs, poly_to_word(g1, n))
+        contain_g1 += membership(cs, poly_to_word(g1, n))
         if cs.size <= 256:
             words = naive_closure(n, [g])
             assert all(complement_word(w) in words for w in words), _desc(n, shape, g)
@@ -466,6 +466,19 @@ def test_checks_2_and_5_name_each_failure(monkeypatch):
 def test_worked_divisors_report_an_unexpected_form(check, monkeypatch):
     r = _failed(check, monkeypatch, (cd, "classify_generator", lambda n, g: cd.FORM_OTHER))
     assert r.details == ["unexpected form other"]
+
+
+@pytest.mark.parametrize("check, n, degree",
+                         [(verify.check_palindromic_divisor_length10, 10, 4),
+                          (verify.check_theta_palindromic_divisor_length12, 12, 3)])
+def test_worked_divisors_divide_x_n_minus_1_once(check, n, degree, monkeypatch):
+    # one right division of x^n - 1 tells both the divisibility and the
+    # shape; reversibility is decided on the basis, without dividing
+    calls, right_divmod = [], sp.right_divmod
+    monkeypatch.setattr(sp, "right_divmod",
+                        lambda f, d: calls.append((len(f), len(d))) or right_divmod(f, d))
+    assert check().passed
+    assert calls == [(n + 1, degree + 1)]
 
 
 def test_check_6_lists_each_reversible_code_of_a_non_palindromic_generator(monkeypatch):

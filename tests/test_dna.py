@@ -218,6 +218,20 @@ def test_basis_closure_decisions_agree_with_set_oracles(set_oracles):
     assert disagreements == []
 
 
+def test_remainder_reversibility_agrees_with_the_basis_on_the_verify_inventory():
+    # every unit-shape code that verify-paper sweeps (n = 2..6, each degree),
+    # then the worked divisors of checks 3 and 4 at n = 10 and 12
+    codes = [cd.code_from_generator(n, g) for n in range(2, 7) for t in range(1, n)
+             for g in cd.enumerate_right_divisors(n, t, leading=cd.FORM_UNIT)]
+    codes += [cd.code_from_generator(10, sp.parse_poly("x^4 + (v+w)*x^2 + 1")),
+              cd.code_from_generator(12, sp.parse_poly("x^3 + (v+w2)*x^2 + (v+w)*x + 1"))]
+    verdicts = [(dna.reversible_by_remainder(code), dna.is_reversible(cd.materialize(code)))
+                for code in codes]
+    assert [code for code, (a, b) in zip(codes, verdicts) if a != b] == []
+    assert verdicts[-2:] == [(True, True)] * 2
+    assert len(codes) == 255 and sum(a for a, _ in verdicts) == 49
+
+
 # a length n <= 3 and 1 to 3 nonzero generators of degree below n
 RANDOM_CODES = st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.just(n),

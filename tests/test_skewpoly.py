@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewdna import skewpoly as sp
-from skewdna.algebra import UNITS, V, theta
+from skewdna.algebra import UNITS, V
+
+from conftest import theta
 
 X = (0, 1)
 VP = (V,)  # the constant polynomial v

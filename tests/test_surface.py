@@ -2,11 +2,11 @@
 tuple word maps, start-up imports.
 
 Every public top-level name in skewdna's modules is read somewhere in the
-package, or it is listed in UNREAD with a one-word reason: an oracle that
-the tests compare the package against, or a tracer pin that the benchmark
-wraps by name.  A read is a Name in Load context, an attribute or an import
-alias; docstrings and __all__ strings do not count.  A new name that nothing
-reads fails this test until it is used, deleted or listed.
+package, or it is listed in UNREAD as a tracer pin that the benchmark wraps
+by name; an oracle that the tests compare the package against lives in
+tests/conftest.py.  A read is a Name in Load context, an attribute or an
+import alias; docstrings and __all__ strings do not count.  A new name that
+nothing reads fails this test until it is used, deleted or listed.
 
 No module reaches for a private function or class of another module: what
 one module lends another is public.  Private data tables (algebra's _THETA
@@ -14,8 +14,8 @@ and _R_MUL) may be shared.
 
 Words are packed integers (codes.pack) everywhere below the polynomial
 boundary.  A public function annotated with the tuple type codes.Word is
-one of a listed few: the boundary itself, a tracer pin, or an oracle.  A
-new tuple twin of a packed map fails this test; its oracle belongs in
+one of a listed few: the boundary itself or a tracer pin.  A new tuple
+twin of a packed map fails this test; its oracle belongs in
 tests/conftest.py.
 
 Every module parses under the oldest Python that pyproject.toml declares.
@@ -37,11 +37,9 @@ import skewdna
 PACKAGE = Path(skewdna.__file__).parent
 
 UNREAD = {
-    "algebra.theta": "oracle",
-    "algebra.gray_inverse": "oracle",
-    "codes.membership": "oracle",
     "analysis.gray_image_report": "tracer",
     "dna.is_reverse_complement_closed": "tracer",
+    "dna.reversible_by_remainder": "tracer",
 }
 
 
@@ -50,7 +48,6 @@ TUPLE_WORD_FUNCTIONS = {
     "codes.unpack": "boundary",
     "codes.skew_shift": "tracer",
     "codes.remainder_membership": "tracer",
-    "codes.membership": "oracle",
 }
 
 
@@ -83,7 +80,7 @@ def test_every_public_name_is_read_or_listed():
     unread = {f"{mod}.{name}" for mod, tree in trees.items()
               for name in _defined(tree) - reads}
     assert unread == set(UNREAD)
-    assert set(UNREAD.values()) == {"oracle", "tracer"}
+    assert set(UNREAD.values()) == {"tracer"}
 
 
 def _private_callables_used(tree: ast.Module) -> set[str]:
