@@ -74,10 +74,10 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     """
     n = codeset.n
     fold, times_v = packed_weight_fold(n, metric), packed_times_v(n)
-    basis = codeset.basis
-    if not spans(basis, [*map(times_v, basis), *map(packed_skew_shift(n), basis)]):
+    basis, vectors = codeset.basis, codeset.basis.values()
+    if not spans(basis, [*map(times_v, vectors), *map(packed_skew_shift(n), vectors)]):
         raise ValueError("the basis is not closed under v and the skew shift, so it spans no code")
-    component = CodeSet(codeset.code, tuple(echelon(map(times_v, basis))))
+    component = CodeSet(codeset.code, echelon(map(times_v, vectors)))
     if not component.basis:
         raise ValueError("zero code has no minimum distance")
     best = n  # a word of vC weighs at most 1 per entry
@@ -150,7 +150,7 @@ def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
     on every basis it builds, and check --property quasi-cyclic holds for
     every code.  It stays as the test of that closure, which fails on the
     bases built by hand without it in the tests' negative controls."""
-    return spans(basis, map(packed_skew_shift(code.n), basis))
+    return spans(basis, map(packed_skew_shift(code.n), basis.values()))
 
 
 def gray_image_report(codeset: CodeSet) -> GrayImageReport:
@@ -159,7 +159,7 @@ def gray_image_report(codeset: CodeSet) -> GrayImageReport:
     image, fold = packed_gray_image(codeset.n), image_weight_fold(codeset.n)
     lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code and non-codes
     # the identity is GF(2)-linear on both sides, so the basis decides it
-    identity = not any(map(image_shift_defect(codeset.n), codeset.basis))
+    identity = not any(map(image_shift_defect(codeset.n), codeset.basis.values()))
     return GrayImageReport(
         n=codeset.n,
         size=codeset.size,

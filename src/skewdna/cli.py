@@ -9,8 +9,8 @@
     skewdna verify-paper [--seed N]
 
 Generators are written either as polynomial text in x over the ring
-(tokens 0, 1, w, w2, v, products like w2*v, parentheses, ^ for powers)
-or as an ascending coefficient list such as "[1, w+v, 1]".
+(tokens 0, 1, w, w2, v, products like w2*v, parentheses, ^ for powers, and
++ or -, alike in characteristic 2) or as a coefficient list like "[1, w+v, 1]".
 
 check decides on the code's GF(2) basis at any size; dna writes the words
 sorted, 4,096 at a time as it makes them, in memory that does not grow with
@@ -144,7 +144,7 @@ def _cmd_divisors(args) -> tuple[int, dict, Iterable[str]]:
 def _cmd_build(args) -> tuple[int, dict, list[str]]:
     code = cd.code_from_generator(args.n, sp.parse_poly(args.gen))
     g = code.generators[0]  # reduced mod x^n - 1: the polynomial the flags describe
-    basis = cd.code_basis(code)  # no word is enumerated
+    basis = cd.span_basis(args.n, code.generator_words())  # no word is enumerated
     k = len(basis)  # F2 dimension
     info = dna.classify(code, basis)
     doc = {
@@ -179,7 +179,7 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
     # perfbench's tracer sums each materialized code's size, at most 16^n,
     # into a float; until it counts basis vectors, larger codes skip the CodeSet
     basis = (cd.materialize(code).basis if 4 * args.n < sys.float_info.max_exp
-             else cd.code_basis(code))
+             else cd.span_basis(args.n, code.generator_words()))
     prop = args.property
     holds = {
         "reversible": dna.reversible_on_basis, "complement": dna.complement_on_basis,

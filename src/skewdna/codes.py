@@ -17,11 +17,11 @@ elements, and the skew shift.  Addition is GF(2)-linear, and both other
 rules are additive, so the code is a GF(2)-subspace of the 4n-bit word
 space.  span_basis computes a basis of it (at most 4n vectors, each with its
 own pivot, or top bit) as the span of the skew-shift orbits of the
-generators' multiples by 1, w, v and wv, closed under the one rule;
-code_basis returns it, and a CodeSet holds it with the code.  Size,
-membership and every property decision are read off the basis, for every
-code shape and size; a caller that needs the words walks them
-(CodeSet.walk), in memory proportional to the basis.  A literal
+generators' multiples by 1, w, v and wv (theta^2 = id lets each orbit run
+in two registers), and returns it as a pivot table, which a CodeSet carries
+and spans reads: one per code.  Size, membership and every decision are
+read off it, for every code shape and size; a caller that needs the words
+walks them (CodeSet.walk), in memory proportional to the basis.  A literal
 hash-set work queue computes the same closure and is kept as a test oracle;
 it is quadratic in the code size and unusable beyond a few thousand words.
 
@@ -112,24 +112,23 @@ def _reduce(vec: int, pivots: dict[int, int]) -> int:
     return vec
 
 
-def spans(basis, vectors) -> bool:
-    """Whether every vector lies in the span of basis (one pivot per vector),
-    tested against one table of the basis indexed by pivot bit."""
-    pivots = {b.bit_length() - 1: b for b in basis}
+def spans(pivots: dict[int, int], vectors) -> bool:
+    """Whether every vector lies in the span of a pivot table from span_basis
+    or echelon (a CodeSet's basis), reduced against the table as it is."""
     return not any(_reduce(vec, pivots) for vec in vectors)
 
 
-def echelon(vectors) -> list[int]:
-    """A basis of the span of vectors, one pivot per basis vector."""
+def echelon(vectors) -> dict[int, int]:
+    """A basis of the span of vectors, as a pivot table (see span_basis)."""
     pivots: dict[int, int] = {}
     for vec in vectors:
         if vec := _reduce(vec, pivots):
             pivots[vec.bit_length() - 1] = vec
-    return list(pivots.values())
+    return pivots
 
 
-def span_basis(n: int, generator_words) -> list[int]:
-    """GF(2) basis of the generated skew cyclic code, one pivot per vector.
+def span_basis(n: int, generator_words) -> dict[int, int]:
+    """The generated code's GF(2) basis as a pivot table, pivot -> vector.
 
     Fixpoint over basis vectors under one rule, the skew shift sigma: the
     queue starts with g, w*g, v*g and wv*g for each generator g, and each
@@ -140,19 +139,20 @@ def span_basis(n: int, generator_words) -> list[int]:
     is a GF(2) basis of R, and mu*sigma^j(x) = sigma^j(theta^j(mu)*x), so
     mu times an orbit word lam*sigma^j(g) is sigma^j of (theta^j(mu)*lam)*g,
     a sum of the four multiples.  On a packed word, w sends each GF(4) part
-    x0 + x1*w to x1 + (x0 + x1)*w, v is packed_times_v, and sigma is
-    packed_skew_shift, each on all n entries a | b << 2 at once.
+    x0 + x1*w to x1 + (x0 + x1)*w, v is packed_times_v, and sigma is theta
+    on all entries a | b << 2 at once (a -> a + b), then packed_rotation.
 
     Each new basis vector walks its sigma-chain in place: theta sends
     a + b*v to (a + b) + b*v, keeping every entry's top bit, and below entry
     n - 1 sigma is theta and a 4-bit shift, so the shift of a vector with
     top bit b < 4n - 4 has top bit b + 4 and, with no pivot there, is the
     next basis vector, as the queue would pop and keep it.  Only the chain's
-    last vector, which wraps or meets a pivot, queues its shift.
+    last vector, which wraps or meets a pivot, queues its shift.  theta^2 = id
+    entrywise, so the chain x, theta(x) << 4, x << 8, ... needs two registers.
     """
     ones = int("1" * n, 16)
     m3, m5, top = 3 * ones, 5 * ones, 4 * n - 4
-    shift, times_v = packed_skew_shift(n), packed_times_v(n)
+    rotate, times_v = packed_rotation(n), packed_times_v(n)
     queue = []
     for g in generator_words:
         for p in (g, times_v(g)):  # each with w times it
@@ -161,14 +161,14 @@ def span_basis(n: int, generator_words) -> list[int]:
     while queue:
         vec = _reduce(queue.pop(), pivots)
         if vec:
-            b = vec.bit_length() - 1
+            b, other = vec.bit_length() - 1, vec ^ (vec >> 2) & m3  # other = theta(vec)
             pivots[b] = vec
             while b < top and b + 4 not in pivots:
                 b += 4
-                vec = (vec ^ (vec >> 2) & m3) << 4
+                vec, other = other << 4, vec << 4
                 pivots[b] = vec
-            queue.append(shift(vec))
-    return list(pivots.values())
+            queue.append(rotate(other))  # sigma(vec)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def code_from_generator(n: int, g: sp.Poly) -> SkewCyclicCode:
 
 
 class CodeSet(namedtuple("CodeSet", "code basis")):
-    """A code (a SkewCyclicCode) with its GF(2) basis, a tuple of packed
-    words, as span_basis gives it."""
+    """A code (a SkewCyclicCode) with its GF(2) basis, the pivot table that
+    span_basis gives, a dict: the record does not hash."""
 
     __slots__ = ()
 
@@ -247,7 +247,7 @@ class CodeSet(namedtuple("CodeSet", "code basis")):
         """Every codeword as a packed word, in Gray-code order from 0: step i
         adds the basis vector indexed by the lowest set bit of i, so each
         word is visited once, nonzero after the first, in O(basis) memory."""
-        basis, cur = self.basis, 0
+        basis, cur = tuple(self.basis.values()), 0
         yield 0
         for i in range(1, self.size):
             cur ^= basis[(i & -i).bit_length() - 1]
@@ -255,13 +255,13 @@ class CodeSet(namedtuple("CodeSet", "code basis")):
 
 
 def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
-    """The code's GF(2) basis; its length is log2 of the size."""
-    return tuple(span_basis(code.n, code.generator_words()))
+    """The values of the code's pivot table, in order; log2 of the size."""
+    return tuple(span_basis(code.n, code.generator_words()).values())
 
 
 def materialize(code: SkewCyclicCode) -> CodeSet:
-    """The code with its basis, for callers that may walk its words."""
-    return CodeSet(code, code_basis(code))
+    """The code with its pivot table, for the deciders and the walks."""
+    return CodeSet(code, span_basis(code.n, code.generator_words()))
 
 
 def is_plain_cyclic(codeset: CodeSet) -> bool:
@@ -474,10 +474,10 @@ def minimal_degree_scan(codeset: CodeSet) -> MinimalDegreeReport:
     basis, n = codeset.basis, codeset.n
     if not basis:
         return MinimalDegreeReport(False, None, (), (), None)
-    best = min(b.bit_length() - 1 for b in basis) // 4
+    best = min(basis) // 4
     sums = [0]
-    for b in basis:
-        if (b.bit_length() - 1) // 4 == best:
+    for pivot, b in basis.items():
+        if pivot // 4 == best:
             sums += [s ^ b for s in sums]
     # every nonzero sum's top entry is entry best, its leading coefficient
     found = sorted(sp.normalize(unpack(s, n)) for s in sums[1:] if not is_unit(s >> 4 * best))

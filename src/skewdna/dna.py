@@ -83,8 +83,8 @@ def _rank_rows(codeset: CodeSet) -> list[int]:
     """The rank images of the code's words, in reduced echelon form with
     ascending pivots: one row per basis dimension, lowest pivot first."""
     n = codeset.n
-    pivots = {r.bit_length() - 1: r for r in echelon(
-        int("".join(f"{_RANK_OF_R[c]:02x}" for c in unpack(p, n)), 16) for p in codeset.basis)}
+    pivots = echelon(int("".join(f"{_RANK_OF_R[c]:02x}" for c in unpack(p, n)), 16)
+                     for p in codeset.basis.values())
     rows: list[int] = []
     for bit in range(8 * n):
         if row := pivots.get(bit):
@@ -151,7 +151,7 @@ def encode_codeset(codeset: CodeSet) -> list[str]:
 # every c exactly when it contains 1 = 0 + 1, and c -> theta_reverse(c) + 1
 # maps it into itself exactly when it contains 1 and is reversible.  So each
 # decision is one span test of a few words, at any size; the tests keep set
-# oracles.  The *_on_basis forms need no CodeSet, only the code's basis.
+# oracles.  The *_on_basis forms need only the code's pivot table (span_basis).
 
 
 def _theta_reversed_generators(code: SkewCyclicCode):
@@ -235,8 +235,8 @@ def theta_palindromic_generator_exists(g: sp.Poly) -> bool:
 
 
 def classify(code: SkewCyclicCode, basis) -> DnaClassification:
-    """The rules' predictions for code.  basis is its GF(2) basis
-    (codes.code_basis); only the unit-form rules read it, for the all-ones
+    """The rules' predictions for code.  basis is its pivot table
+    (codes.span_basis); only the unit-form rules read it, for the all-ones
     word."""
     if len(code.generators) != 1:
         raise ValueError("classification covers single-generator codes")

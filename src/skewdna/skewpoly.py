@@ -191,7 +191,7 @@ class _Tokens:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch in "+*^()[],":
+            elif ch in "+-*^()[],":
                 self.toks.append(ch)
                 depth += (ch == "(") - (ch == ")")
                 if depth > MAX_PARSE_NESTING:
@@ -223,7 +223,7 @@ class _Tokens:
 
 def _parse_expr(ts: _Tokens) -> Poly:
     acc = _parse_term(ts)
-    while ts.peek() == "+":
+    while ts.peek() in ("+", "-"):  # R has characteristic 2: -a = a
         ts.take()
         acc = add(acc, _parse_term(ts))
     return acc

@@ -149,7 +149,7 @@ def _worked_divisor(name: str, n: int, text: str, kind: str, is_kind) -> CheckRe
         bad.append(f"unexpected form {form}")
     if not is_kind(g):
         bad.append(f"not {kind}")
-    if not dna.reversible_on_basis(code, cd.code_basis(code)):
+    if not dna.reversible_on_basis(code, cd.span_basis(n, code.generator_words())):
         bad.append("not reversible")
     summary = f"length-{n} {kind} generator: divisibility + reversibility"
     return CheckResult(name, not bad, summary, bad)
@@ -235,7 +235,7 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
 def _rc_closed(cs: cd.CodeSet) -> bool:
     """rc(C) inside C, by the lemma in check_reverse_complement_rules."""
     rc = dna.theta_reverse_complement(cs.n)
-    return cd.spans(cs.basis, map(rc, (0, *cs.basis)))
+    return cd.spans(cs.basis, map(rc, (0, *cs.basis.values())))
 
 
 def check_reverse_complement_rules() -> CheckResult:

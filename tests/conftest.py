@@ -270,9 +270,9 @@ def set_is_reverse_complement_closed(codeset):
 def packed_words(codeset):
     """Every codeword as a packed int (4 bits per entry, as in codes.pack),
     walked in the Gray-code order of CodeSet.walk into an int set."""
-    words, cur = {0}, 0
+    words, cur, basis = {0}, 0, tuple(codeset.basis.values())
     for i in range(1, codeset.size):
-        cur ^= codeset.basis[(i & -i).bit_length() - 1]
+        cur ^= basis[(i & -i).bit_length() - 1]
         words.add(cur)
     return words
 

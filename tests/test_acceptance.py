@@ -211,7 +211,7 @@ def test_criterion_09_basis_decision_on_any_subspace(packed_rc_oracle):
             spaces.add((n, basis[:i] + (x,) + basis[i:] if x else basis))
     closed = 0
     for n, basis in spaces:
-        cs = cd.CodeSet(cd.code_from_generator(n, (1,)), basis)
+        cs = cd.CodeSet(cd.code_from_generator(n, (1,)), cd.echelon(basis))
         expected = packed_rc_oracle(cs)
         assert verify._rc_closed(cs) == expected, (n, basis)
         closed += expected
@@ -452,7 +452,7 @@ def test_checks_2_and_5_name_each_failure(monkeypatch):
     assert r.details[1:] == [f"({r_token(inv)}) * ({r_token(u)}) != 1" for u, inv in
                              zip(sorted(verify.UNITS), map(r_inv, sorted(verify.UNITS)))]
     r = _failed(verify.check_sixteen_codeword_table, monkeypatch,
-                (cd, "materialize", lambda code: cd.CodeSet(code, ())),
+                (cd, "materialize", lambda code: cd.CodeSet(code, {})),
                 (dna, "encode_codeset", lambda cs: ["AAAAAAAAAAAA", "ACGT"]),
                 (dna, "is_reversible", lambda cs: False),
                 (an, "min_distance", lambda cs, metric: 2))

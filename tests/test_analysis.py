@@ -137,7 +137,7 @@ def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code):
     # {0, 1 at entry 0} is not closed under v: its components {0, v} and
     # {0, 1+v} lie outside it, so a split would give 1 where its words give
     # 2; such a set is refused rather than walked
-    fake = cd.CodeSet(sixteen_word_code.code, (cd.pack((1, 0, 0, 0, 0, 0)),))
+    fake = cd.CodeSet(sixteen_word_code.code, cd.echelon([cd.pack((1, 0, 0, 0, 0, 0))]))
     for metric in ("lee", "hamming"):
         with pytest.raises(ValueError, match="not closed under v"):
             an.min_distance(fake, metric)
@@ -150,7 +150,7 @@ def test_min_distance_refuses_a_set_closed_under_v_but_not_the_shift(sixteen_wor
     # lies outside it: the shift does not carry its vC = {0, v} onto its
     # (1+v)C = {0}, so walking vC alone would answer for a set that is no
     # code.  It is refused, as a set not closed under v is
-    fake = cd.CodeSet(sixteen_word_code.code, (cd.pack((4, 0, 0, 0, 0, 0)),))
+    fake = cd.CodeSet(sixteen_word_code.code, cd.echelon([cd.pack((4, 0, 0, 0, 0, 0))]))
     for metric in ("lee", "hamming"):
         with pytest.raises(ValueError, match="not closed under v and the skew shift"):
             an.min_distance(fake, metric)
@@ -159,7 +159,7 @@ def test_min_distance_refuses_a_set_closed_under_v_but_not_the_shift(sixteen_wor
 def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):
     with pytest.raises(ValueError):
         an.min_distance(sixteen_word_code, "euclidean")
-    zero_only = cd.CodeSet(sixteen_word_code.code, ())
+    zero_only = cd.CodeSet(sixteen_word_code.code, {})
     with pytest.raises(ValueError):
         an.min_distance(zero_only, "lee")
     with pytest.raises(ValueError, match="zero code"):
@@ -298,7 +298,7 @@ def test_gray_image_report_negative_control(sixteen_word_code, codeset_words):
     # a set that is not skew-shift closed: its image cannot be rotation
     # closed, and not being closed under v either, it is no code to report on
     basis = (cd.pack((1, 0, 0, 0, 0, 0)),)
-    fake = cd.CodeSet(sixteen_word_code.code, basis)
+    fake = cd.CodeSet(sixteen_word_code.code, cd.echelon(basis))
     assert codeset_words(fake) == {(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)}
     assert not an.image_shift_defect(6)(basis[0])  # per-word, always true
     assert not an.image_closed_on_basis(fake.code, fake.basis)

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from skewdna import analysis as an
+from skewdna import cli
 from skewdna import codes as cd
+from skewdna import dna
 from skewdna import skewpoly as sp
 from skewdna import verify
 from skewdna.algebra import is_unit, parse_element, r_mul
@@ -58,7 +61,7 @@ def test_span_engine_at_large_lengths(n, text):
 
 
 def _same_span(a, b):
-    return len(a) == len(b) and cd.spans(a, b) and cd.spans(b, a)
+    return len(a) == len(b) and cd.spans(cd.echelon(a), b) and cd.spans(cd.echelon(b), a)
 
 
 def test_span_engine_matches_three_rule_fixpoint(three_rule_span, queue_span, monkeypatch):
@@ -150,6 +153,79 @@ def test_span_engine_reduces_only_chain_ends(n, texts, monkeypatch):
         assert calls[0] <= 16, (text, calls[0])
 
 
+def _count_tables(monkeypatch):
+    """Record, by identity, each pivot table that _reduce reads and each one
+    that span_basis or echelon returns, and count their calls and
+    materialize's.  A table that a decider builds for itself is read but
+    never returned; the dicts keep every table alive, so no id recurs."""
+    read, built = {}, {}
+    calls = dict.fromkeys(("span_basis", "echelon", "materialize"), 0)
+    reduce = cd._reduce
+
+    def reading(vec, pivots):
+        read[id(pivots)] = pivots
+        return reduce(vec, pivots)
+
+    def counted(fn, name, table=True):
+        def wrapper(*args):
+            calls[name] += 1
+            result = fn(*args)
+            if table:
+                built[id(result)] = result
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cd, "_reduce", reading)
+    monkeypatch.setattr(cd, "span_basis", counted(cd.span_basis, "span_basis"))
+    monkeypatch.setattr(cd, "materialize", counted(cd.materialize, "materialize", table=False))
+    echelon = counted(cd.echelon, "echelon")
+    for module in (cd, dna, an):
+        monkeypatch.setattr(module, "echelon", echelon)
+    return read, built, calls
+
+
+@pytest.mark.parametrize("n,texts", LARGE_POOLS)
+def test_each_command_builds_one_pivot_table(n, texts, monkeypatch):
+    # a work guard, not a timing test: build and check build the code's
+    # pivot table once, and every span test reduces against that table
+    read, built, _ = _count_tables(monkeypatch)
+    for text in texts:
+        for argv in (["build"], *(["check", "--property", prop] for prop in
+                                  ("reversible", "complement", "reverse-complement",
+                                   "quasi-cyclic"))):
+            read.clear()
+            built.clear()
+            assert cli.main([*argv, "--n", str(n), "--gen", text]) == 0
+            assert (len(built), len(read), len(read.keys() - built.keys())) == (1, 1, 0), \
+                (argv, text)
+
+
+def test_verify_paper_builds_one_pivot_table_per_code(monkeypatch):
+    # every table a check reduces against is one that span_basis or echelon
+    # returned: span_basis runs once per materialized code and once in each
+    # of checks 3 and 4, which decide on a basis without a CodeSet, and
+    # echelon twice, in check 5's DNA encoder and minimum distance
+    read, built, calls = _count_tables(monkeypatch)
+    verify.run_all()
+    assert calls == {"span_basis": 338, "echelon": 2, "materialize": 336}
+    assert (len(built), len(read.keys() - built.keys())) == (340, 0)
+
+
+@given(st.integers(1, 2048).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << 4 * n) - 1))))
+def test_theta_is_an_involution_and_sigma_its_shift_below_the_top_entry(case):
+    # the premise of span_basis's two-register chains: the masked theta it
+    # runs is theta on every entry, theta(theta(p)) = p, and on a word whose
+    # entry n - 1 is 0 the skew shift is theta and a 4-bit shift
+    n, p = case
+    m3 = 3 * int("1" * n, 16)
+    packed_theta = p ^ (p >> 2) & m3
+    assert packed_theta == cd.pack(tuple(map(theta, cd.unpack(p, n))))
+    assert packed_theta ^ (packed_theta >> 2) & m3 == p
+    low = p & ((1 << 4 * (n - 1)) - 1)
+    assert cd.packed_skew_shift(n)(low) == (low ^ (low >> 2) & m3) << 4
+
+
 @pytest.mark.parametrize("n,t", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (6, 4), (6, 5)])
 def test_unit_generator_code_size_law(n, t):
     # a unit-monic right divisor of degree t spans 16^(n-t) words
@@ -223,7 +299,7 @@ def test_spans_and_echelon_match_brute_force_spans():
         for vec in vectors:
             span |= {s ^ vec for s in span}
         basis = cd.echelon(vectors)
-        assert len({b.bit_length() for b in basis}) == len(basis) and 0 not in basis
+        assert all(pivot == b.bit_length() - 1 for pivot, b in basis.items())
         assert 1 << len(basis) == len(span)
         assert all(cd.spans(basis, [w]) == (w in span) for w in range(256))
         assert cd.spans(basis, vectors) and cd.spans(basis, [])
@@ -591,5 +667,5 @@ def test_plain_cyclic_decision_reads_every_generator(word_walk_oracles):
 
 
 def test_minimal_degree_scan_of_the_zero_code():
-    zero = cd.CodeSet(cd.code_from_generator(2, (1, 1)), ())
+    zero = cd.CodeSet(cd.code_from_generator(2, (1, 1)), {})
     assert cd.minimal_degree_scan(zero) == cd.MinimalDegreeReport(False, None, (), (), None)

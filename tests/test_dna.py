@@ -255,7 +255,7 @@ def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,
     # closed: one unshifted word, and the shift-closed all-ones word
     # followed by an unshifted one
     ones, one = cd.pack((1,) * 6), cd.pack((1, 0, 0, 0, 0, 0))
-    fakes = [cd.CodeSet(sixteen_word_code.code, basis) for basis in ((one,), (ones, one))]
+    fakes = [cd.CodeSet(sixteen_word_code.code, cd.echelon(basis)) for basis in ((one,), (ones, one))]
     # the per-word identity always holds, so the oracle's first half is True
     closed = [an.image_closed_on_basis(cs.code, cs.basis) for cs in checked + fakes]
     disagreements = [cs.code for cs, c in zip(checked + fakes, closed)
@@ -269,7 +269,7 @@ def test_image_rotation_decision_agrees_with_set_oracle(image_rotation_oracle,
 
 def _classify(n, g):
     code = cd.code_from_generator(n, g)
-    return dna.classify(code, cd.code_basis(code))
+    return dna.classify(code, cd.materialize(code).basis)
 
 
 def test_classify_length10():
@@ -336,4 +336,4 @@ def test_classify_is_frozen_on_every_small_divisor_code():
 def test_classify_rejects_multiple_generators():
     code = cd.code_from_generators(3, [(4, 4), (1, 1, 1)])
     with pytest.raises(ValueError):
-        dna.classify(code, cd.code_basis(code))
+        dna.classify(code, cd.materialize(code).basis)

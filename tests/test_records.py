@@ -1,9 +1,10 @@
 """The result records' contract: fields, construction, equality, hashing.
 
 The five frozen records are named tuples with no attribute dict, so each
-is equal to, and hashes like, the plain tuple of its fields.  CheckResult
-is a named tuple too, but its details list leaves it unhashable; run_all
-sets its seconds with _replace.
+is equal to, and hashes like, the plain tuple of its fields.  A CodeSet's
+basis is its pivot table, a dict, so it hashes as that tuple does: not at
+all.  CheckResult is a named tuple too, but its details list leaves it
+unhashable; run_all sets its seconds with _replace.
 """
 
 import pytest
@@ -25,6 +26,14 @@ FIELDS = {
 }
 
 
+def _hash(value):
+    """hash(value), or TypeError where value does not hash."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
 def _records():
     code = cd.code_from_generator(6, sp.parse_poly("v(x^4+x^2+1)"))
     cs = cd.materialize(code)
@@ -42,7 +51,8 @@ def test_frozen_records_keep_their_fields_equality_and_hash(index):
     assert tuple(record) == values
     positional, keyword = kind(*values), kind(**dict(zip(names, values)))
     assert positional == keyword == record == values
-    assert hash(positional) == hash(keyword) == hash(record)
+    assert _hash(positional) == _hash(keyword) == _hash(record) == _hash(values)
+    assert (_hash(record) is TypeError) == (kind is cd.CodeSet)
     assert repr(record) == f"{kind.__name__}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):

@@ -190,7 +190,17 @@ def test_parse_compact_products():
     assert sp.parse_poly("(x+1)^2") == sp.mul((1, 1), (1, 1))
 
 
-@pytest.mark.parametrize("bad", ["x +", "(x", "q", "x^", ""])
+def test_binary_minus_is_plus():
+    # R has characteristic 2, so -a = a: x^n - 1 reads as divisors prints it
+    assert sp.parse_poly("x^2-1") == sp.parse_poly("x^2 + 1") == sp.x_pow_minus_one(2)
+    assert sp.parse_poly("x^10 - 1") == sp.x_pow_minus_one(10)
+    assert sp.parse_poly("x^4 - (w+v)*x^2 - 1") == sp.parse_poly("x^4 + (w+v)*x^2 + 1")
+    assert sp.parse_poly("v(x^4 - x^2 + 1)") == (V, 0, V, 0, V)
+    assert sp.parse_poly("(x - w)(x + w)") == sp.mul((2, 1), (2, 1))
+    assert sp.parse_poly("x - x") == ()
+
+
+@pytest.mark.parametrize("bad", ["x +", "(x", "q", "x^", "", "x -"])
 def test_parse_errors(bad):
     with pytest.raises(ValueError):
         sp.parse_poly(bad)
@@ -198,6 +208,8 @@ def test_parse_errors(bad):
 
 @pytest.mark.parametrize("bad, message", [
     ("+x", "expected a term, found '+'"), ("x++1", "expected a term, found '+'"),
+    ("-x", "expected a term, found '-'"), ("x--1", "expected a term, found '-'"),
+    ("x+-1", "expected a term, found '-'"), ("x^-1", "bad exponent '-'"),
     ("*x", "expected a term, found '*'"), ("()", "expected a term, found ')'"),
     ("^2", "expected a term, found '^'"),
     ("x^²", "bad exponent '²'"), ("x^٣", "bad exponent '٣'"), ("x^a", "bad exponent 'a'"),
