@@ -15,10 +15,10 @@ Generators are written either as polynomial text in x over the ring
 check decides on the code's GF(2) basis at any size; dna writes the words
 sorted, 4,096 at a time as it makes them, in memory that does not grow with
 the code; distance walks the component vC alone (about sqrt(size) words),
-and both refuse codes above --cap.  divisors streams its output like dna,
-4,096 rows at a time, once its search has listed every divisor.  --n is at
-most skewpoly.MAX_PARSE_DEGREE (2048), checked before any work, so every
-size printed has under 4,300 digits.
+and both refuse codes above --cap.  divisors writes 4,096 rows at a time,
+each block built at once, flags by column, once its search has listed every
+divisor.  --n is at most skewpoly.MAX_PARSE_DEGREE (2048), checked before
+any work, so every size printed has under 4,300 digits.
 
 Exit codes: 0 success; 1 a requested property or verification check
 failed; 2 input could not be parsed or is out of range; 3 a size or search
@@ -47,6 +47,7 @@ from . import dna
 from . import skewpoly as sp
 from . import verify
 from .algebra import ELEMENTS, gf4_token, gray, r_token
+from .skewpoly import _THETA_BYTES
 
 
 # divisors rows per write: few calls, and no whole copy
@@ -100,27 +101,46 @@ _SHAPES = {"unit": (cd.FORM_UNIT,), "v": (cd.FORM_V,), "v1": (cd.FORM_V1,),
            "any": (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
 
 
-_QUOTED = tuple(map(json.dumps, map(r_token, ELEMENTS)))  # each token as a JSON string
 _KEY = _ROW + "  "  # the indent of a divisors row's keys
 _TAGS = ("-", "theta-palindromic", "palindromic", "palindromic, theta-palindromic")
-# each shape's row tails, picked by 2 * palindromic + theta-palindromic
-_TEXT_TAILS = {shape: [f"]  ({shape})  {tag}" for tag in _TAGS] for shape in _SHAPES["any"]}
-_JSON_TAILS = {shape: [f'{_KEY}],{_KEY}"leading": {json.dumps(shape)},{_KEY}"palindromic": {pal},'
-                       f'{_KEY}"theta_palindromic": {tpal}{_ROW}}}'
-                       for pal in ("false", "true") for tpal in ("false", "true")]
-               for shape in _SHAPES["any"]}
+# per shape, what codes c, 16 + c and 32 + f expand to: the separator or the row's head
+# with c's token, and the tail of flags f = 2 * palindromic + theta-palindromic with the glue
+_TEXT_ROWS = {shape: [", " + r_token(c) for c in ELEMENTS] + ["[" + r_token(c) for c in ELEMENTS]
+              + [f"]  ({shape})  {tag}\n" for tag in _TAGS] for shape in _SHAPES["any"]}
+_JSON_ROWS = {shape: [f",{_KEY}  " + json.dumps(r_token(c)) for c in ELEMENTS]
+              + [f'{{{_KEY}"coeffs": [{_KEY}  ' + json.dumps(r_token(c)) for c in ELEMENTS]
+              + [f'{_KEY}],{_KEY}"leading": "{shape}",{_KEY}"palindromic": {pal},'
+                 f'{_KEY}"theta_palindromic": {tpal}{_ROW}}},{_ROW}'
+                 for pal in ("false", "true") for tpal in ("false", "true")]
+              for shape in _SHAPES["any"]}  # the row objects of a JSON list, keys sorted
+_FIRST = bytes(range(16, 256)) + bytes(16)  # c -> 16 + c, the code of a first coefficient
+_FLAGS = bytes(32 + 2 * (b < 16) + (b % 16 == 0) for b in range(256))  # 16 d + e -> 32 + f
 
 
-def _divisor_rows(found, head: str, tokens, sep: str, tails: dict, glue: str):
+def _divisor_rows(found, tables: dict, glue: str):
     """The rows of found, (shape, divisors) pairs, up to _LINES_PER_WRITE
-    joined by glue at a time: head, g's tokens joined by sep, and the one of
-    tails[shape] that 2 * palindromic + theta-palindromic of g picks."""
-    for shape, gs in found:
-        ends = tails[shape]
-        for i in range(0, len(gs), _LINES_PER_WRITE):
-            yield glue.join([head + sep.join(map(tokens, g))
-                             + ends[sp.is_palindromic(g) << 1 | sp.is_theta_palindromic(g)]
-                             for g in gs[i:i + _LINES_PER_WRITE]])
+    at a time, joined by glue.  Column j of a block holds coefficient j of
+    each row, a byte per row.  A row is palindromic when columns j and
+    w - 1 - j agree in it, theta-palindromic when column j agrees with theta
+    of column w - 1 - j, for each j <= (w - 1)/2 (theta is an involution):
+    as integers, when the OR d resp. e of those XORs is 0 in its byte.  The
+    columns, the first as codes 16 + c, and 16 d + e (d, e < 16) as codes
+    32 + f are interleaved into one byte string, one join expanding it."""
+    for shape, gs in ((shape, rows[i:i + _LINES_PER_WRITE]) for shape, rows in found
+                      for i in range(0, len(rows), _LINES_PER_WRITE)):
+        w, m = len(gs[0]), len(gs)
+        flat = bytes(chain.from_iterable(gs))
+        cols = [flat[j::w] for j in range(w)]
+        pal = tpal = 0
+        for j in range((w + 1) // 2):
+            low, high = int.from_bytes(cols[j], "big"), cols[w - 1 - j]
+            pal |= low ^ int.from_bytes(high, "big")
+            tpal |= low ^ int.from_bytes(high.translate(_THETA_BYTES), "big")
+        cols[0] = cols[0].translate(_FIRST)
+        out = bytearray(m * (w + 1))
+        for j, col in enumerate([*cols, (pal << 4 | tpal).to_bytes(m, "big").translate(_FLAGS)]):
+            out[j::w + 1] = col
+        yield "".join(map(tables[shape].__getitem__, out))[:-len(glue)]
 
 
 def _cmd_divisors(args) -> tuple[int, dict, Iterable[str]]:
@@ -128,14 +148,12 @@ def _cmd_divisors(args) -> tuple[int, dict, Iterable[str]]:
                                                  leading=shape, budget=args.cap))
              for shape in _SHAPES[args.leading]]
     count = sum(len(gs) for _, gs in found)
-    # the JSON list of row objects, their keys sorted
-    rows = _divisor_rows(found, "{" + _KEY + '"coeffs": [' + _KEY + "  ", _QUOTED.__getitem__,
-                         "," + _KEY + "  ", _JSON_TAILS, "," + _ROW)
+    rows = _divisor_rows(found, _JSON_ROWS, "," + _ROW)
     divisors = chain(chain.from_iterable(zip(chain(["[" + _ROW], repeat("," + _ROW)), rows)),
                      [_TOP + "]" if count else "[]"])
     text = chain([f"{count} right divisors of x^{args.n} - 1, degree {args.degree}, "
                   f"leading {args.leading}"],
-                 _divisor_rows(found, "[", r_token, ", ", _TEXT_TAILS, "\n"))
+                 _divisor_rows(found, _TEXT_ROWS, "\n"))
     doc = {"command": "divisors", "n": args.n, "degree": args.degree,
            "leading": args.leading, "divisors": divisors}
     return 0, doc, text

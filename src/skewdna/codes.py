@@ -254,11 +254,6 @@ class CodeSet(namedtuple("CodeSet", "code basis")):
             yield cur
 
 
-def code_basis(code: SkewCyclicCode) -> tuple[int, ...]:
-    """The values of the code's pivot table, in order; log2 of the size."""
-    return tuple(span_basis(code.n, code.generator_words()).values())
-
-
 def materialize(code: SkewCyclicCode) -> CodeSet:
     """The code with its pivot table, for the deciders and the walks."""
     return CodeSet(code, span_basis(code.n, code.generator_words()))

@@ -25,8 +25,13 @@ runs only their packed forms, and the tests pin those to these.  The DNA
 string maps (a tuple word's string, and the string reverse and Watson-Crick
 complement) are the string-level definitions that the packed theta-reverse
 and complement pull back.
+
+The divisors row oracle builds each listed row one at a time from the
+palindrome predicates, as the CLI did before it decided the flags a column
+at a time; the CLI's block builder is compared with it on arbitrary rows.
 """
 
+import json
 import random
 from itertools import islice
 
@@ -37,7 +42,7 @@ from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
-from skewdna.algebra import from_parts, gray, is_unit, parts, r_mul
+from skewdna.algebra import from_parts, gray, is_unit, parts, r_mul, r_token
 
 # every hypothesis test draws the same examples on every run, so a failure
 # reproduces; each test keeps its example count
@@ -247,6 +252,11 @@ def queue_span_basis(n, generator_words):
     return list(pivots.values())
 
 
+def code_basis(code):
+    """The span engine's vectors for code, in the order it found them."""
+    return tuple(cd.span_basis(code.n, code.generator_words()).values())
+
+
 def tuple_words(codeset):
     """Every codeword as a tuple of ring elements, walked from the basis."""
     return frozenset(cd.unpack(p, codeset.n) for p in codeset.walk())
@@ -420,3 +430,36 @@ def reference_dna_strings():
 def sixteen_word_code():
     """The length-6 code <v(x^4 + x^2 + 1)>, materialized."""
     return cd.materialize(cd.code_from_generator(6, sp.parse_poly("v(x^4+x^2+1)")))
+
+
+# ---------------------------------------------------------------------------
+# divisors rows
+
+DIVISOR_TAGS = ("-", "theta-palindromic", "palindromic", "palindromic, theta-palindromic")
+_KEY, _ROW = "\n" + " " * 6, "\n" + " " * 4  # the indents of a row's keys and of a row
+
+
+def divisor_row_chunks(found, structured, per_chunk):
+    """The rows divisors writes for found, (shape, divisors) pairs, up to
+    per_chunk joined by glue at a time, built row by row: head, g's tokens
+    joined by sep, and the tail that 2 * palindromic + theta-palindromic of
+    g picks, each flag decided by its predicate."""
+    if structured:
+        head, sep, glue = "{" + _KEY + '"coeffs": [' + _KEY + "  ", "," + _KEY + "  ", "," + _ROW
+        tokens = [json.dumps(r_token(c)) for c in range(16)].__getitem__
+        tails = {shape: [f'{_KEY}],{_KEY}"leading": {json.dumps(shape)},{_KEY}"palindromic": '
+                         f'{pal},{_KEY}"theta_palindromic": {tpal}{_ROW}}}'
+                         for pal in ("false", "true") for tpal in ("false", "true")]
+                 for shape in (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
+    else:
+        head, sep, glue, tokens = "[", ", ", "\n", r_token
+        tails = {shape: [f"]  ({shape})  {tag}" for tag in DIVISOR_TAGS]
+                 for shape in (cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)}
+    chunks = []
+    for shape, gs in found:
+        ends = tails[shape]
+        for i in range(0, len(gs), per_chunk):
+            chunks.append(glue.join([head + sep.join(map(tokens, g))
+                                     + ends[sp.is_palindromic(g) << 1 | sp.is_theta_palindromic(g)]
+                                     for g in gs[i:i + per_chunk]]))
+    return chunks

@@ -1,10 +1,12 @@
 """CLI plumbing: output shapes, exit codes, fault injection."""
 
 import argparse
+import collections
 import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +20,8 @@ from skewdna import cli, dna, verify
 from skewdna import codes as cd
 from skewdna import skewpoly as sp
 from skewdna.algebra import parse_element, r_token
+
+from conftest import divisor_row_chunks, theta
 
 EX3 = ["--n", "6", "--gen", "v(x^4+x^2+1)"]
 EX1 = ["--n", "10", "--gen", "x^4+(v+w)*x^2+1"]
@@ -614,6 +618,64 @@ def test_divisors_text_is_one_print_per_row(capsys, argv):
     printed = capsys.readouterr().out
     assert printed.count("\n") == len(rows) + 1
     assert run(capsys, argv) == (0, printed, "")
+
+
+def test_divisors_decide_the_flags_a_block_at_a_time(capsys, monkeypatch):
+    # a work guard: 7,735 rows are two blocks of the column builder in each
+    # format, and no row calls a palindrome predicate
+    calls, rows = collections.Counter(), cli._divisor_rows
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    def counted_blocks(*args):
+        for block in rows(*args):
+            calls["blocks"] += 1
+            yield block
+
+    for name in ("is_palindromic", "is_theta_palindromic"):
+        monkeypatch.setattr(sp, name, counted(name, getattr(sp, name)))
+    monkeypatch.setattr(cli, "_divisor_rows", counted_blocks)
+    for form in ("text", "structured"):
+        calls.clear()
+        assert run(capsys, ["divisors", "--n", "12", "--degree", "6", "--format", form])[0] == 0
+        assert calls == {"blocks": 2}, form
+
+
+@st.composite
+def _equal_width_rows(draw):
+    """Rows of one width over all 16 elements, not only divisors: each one
+    arbitrary, palindromic, theta-palindromic or both, with equal odds."""
+    w = draw(st.integers(2, 12))
+    m = draw(st.sampled_from((1, 4096, 4097)) | st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(m):
+        kind = rng.randrange(4)  # 1 palindromic, 2 theta-palindromic, 3 both
+        g = [rng.randrange(4 if kind == 3 else 16) for _ in range(w)]  # theta fixes GF(4)
+        if kind == 2 and w % 2:
+            g[w // 2] &= 3
+        for j in range(w // 2 if kind else 0):
+            g[w - 1 - j] = theta(g[j]) if kind == 2 else g[j]
+        rows.append(tuple(g))
+    return rows
+
+
+@given(_equal_width_rows(), st.sampled_from((cd.FORM_UNIT, cd.FORM_V, cd.FORM_V1)),
+       st.booleans())
+@example([(1, 4, 1)], cd.FORM_UNIT, False)  # palindromic only
+@example([(4, 2, 5)], cd.FORM_V, True)  # theta-palindromic only
+@example([(1, 2, 1)], cd.FORM_V1, False)  # both
+@example([(1, 2, 3)], cd.FORM_UNIT, True)  # neither
+@example([(1, 4, 1), (4, 2, 5), (1, 2, 1), (1, 2, 3)], cd.FORM_V1, True)  # all four in one block
+def test_divisor_blocks_match_the_row_formula(rows, shape, structured):
+    tables, glue = (cli._JSON_ROWS, "," + cli._ROW) if structured else (cli._TEXT_ROWS, "\n")
+    found = [(shape, rows)]
+    assert (list(cli._divisor_rows(found, tables, glue))
+            == divisor_row_chunks(found, structured, cli._LINES_PER_WRITE))
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

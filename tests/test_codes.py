@@ -16,7 +16,7 @@ from skewdna import skewpoly as sp
 from skewdna import verify
 from skewdna.algebra import is_unit, parse_element, r_mul
 
-from conftest import membership, randrange_word, theta
+from conftest import code_basis, membership, randrange_word, theta
 
 EX3 = sp.parse_poly("v(x^4+x^2+1)")
 
@@ -54,7 +54,7 @@ def test_span_engine_at_large_lengths(n, text):
     g = sp.parse_poly(text)
     code = cd.code_from_generator(n, g)
     assert cd.classify_generator(n, g) == cd.FORM_UNIT
-    basis = cd.code_basis(code)
+    basis = code_basis(code)
     assert len(basis) == 4 * (n - (len(g) - 1))
     assert len({b.bit_length() for b in basis}) == len(basis)
     assert all(sp.right_divides(g, sp.normalize(cd.unpack(b, n))) for b in basis)
@@ -87,12 +87,12 @@ def test_span_engine_matches_three_rule_fixpoint(three_rule_span, queue_span, mo
         if all(gens):
             drawn.append(cd.code_from_generators(n, gens))
     bad = [code for code in [*swept.values(), *drawn]
-           if not _same_span(cd.code_basis(code),
+           if not _same_span(code_basis(code),
                              three_rule_span(code.n, code.generator_words()))]
     assert bad == []
     assert [code for code in [*swept.values(), *drawn]
-            if cd.code_basis(code) != tuple(queue_span(code.n, code.generator_words()))] == []
-    assert {len(cd.code_basis(code)) for code in drawn} >= {4, 8, 12, 16, 20, 24}
+            if code_basis(code) != tuple(queue_span(code.n, code.generator_words()))] == []
+    assert {len(code_basis(code)) for code in drawn} >= {4, 8, 12, 16, 20, 24}
 
 
 # the cli-large benchmark's generators, each a right divisor of x^n - 1
@@ -115,7 +115,7 @@ def test_span_engine_matches_three_rule_fixpoint_at_large_lengths(n, texts, thre
                                                                    queue_span):
     for text in texts:
         code = cd.code_from_generator(n, sp.parse_poly(text))
-        basis, words = cd.code_basis(code), code.generator_words()
+        basis, words = code_basis(code), code.generator_words()
         assert _same_span(basis, three_rule_span(n, words)), text
         assert basis == tuple(queue_span(n, words)), text
 
@@ -132,7 +132,7 @@ def test_span_engine_matches_the_queue_loop(case, queue_span):
     gens = [g for g in map(sp.normalize, gens) if g]
     assume(gens)
     code = cd.code_from_generators(n, gens)
-    assert cd.code_basis(code) == tuple(queue_span(n, code.generator_words()))
+    assert code_basis(code) == tuple(queue_span(n, code.generator_words()))
 
 
 @pytest.mark.parametrize("n,texts", LARGE_POOLS)
@@ -149,7 +149,7 @@ def test_span_engine_reduces_only_chain_ends(n, texts, monkeypatch):
     monkeypatch.setattr(cd, "_reduce", counted)
     for text in texts:
         calls[0] = 0
-        cd.code_basis(cd.code_from_generator(n, sp.parse_poly(text)))
+        code_basis(cd.code_from_generator(n, sp.parse_poly(text)))
         assert calls[0] <= 16, (text, calls[0])
 
 
@@ -310,12 +310,12 @@ def test_spans_and_echelon_match_brute_force_spans():
 
 def test_code_sizes_are_powers_of_two(sixteen_word_code):
     assert sixteen_word_code.size == 16
-    assert len(cd.code_basis(sixteen_word_code.code)) == 4
+    assert len(code_basis(sixteen_word_code.code)) == 4
 
 
 def test_dimension_without_materializing():
     g = sp.parse_poly("x^4 + (v+w)*x^2 + 1")
-    assert len(cd.code_basis(cd.code_from_generator(10, g))) == 24  # 16^6 words
+    assert len(code_basis(cd.code_from_generator(10, g))) == 24  # 16^6 words
 
 
 def test_enumerate_counts_are_frozen():

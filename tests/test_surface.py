@@ -2,11 +2,9 @@
 tuple word maps, start-up imports.
 
 Every public top-level name in skewdna's modules is read somewhere in the
-package, or it is listed in UNREAD: as a tracer pin that the benchmark
-wraps by name, or, for "tests", codes.code_basis alone, the span engine's
-vectors in the order it finds them, which the tests compare with the queue
-loop's (the package reads the engine's pivot table).  An oracle that the
-tests compare the package against lives in tests/conftest.py.  A read is
+package, or it is listed in UNREAD as a tracer pin that the benchmark
+wraps by name.  An oracle that the tests compare the package against, or a
+helper only the tests read, lives in tests/conftest.py.  A read is
 a Name in Load context, an attribute or an import alias; docstrings and
 __all__ strings do not count.  A new name that nothing reads fails this
 test until it is used, deleted or listed.
@@ -43,7 +41,6 @@ UNREAD = {
     "analysis.gray_image_report": "tracer",
     "dna.is_reverse_complement_closed": "tracer",
     "dna.reversible_by_remainder": "tracer",
-    "codes.code_basis": "tests",
 }
 
 
@@ -84,8 +81,7 @@ def test_every_public_name_is_read_or_listed():
     unread = {f"{mod}.{name}" for mod, tree in trees.items()
               for name in _defined(tree) - reads}
     assert unread == set(UNREAD)
-    assert set(UNREAD.values()) == {"tracer", "tests"}
-    assert [name for name, why in UNREAD.items() if why == "tests"] == ["codes.code_basis"]
+    assert set(UNREAD.values()) == {"tracer"}
 
 
 def _private_callables_used(tree: ast.Module) -> set[str]:
