@@ -1,16 +1,16 @@
 """Weights, distances, and the shape of Gray images.
 
-Two metrics live here.  Hamming weight counts nonzero ring entries.  Lee
-weight counts nonzero GF(4) coordinates of each entry (0 for zero, 1 for the
-six nonzero zero divisors, 2 for the nine units), so the Lee weight of a word
-equals the Hamming weight of its Gray image over GF(4).  Both induce
-distances through XOR differences, and every code produced by this package
-is an F2-subspace, so minimum distance is minimum nonzero weight.  Every
-map here acts on packed words (codes.pack) with a few masks, and a weight is
-one popcount of a weight fold.  min_distance walks only a code's component
-vC, where Lee and Hamming weight agree, so every code's Lee and Hamming
-minima are equal; the skew shift carries vC onto the other component
-(1+v)C, weight for weight.
+Lee weight counts the nonzero GF(4) coordinates of each entry (0 for zero,
+1 for the six nonzero zero divisors, 2 for the nine units), so the Lee
+weight of a word equals the Hamming weight of its Gray image over GF(4);
+Hamming weight counts nonzero ring entries.  Both induce distances through
+XOR differences, and every code produced by this package is an
+F2-subspace, so minimum distance is minimum nonzero weight.  Every map here
+acts on packed words (codes.pack) with a few masks, and a weight is one
+popcount.  min_distance walks only a code's component vC, whose nonzero
+entries are the multiples of v and weigh 1 in both metrics, so one count
+is every code's Lee and Hamming minimum; the skew shift carries vC onto
+the other component (1+v)C, weight for weight.
 
 The Gray image of a skew cyclic code is not cyclic, but it is one fixed
 permutation away from a 2-quasi-cyclic code: rotating the image of c right
@@ -30,35 +30,27 @@ from .codes import (CodeSet, SkewCyclicCode, echelon, packed_rotation, packed_sk
                     packed_times_v, skew_shift, spans)
 
 
-def packed_weight_fold(n: int, metric: str):
-    """Weight fold on packed words of length n (codes.pack): each entry's
-    weight as bits 0 and 2 of its nibble, so a word's weight is the fold's
-    bit_count.  Entry-local: built for n*k entries, it folds k words at once.
-
-    Hamming weight is each entry's four bits OR-folded onto its lowest.  Lee
-    weight counts the nonzero GF(4) parts of the Gray pair (a + b, a) of
-    each entry a | b << 2: z = p ^ (a << 2) holds a in bits 0-1 and a + b in
-    bits 2-3, and each part folds onto its low bit.
-    """
+def packed_lee_fold(n: int):
+    """Lee weight fold on packed words of length n (codes.pack): each
+    entry's weight as bits 0 and 2 of its nibble, so a word's weight is the
+    fold's bit_count.  Entry-local: built for n*k entries, it folds k words
+    at once.  It counts the nonzero GF(4) parts of the Gray pair (a + b, a)
+    of each entry a | b << 2: z = p ^ (a << 2) holds a in bits 0-1 and a + b
+    in bits 2-3, and each part folds onto its low bit."""
     ones = int("1" * n, 16)  # bit 0 of every entry
-    if metric == "hamming":
-        def fold(p: int) -> int:
-            p |= p >> 2
-            return (p | p >> 1) & ones
-    elif metric == "lee":
-        m3, m5 = 3 * ones, 5 * ones
+    m3, m5 = 3 * ones, 5 * ones
 
-        def fold(p: int) -> int:
-            z = p ^ (p & m3) << 2
-            return (z | z >> 1) & m5
-    else:
-        raise ValueError(f"unknown metric {metric!r}; use 'hamming' or 'lee'")
+    def fold(p: int) -> int:
+        z = p ^ (p & m3) << 2
+        return (z | z >> 1) & m5
+
     return fold
 
 
-def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
-    """Minimum distance of an F2-additive code: least nonzero-word weight,
-    read off the component vC alone, 2^(k/2) words for 2^k.
+def min_distance(codeset: CodeSet) -> int:
+    """Minimum distance of an F2-additive code, Lee and Hamming alike:
+    least nonzero-word weight, read off the component vC alone, 2^(k/2)
+    words for 2^k.
 
     For c = a + b*v, v*c = (a + b)*v and (1+v)*c = a + a*v.  A code is
     closed under scalars, so both components lie in C, c = v*c + (1+v)*c,
@@ -68,21 +60,23 @@ def min_distance(codeset: CodeSet, metric: str = "hamming") -> int:
     minimum is the least weight of a nonzero component word.  The skew shift
     sigma keeps both weights (theta swaps an entry's Gray pair) and
     sigma(v*c) = (1+v)*sigma(c), so sigma maps vC onto (1+v)C, and vC holds
-    the minimum, with half of C's dimension.  That needs a set closed under
-    v and sigma; a basis that is not is no code, and it is refused.  The
-    walk stops at its first word of weight 1, as no nonzero word weighs less.
+    the minimum, with half of C's dimension.  An entry of vC is (a + b)*v,
+    in bits 2-3 of its nibble, so a word's weight is the count of entries
+    with either bit set.  That needs a set closed under v and sigma; a basis
+    that is not is no code, and it is refused.  The walk stops at its first
+    word of weight 1, as no nonzero word weighs less.
     """
-    n = codeset.n
-    fold, times_v = packed_weight_fold(n, metric), packed_times_v(n)
-    basis, vectors = codeset.basis, codeset.basis.values()
-    if not spans(basis, [*map(times_v, vectors), *map(packed_skew_shift(n), vectors)]):
+    n, basis = codeset.n, codeset.basis
+    images = [*map(packed_times_v(n), basis.values())]
+    if not spans(basis, [*images, *map(packed_skew_shift(n), basis.values())]):
         raise ValueError("the basis is not closed under v and the skew shift, so it spans no code")
-    component = CodeSet(codeset.code, echelon(map(times_v, vectors)))
+    component = CodeSet(codeset.code, echelon(images))
     if not component.basis:
         raise ValueError("zero code has no minimum distance")
+    v_bits = 4 * int("1" * n, 16)  # bit 2 of every entry
     best = n  # a word of vC weighs at most 1 per entry
     for p in islice(component.walk(), 1, None):
-        if (weight := fold(p).bit_count()) < best:
+        if (weight := ((p | p >> 1) & v_bits).bit_count()) < best:
             best = weight
             if weight == 1:
                 break
@@ -133,10 +127,6 @@ class GrayImageReport(namedtuple("GrayImageReport", (
 
     __slots__ = ()
 
-    @property
-    def distance_preserved(self) -> bool:
-        return self.lee_min == self.gray_hamming_min
-
 
 def image_closed_on_basis(code: SkewCyclicCode, basis) -> bool:
     """image_closed of GrayImageReport.  gray^-1 o swap-pairs o
@@ -157,7 +147,7 @@ def gray_image_report(codeset: CodeSet) -> GrayImageReport:
     """Check the quasi-cyclic equivalence and Lee/Hamming agreement at once;
     gray_hamming_min weighs the Gray image of every word."""
     image, fold = packed_gray_image(codeset.n), image_weight_fold(codeset.n)
-    lee_min = min_distance(codeset, "lee")  # first: it refuses the zero code and non-codes
+    lee_min = min_distance(codeset)  # first: it refuses the zero code and non-codes
     # the identity is GF(2)-linear on both sides, so the basis decides it
     identity = not any(map(image_shift_defect(codeset.n), codeset.basis.values()))
     return GrayImageReport(

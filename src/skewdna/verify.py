@@ -181,7 +181,7 @@ def check_sixteen_codeword_table() -> CheckResult:
         bad.append(f"extra: {sorted(got - SIXTEEN_WORD_TABLE)}")
     if not dna.is_reversible(cs):
         bad.append("not reversible")
-    d = an.min_distance(cs, "lee")
+    d = an.min_distance(cs)
     if d != 3:
         bad.append(f"min Lee distance {d}, expected 3")
     return CheckResult("sixteen-codeword-table", not bad,
@@ -357,7 +357,7 @@ def check_distance_preservation(seed: int = DEFAULT_SEED) -> CheckResult:
     in the same order.  Both weights are summed and compared lane by lane.
     """
     def gray_maps(m):
-        return an.packed_weight_fold(m, "lee"), an.packed_gray_image(m), an.image_weight_fold(m)
+        return an.packed_lee_fold(m), an.packed_gray_image(m), an.image_weight_fold(m)
 
     bad = []
     lee, image, fold = gray_maps(1)

@@ -14,10 +14,13 @@ definitions, word by word over the enumerated code; the package decides
 them on the code's basis or generators and is validated against these, as
 are the plain-shift decision and the minimal-degree scan, which read the
 basis, and the minimum distance, which walks the component vC alone; their
-oracles walk every word.
+oracles walk every word.  The distance oracle weighs words in both metrics
+with its own weights: the packed Hamming fold, which the package no longer
+has, and a byte table built from LEE_WEIGHT.
 
-The ring oracles theta and gray_inverse follow the paper's formulas on an
-element's parts, not the package's tables, which the tests pin to them.
+The ring oracles theta, gray_inverse and LEE_WEIGHT follow the paper's
+formulas on an element's parts, not the package's tables, which the tests
+pin to them.
 The tuple word maps (the skew shift's Gray-image form, weights and
 distances, theta-reverse and complement, and membership of a tuple word)
 define each map entry by entry on tuples of ring elements.  The package
@@ -38,7 +41,6 @@ from itertools import islice
 import pytest
 from hypothesis import settings
 
-from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
@@ -93,8 +95,11 @@ def poly_to_word(f, n):
     return tuple(f) + (0,) * (n - len(f))
 
 
-# Lee weight of a ring element = number of nonzero Gray coordinates.
-LEE_WEIGHT = tuple((1 if gray(x)[0] else 0) + (1 if gray(x)[1] else 0) for x in range(16))
+# Lee weight of a ring element a + b*v = number of nonzero parts of its
+# Gray pair (a + b, a)
+LEE_WEIGHT = tuple((a ^ b != 0) + (a != 0) for a, b in map(parts, range(16)))
+# the Lee weight of a packed byte, two entries: bytes.translate then sum
+LEE_BYTE_WEIGHTS = bytes(LEE_WEIGHT[x & 15] + LEE_WEIGHT[x >> 4] for x in range(256))
 
 
 def hamming_weight(word):
@@ -115,6 +120,27 @@ def lee_distance(u, w):
     if len(u) != len(w):
         raise ValueError("length mismatch")
     return sum(LEE_WEIGHT[a ^ b] for a, b in zip(u, w))
+
+
+def packed_hamming_fold(n):
+    """Hamming weight fold on packed words of length n: each entry's four
+    bits OR-folded onto its lowest, so a word's weight is the fold's
+    bit_count.  Entry-local: built for n*k entries, it folds k words at
+    once."""
+    ones = int("1" * n, 16)
+
+    def fold(p):
+        p |= p >> 2
+        return (p | p >> 1) & ones
+
+    return fold
+
+
+def packed_lee_weight(n):
+    """Lee weight of packed words of length n, entry by entry from
+    LEE_WEIGHT: each byte's two entries through LEE_BYTE_WEIGHTS."""
+    size = (n + 1) // 2
+    return lambda p: sum(p.to_bytes(size, "little").translate(LEE_BYTE_WEIGHTS))
 
 
 def gray_image(word):
@@ -337,8 +363,9 @@ def naive_minimal_degree_scan(codeset):
 def naive_min_distance(codeset, metric):
     """min_distance by its definition: the least weight of every nonzero
     word, each one walked."""
-    fold = an.packed_weight_fold(codeset.n, metric)
-    best = min((fold(p).bit_count() for p in islice(codeset.walk(), 1, None)), default=None)
+    fold = packed_hamming_fold(codeset.n)
+    weigh = packed_lee_weight(codeset.n) if metric == "lee" else lambda p: fold(p).bit_count()
+    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
     if best is None:
         raise ValueError("zero code has no minimum distance")
     return best

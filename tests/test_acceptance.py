@@ -26,7 +26,8 @@ from skewdna import skewpoly as sp
 from skewdna import verify
 from skewdna.algebra import parse_element, parts, r_inv, r_token
 
-from conftest import complement_word, membership, poly_to_word, randrange_word
+from conftest import (complement_word, membership, packed_hamming_fold, poly_to_word,
+                      randrange_word)
 
 V = parse_element("v")
 V1 = parse_element("1+v")
@@ -257,7 +258,7 @@ def _tuple_draw_distance_failures():
     size of a pair, as the check's lanes are: the maps are entry-local, so
     on words of n entries they act as the n-entry maps do."""
     def gray_maps(m):
-        return an.packed_weight_fold(m, "lee"), an.packed_gray_image(m), an.image_weight_fold(m)
+        return an.packed_lee_fold(m), an.packed_gray_image(m), an.image_weight_fold(m)
 
     lee, image, fold = gray_maps(1)
     for x, y in itertools.product(range(16), repeat=2):
@@ -276,12 +277,12 @@ def _tuple_draw_distance_failures():
 
 def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
     # both checks run the maps the package runs, so breaking one breaks them:
-    # the plain rotation (no theta) for analysis's packed sigma, the Hamming
-    # weight fold for the Lee one.  Each mutation is applied to every length,
-    # and once more above the exhaustive part only, so that the first 20
-    # failures come from the seeded words and pin their order and their
+    # the plain rotation (no theta) for analysis's packed sigma, the oracle's
+    # Hamming weight fold for the Lee one.  Each mutation is applied to every
+    # length, and once more above the exhaustive part only, so that the first
+    # 20 failures come from the seeded words and pin their order and their
     # printed form.
-    shift, weigher = an.packed_skew_shift, an.packed_weight_fold
+    shift, lee = an.packed_skew_shift, an.packed_lee_fold
     for mutant, summary in (
             (cd.packed_rotation, "40272 words checked, 40040 identity failures"),
             (lambda n, lanes=1: (cd.packed_rotation if n > 2 else shift)(n, lanes), None)):
@@ -292,10 +293,9 @@ def test_criteria_10_and_11_test_the_packed_maps(monkeypatch):
     assert len(r.details) == 20 and r.details[0].count(",") == 2  # a seeded length-3 word
     monkeypatch.setattr(an, "packed_skew_shift", shift)
     for mutant, summary in (
-            (lambda n, metric: weigher(n, "hamming"),
-             "256 element pairs + 60000 word pairs, 52523 failures"),
-            (lambda n, metric: weigher(n, "hamming" if n > 1 else metric), None)):
-        monkeypatch.setattr(an, "packed_weight_fold", mutant)
+            (packed_hamming_fold, "256 element pairs + 60000 word pairs, 52523 failures"),
+            (lambda n: (packed_hamming_fold if n > 1 else lee)(n), None)):
+        monkeypatch.setattr(an, "packed_lee_fold", mutant)
         r = verify.check_distance_preservation()
         assert summary in (None, r.summary)
         assert r.details == list(itertools.islice(_tuple_draw_distance_failures(), 20))
@@ -331,7 +331,7 @@ def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
     # check 10 reads no weight fold and check 11 no shift, so each check
     # runs under its own mutation.  Each check builds its lane maps once
     # per length.
-    fold, defect, weigh = an.packed_weight_fold, an.image_shift_defect, an.image_weight_fold
+    defect, weigh = an.image_shift_defect, an.image_weight_fold
     results = []
     for lanes in (1000, 16, 10_000):
         monkeypatch.setattr(verify, "_LANES", lanes)
@@ -345,7 +345,7 @@ def test_criteria_10_and_11_do_not_depend_on_the_chunk_size(monkeypatch):
                           lambda size: built.append((11, size)) or weigh(size))
                 if mutated:
                     m.setattr(an, "packed_skew_shift", cd.packed_rotation)
-                    m.setattr(an, "packed_weight_fold", lambda n, metric: fold(n, "hamming"))
+                    m.setattr(an, "packed_lee_fold", packed_hamming_fold)
                 results.append([(r.summary, r.details) for r in (
                     verify.check_image_rotation_identity(), verify.check_distance_preservation())])
             assert built == ([(10, 1, 16), (10, 2, 256)]
@@ -455,7 +455,7 @@ def test_checks_2_and_5_name_each_failure(monkeypatch):
                 (cd, "materialize", lambda code: cd.CodeSet(code, {})),
                 (dna, "encode_codeset", lambda cs: ["AAAAAAAAAAAA", "ACGT"]),
                 (dna, "is_reversible", lambda cs: False),
-                (an, "min_distance", lambda cs, metric: 2))
+                (an, "min_distance", lambda cs: 2))
     assert r.details == ["expected 16 codewords, got 1",
                          f"missing: {sorted(verify.SIXTEEN_WORD_TABLE - {'AAAAAAAAAAAA'})}",
                          "extra: ['ACGT']", "not reversible", "min Lee distance 2, expected 3"]

@@ -17,7 +17,8 @@ from skewdna.algebra import gray
 
 from conftest import (LEE_WEIGHT, encode_word, gray_image, gray_inverse, hamming_distance,
                       hamming_weight, image_shift_commutes, lee_distance, lee_weight,
-                      rotate_right2, swap_adjacent_pairs)
+                      packed_hamming_fold, packed_lee_weight, rotate_right2,
+                      swap_adjacent_pairs)
 
 
 def test_lee_weight_table():
@@ -53,20 +54,23 @@ def test_distance_is_translation_invariant():
 @pytest.mark.parametrize("metric,weight", [("hamming", hamming_weight),
                                            ("lee", lee_weight)])
 def test_packed_weights_match_word_weights(metric, weight):
-    # exhaustive for n <= 2, sampled up to n = 9
+    # the package's Lee fold, and the distance oracle's Hamming fold and Lee
+    # byte table: exhaustive for n <= 2, sampled up to n = 9
     rng = random.Random(31)
     for n in range(1, 10):
-        fold = an.packed_weight_fold(n, metric)
+        fold = an.packed_lee_fold(n) if metric == "lee" else packed_hamming_fold(n)
         words = (itertools.product(range(16), repeat=n) if n <= 2 else
                  (tuple(rng.randrange(16) for _ in range(n)) for _ in range(2000)))
         for w in words:
-            assert fold(cd.pack(w)).bit_count() == weight(w)
+            p = cd.pack(w)
+            assert fold(p).bit_count() == weight(w)
+            assert metric == "hamming" or packed_lee_weight(n)(p) == weight(w)
 
 
 def test_word_walks_cache_no_words(codeset_words):
     cs = cd.materialize(cd.code_from_generator(8, sp.parse_poly("x^4 + 1")))
     assert cs.size == 1 << 16
-    lee = an.min_distance(cs, "lee")
+    lee = an.min_distance(cs)
     strings = dna.encode_codeset(cs)
     # the walks kept no words: a CodeSet has no attribute dict to keep them in
     assert not hasattr(cs, "__dict__")
@@ -77,17 +81,18 @@ def test_word_walks_cache_no_words(codeset_words):
     assert strings == sorted(map(encode_word, words))
 
 
-def test_min_distance_equals_pairwise_minimum(codeset_words):
+def test_min_distance_equals_pairwise_minimum(codeset_words, min_distance_oracle):
     cs = cd.materialize(cd.code_from_generator(2, (6, 1)))
-    words = codeset_words(cs)
+    words, d = codeset_words(cs), an.min_distance(cs)
     for metric, dist in (("hamming", hamming_distance), ("lee", lee_distance)):
         direct = min(dist(u, w) for u in words for w in words if u != w)
-        assert an.min_distance(cs, metric) == direct
+        assert d == direct == min_distance_oracle(cs, metric)
 
 
-def test_min_distance_of_sixteen_word_code(sixteen_word_code):
-    assert an.min_distance(sixteen_word_code, "lee") == 3
-    assert an.min_distance(sixteen_word_code, "hamming") == 3
+def test_min_distance_of_sixteen_word_code(sixteen_word_code, min_distance_oracle):
+    assert an.min_distance(sixteen_word_code) == 3
+    assert min_distance_oracle(sixteen_word_code, "lee") == 3
+    assert min_distance_oracle(sixteen_word_code, "hamming") == 3
 
 
 def _random_codes(rng, count):
@@ -117,30 +122,30 @@ def test_min_distance_equals_full_walk(word_walk_codes, min_distance_oracle, mon
     walked, walk = [], cd.CodeSet.walk
     monkeypatch.setattr(cd.CodeSet, "walk", lambda cs: walked.append(len(cs.basis)) or walk(cs))
 
-    def split(cs, metric):
+    def split(cs):
         walked.clear()
-        return an.min_distance(cs, metric), walked == [len(cs.basis) // 2]
+        return an.min_distance(cs), walked == [len(cs.basis) // 2]
 
     inventory = [cs for code, limit in word_walk_codes
                  if (cs := cd.materialize(code)).size <= limit]
     assert len(inventory) == 375
     codesets = inventory + list(_random_codes(random.Random(41), 60))
-    found = [(cs.code, split(cs, "lee"), split(cs, "hamming"),
-              min_distance_oracle(cs, "lee"), min_distance_oracle(cs, "hamming"))
-             for cs in codesets]
-    assert [f for f in found if (f[1], f[2]) != ((f[3], True), (f[4], True))] == []
-    assert [f for f in found if f[3] != f[4]] == []  # Lee min == Hamming min
-    assert {f[3] for f in found} >= {1, 2, 3, 4}
+    found = [(cs.code, split(cs), min_distance_oracle(cs, "lee"),
+              min_distance_oracle(cs, "hamming")) for cs in codesets]
+    # one answer is the minimum in both metrics, so Lee min == Hamming min
+    assert [f for f in found if f[1:] != ((f[2], True), f[3], f[3])] == []
+    assert {f[2] for f in found} >= {1, 2, 3, 4}
 
 
-def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code):
+def test_min_distance_walks_a_set_that_is_not_a_code(sixteen_word_code, min_distance_oracle):
     # {0, 1 at entry 0} is not closed under v: its components {0, v} and
-    # {0, 1+v} lie outside it, so a split would give 1 where its words give
-    # 2; such a set is refused rather than walked
+    # {0, 1+v} lie outside it, so a split would give 1 where its Lee weights
+    # give 2, and its two metrics disagree; such a set is refused rather
+    # than walked
     fake = cd.CodeSet(sixteen_word_code.code, cd.echelon([cd.pack((1, 0, 0, 0, 0, 0))]))
-    for metric in ("lee", "hamming"):
-        with pytest.raises(ValueError, match="not closed under v"):
-            an.min_distance(fake, metric)
+    assert (min_distance_oracle(fake, "lee"), min_distance_oracle(fake, "hamming")) == (2, 1)
+    with pytest.raises(ValueError, match="not closed under v"):
+        an.min_distance(fake)
     with pytest.raises(ValueError, match="not closed under v"):
         an.gray_image_report(fake)
 
@@ -151,17 +156,14 @@ def test_min_distance_refuses_a_set_closed_under_v_but_not_the_shift(sixteen_wor
     # (1+v)C = {0}, so walking vC alone would answer for a set that is no
     # code.  It is refused, as a set not closed under v is
     fake = cd.CodeSet(sixteen_word_code.code, cd.echelon([cd.pack((4, 0, 0, 0, 0, 0))]))
-    for metric in ("lee", "hamming"):
-        with pytest.raises(ValueError, match="not closed under v and the skew shift"):
-            an.min_distance(fake, metric)
+    with pytest.raises(ValueError, match="not closed under v and the skew shift"):
+        an.min_distance(fake)
 
 
-def test_min_distance_rejects_unknown_metric_and_zero_code(sixteen_word_code):
-    with pytest.raises(ValueError):
-        an.min_distance(sixteen_word_code, "euclidean")
+def test_min_distance_rejects_the_zero_code(sixteen_word_code):
     zero_only = cd.CodeSet(sixteen_word_code.code, {})
-    with pytest.raises(ValueError):
-        an.min_distance(zero_only, "lee")
+    with pytest.raises(ValueError, match="zero code"):
+        an.min_distance(zero_only)
     with pytest.raises(ValueError, match="zero code"):
         an.gray_image_report(zero_only)
 
@@ -170,7 +172,7 @@ def test_weight_distribution_against_dna_strings(sixteen_word_code, reference_dn
     # Lee weight = number of non-A characters in the encoded string, so the
     # hand-transcribed table is an independent oracle for the distribution
     expected = collections.Counter(sum(ch != "A" for ch in s) for s in reference_dna_strings)
-    fold = an.packed_weight_fold(sixteen_word_code.n, "lee")
+    fold = an.packed_lee_fold(sixteen_word_code.n)
     walked = collections.Counter(fold(p).bit_count() for p in sixteen_word_code.walk())
     assert walked == expected == {0: 1, 3: 6, 6: 9}
 
@@ -239,7 +241,7 @@ def test_lane_forms_match_the_per_word_maps(monkeypatch):
         gray_fold = an.image_weight_fold(m)
         return (cd.packed_rotation(n, lanes), cd.packed_skew_shift(n, lanes),
                 an.image_shift_defect(n, lanes), defect_without_theta(n, lanes),
-                an.packed_weight_fold(m, "lee"), an.packed_weight_fold(m, "hamming"),
+                an.packed_lee_fold(m), packed_hamming_fold(m),
                 lambda p, image=an.packed_gray_image(m): gray_fold(image(p)))
 
     for n in range(1, 10):
@@ -281,7 +283,7 @@ def test_gray_map_is_an_isometry(pair):
     assert d == hamming_distance(gray_image(u), gray_image(w))
     n, (pu, pw) = len(u), map(cd.pack, pair)
     image = an.packed_gray_image(n)
-    lee, fold = an.packed_weight_fold(n, "lee"), an.image_weight_fold(n)
+    lee, fold = an.packed_lee_fold(n), an.image_weight_fold(n)
     assert lee(pu ^ pw).bit_count() == fold(image(pu) ^ image(pw)).bit_count() == d
 
 
@@ -291,7 +293,6 @@ def test_gray_image_report(sixteen_word_code):
     assert report.image_closed
     assert report.lee_min == 3
     assert report.gray_hamming_min == 3
-    assert report.distance_preserved
 
 
 def test_gray_image_report_negative_control(sixteen_word_code, codeset_words):

@@ -739,6 +739,14 @@ def test_distance_output(capsys):
     assert doc["min_distance"] == 3
 
 
+def test_distance_refuses_an_unknown_metric(capsys):
+    # argparse is the only check on the metric: the library takes none
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["distance"] + EX3 + ["--metric", "euclidean"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'euclidean'" in capsys.readouterr().err
+
+
 def test_verify_command_formatting(capsys, monkeypatch):
     # stub the suite: one passing, one failing check
     def fake_run_all(seed=0):
@@ -757,12 +765,17 @@ def test_verify_command_formatting(capsys, monkeypatch):
 
 
 def test_verify_command_structured(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "run_all",
-                        lambda seed=0: [verify.CheckResult("alpha", True, "fine", [], 0.01)])
+    seeds = []
+    monkeypatch.setattr(verify, "run_all", lambda seed=0: seeds.append(seed) or [
+        verify.CheckResult("alpha", True, "fine", [], 0.01)])
     rc, doc = run_json(capsys, ["verify-paper"])
     assert rc == 0
     assert doc["all_passed"] is True
     assert doc["results"][0]["name"] == "alpha"
+    # without --seed the suite runs, and reports, its default seed
+    assert doc["seed"] == seeds[-1] == verify.DEFAULT_SEED == 20902
+    rc, doc = run_json(capsys, ["verify-paper", "--seed", "7"])
+    assert doc["seed"] == seeds[-1] == 7
 
 
 def test_verify_structured_seconds_are_unrounded(capsys):
