@@ -26,7 +26,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import skewpoly as sp
-from .algebra import gray, is_unit
+from .algebra import UNITS, gray
 from .codes import (
     FORM_UNIT,
     FORM_V,
@@ -212,75 +212,62 @@ class DnaClassification(namedtuple("DnaClassification", (
 
     predicted_* fields are "yes", "no" or "unknown"; "unknown" means no rule
     with matching hypotheses applies.  The predictions follow the paper's
-    rules from the generator's shape alone (plus, for unit forms, whether
-    the code's basis spans the all-ones word), including the two rules the
-    verification sweeps refute: that v- and (v+1)-shaped generators give no
-    reversible code at odd length or odd degree, and no complement-closed
-    code at all.  So a prediction can be wrong: <v*x^2 + v*x + v> at n = 3
-    is predicted "no" twice, yet is reversible and reverse-complement
-    closed, as the *_on_basis decisions (the check command) find exactly.
+    rules, stated in classify, from the generator's shape alone (plus, for
+    unit forms, whether the code's basis spans the all-ones word), including
+    the two rules the verification sweeps refute: that v- and (v+1)-shaped
+    generators give no reversible code at odd length or odd degree, and no
+    complement-closed code at all.  So a prediction can be wrong:
+    <v*x^2 + v*x + v> at n = 3 is predicted "no" twice, yet is reversible
+    and reverse-complement closed, as the *_on_basis decisions (the check
+    command) find exactly.
     """
 
     __slots__ = ()
 
 
-def theta_palindromic_generator_exists(g: sp.Poly) -> bool:
-    """Whether some unit left multiple of g is theta-palindromic.
-
-    For a monic right divisor with odd degree this reduces to the single
-    candidate a0 * g where a0 is the constant coefficient, but checking all
-    unit multiples keeps the test shape-independent.
-    """
-    return any(sp.is_theta_palindromic(sp.scale(u, g)) for u in range(1, 16) if is_unit(u))
-
-
 def classify(code: SkewCyclicCode, basis) -> DnaClassification:
-    """The rules' predictions for code.  basis is its pivot table
-    (codes.span_basis); only the unit-form rules read it, for the all-ones
-    word."""
+    """The rules' predictions for code, from the form of its generator g, of
+    degree t, and the parities of n and t.  basis is its pivot table
+    (codes.span_basis); only the unit form reads it, for the all-ones word.
+
+    - unit form: the reversibility rule holds when g is palindromic if n
+      and t are both even, and otherwise when some unit multiple u*g is
+      theta-palindromic.  Reversible is then "yes"; else "no" at even n and
+      "unknown" at odd n, where the rule is sufficient only.
+      Reverse-complement is as reversible if the basis spans the all-ones
+      word, and "no" if not.
+    - v and v1 forms, the two refuted rules as the paper states them:
+      reversible is "yes" for a palindromic g at even n and even t, and "no"
+      otherwise; reverse-complement is always "no".
+    - any other form: "unknown" twice.
+
+    Two facts fold the paper's statements into these.  Reverse-complement
+    closure forces the all-ones word (it is the image of the zero word), and
+    with that word in the code it is reversibility, since theta_reverse
+    plus the all-ones word maps the code into itself exactly when
+    theta_reverse does; so at either parity the paper's reverse-complement
+    rules read "as reversible, if the all-ones word is in the code, else
+    no".  And at odd n the paper's rule is "g palindromic or some u*g
+    theta-palindromic", whose first clause implies the second: a unit-form
+    g is u*g1 with g1 monic over GF(4) (the odd-n argument in
+    codes.enumerate_right_divisors), theta fixes GF(4), and a unit scales
+    every coefficient injectively, so if g is palindromic, g1 = u^-1 * g is
+    theta-palindromic.
+    """
     if len(code.generators) != 1:
         raise ValueError("classification covers single-generator codes")
     n, g = code.n, code.generators[0]
     form = classify_generator(n, g)
     t = len(g) - 1
     pal = sp.is_palindromic(g)
-    tpal = sp.is_theta_palindromic(g)
-    rev = "unknown"
-    rc = "unknown"
-
+    both_even = n % 2 == 0 and t % 2 == 0
     if form == FORM_UNIT:
-        all_ones = complement_on_basis(code, basis)
-        if n % 2 == 0:
-            if t % 2 == 0:
-                rev = "yes" if pal else "no"
-            else:
-                rev = "yes" if theta_palindromic_generator_exists(g) else "no"
-            rc = "yes" if (rev == "yes" and all_ones) else "no"
-        else:
-            # odd length: palindromic or theta-palindromic generators are
-            # sufficient; no necessary criterion is applied.  A unit multiple
-            # u*g is palindromic exactly when g is, so pal stands for them all.
-            if pal or theta_palindromic_generator_exists(g):
-                rev = "yes"
-            if not all_ones:
-                rc = "no"  # complement closure forces the all-ones word
-            elif rev == "yes":
-                rc = "yes"
+        holds = pal if both_even else any(sp.is_theta_palindromic(sp.scale(u, g)) for u in UNITS)
+        rev = "yes" if holds else "no" if n % 2 == 0 else "unknown"
+        rc = rev if complement_on_basis(code, basis) else "no"
     elif form in (FORM_V, FORM_V1):
-        if n % 2 == 0 and t % 2 == 0:
-            rev = "yes" if pal else "no"
-        else:
-            # the impossibility rule for odd n or odd degree, stated for
-            # generators of this shape; see DnaClassification's caveat
-            rev = "no"
+        rev = "yes" if pal and both_even else "no"
         rc = "no"
-
-    return DnaClassification(
-        n=n,
-        generator=g,
-        form=form,
-        palindromic=pal,
-        theta_palindromic=tpal,
-        predicted_reversible=rev,
-        predicted_reverse_complement=rc,
-    )
+    else:
+        rev = rc = "unknown"
+    return DnaClassification(n, g, form, pal, sp.is_theta_palindromic(g), rev, rc)

@@ -3,9 +3,10 @@
 Each check re-derives one published rule or reference value from scratch and
 compares it against what this package computes.  Reference data (the
 16-element correspondence table, the 16-string DNA code of length 12) is
-frozen here as literals; structural rules are swept by brute force over every
-single-generator code at desk-scale lengths, with no sampling except where a
-check says so explicitly.
+frozen here as literals; structural rules are swept over the codes of every
+unit, v and v1 right divisor of x^n - 1 at n <= 6 (335 codes), each decided
+on its GF(2) basis, with no sampling except where a check says so
+explicitly.
 
 A check returns a CheckResult rather than raising, so the suite always runs
 to completion and reports everything at once; run_all times each check and

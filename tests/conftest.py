@@ -360,15 +360,14 @@ def naive_minimal_degree_scan(codeset):
     )
 
 
-def naive_min_distance(codeset, metric):
-    """min_distance by its definition: the least weight of every nonzero
-    word, each one walked."""
-    fold = packed_hamming_fold(codeset.n)
-    weigh = packed_lee_weight(codeset.n) if metric == "lee" else lambda p: fold(p).bit_count()
-    best = min(map(weigh, islice(codeset.walk(), 1, None)), default=None)
-    if best is None:
+def naive_min_distance(codeset):
+    """min_distance by its definition, (Lee, Hamming): the least weight of
+    every nonzero word in each metric, the words walked once."""
+    words = list(islice(codeset.walk(), 1, None))
+    if not words:
         raise ValueError("zero code has no minimum distance")
-    return best
+    fold = packed_hamming_fold(codeset.n)
+    return min(map(packed_lee_weight(codeset.n), words)), min(fold(p).bit_count() for p in words)
 
 
 def _word_walk_codes():

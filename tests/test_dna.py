@@ -18,6 +18,7 @@ from skewdna import analysis as an
 from skewdna import codes as cd
 from skewdna import dna
 from skewdna import skewpoly as sp
+from skewdna.algebra import UNITS
 
 from conftest import (complement_word, dna_complement, dna_reverse, dna_reverse_complement,
                       encode_word, theta_reverse)
@@ -331,6 +332,24 @@ def test_classify_is_frozen_on_every_small_divisor_code():
                         ("unknown", "unknown"): 4, ("unknown", "no"): 4}
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "562f9a503d0088e4abcca13dabd76150b79a807f9e16429c2ed20108f25202c7")
+
+
+def test_classify_is_frozen_on_every_unit_multiple_of_a_small_divisor():
+    # u*g for every unit u and every unit divisor g at n = 2..8, the
+    # generators build accepts beyond the monic ones: the outcome counts and
+    # a hash of every field that classify reports
+    rows, outcomes = [], collections.Counter()
+    for n in range(2, 9):
+        for t in range(1, n):
+            for g in cd.enumerate_right_divisors(n, t):
+                for u in UNITS:
+                    info = _classify(n, sp.scale(u, g))
+                    rows.append(tuple(info))
+                    outcomes[info.predicted_reversible, info.predicted_reverse_complement] += 1
+    assert outcomes == {("no", "no"): 4086, ("yes", "no"): 657, ("yes", "yes"): 567,
+                        ("unknown", "unknown"): 36, ("unknown", "no"): 36}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "30269b3dfe4aaf18deb6aeb946e2b710e7188949235ff49352ca51656dd16fe1")
 
 
 def test_classify_rejects_multiple_generators():
