@@ -26,8 +26,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import skewpoly as sp
-from .algebra import UNITS, gray
+from .algebra import _THETA, UNITS, gray, r_inv, r_mul
 from .codes import (
+    FORM_OTHER,
     FORM_UNIT,
     FORM_V,
     FORM_V1,
@@ -200,74 +201,71 @@ def reversible_by_remainder(code: SkewCyclicCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rule-based classification
+# the paper's rules
+
+# (g_0, g_t) -> a unit u with u*g_0 = theta(u)*theta(g_t), see predict
+_MULTIPLIER = {(g0, _THETA[r_mul(r_mul(u, g0), r_inv(_THETA[u]))]): u
+               for u in UNITS for g0 in UNITS}
+
+
+def predict(n: int, form: str, g: sp.Poly) -> tuple[str, str]:
+    """The paper's rules for <g> at length n, g of degree t and FORM_* shape
+    form: (reversible, complement), each "yes", "no" or "unknown" (no rule
+    applies).  classify prints them; verify's checks 6 to 9 sweep them.
+
+    - unit form: reversible is "yes" when g is palindromic if n and t are
+      both even, and otherwise when some unit multiple u*g is
+      theta-palindromic; else "no" at even n, and "unknown" at odd n, where
+      the rule is sufficient only.  Complement is "unknown".
+    - v and v1 forms, the two refuted rules as the paper states them:
+      reversible is "yes" for a palindromic g at even n and even t, else
+      "no"; complement is "no".  <v*x^2 + v*x + v> at n = 3 refutes both.
+    - any other form: "unknown" twice.
+
+    At odd n the paper adds "or g palindromic", which is implied: a
+    unit-form g is u*g1, g1 monic over GF(4) (codes.enumerate_right_divisors),
+    and theta fixes GF(4).  One u decides the search: as R is commutative,
+    u*g is theta-palindromic iff u*g_i = theta(u)*theta(g_(t-i)) for all i.
+    g_0 is a unit (h_0*g_0 = 1 for h*g = x^n - 1; were it not, no u would
+    fit), so i = 0 asks phi(u) = u*theta(u)^-1 to be theta(g_t)*g_0^-1.
+    phi is a homomorphism on the units with kernel GF(4)*, the units theta
+    fixes, so the u of one value differ by a c = theta(c), which scales both
+    sides of every equation alike: _MULTIPLIER's u for (g_0, g_t) decides.
+    """
+    both_even = n % 2 == 0 and len(g) % 2 == 1  # n and t = len(g) - 1
+    if form == FORM_UNIT:
+        u = _MULTIPLIER.get((g[0], g[-1]))
+        holds = (sp.is_palindromic(g) if both_even else
+                 u is not None and sp.is_theta_palindromic(sp.scale(u, g)))
+        return "yes" if holds else "no" if n % 2 == 0 else "unknown", "unknown"
+    if form in (FORM_V, FORM_V1):
+        return "yes" if both_even and sp.is_palindromic(g) else "no", "no"
+    return "unknown", "unknown"
 
 
 class DnaClassification(namedtuple("DnaClassification", (
         "n generator form palindromic theta_palindromic"
         " predicted_reversible predicted_reverse_complement"))):
-    """What the structural rules predict for a single-generator code: its
-    length, its generator (an sp.Poly), the generator's FORM_* shape and
-    whether it is palindromic and theta-palindromic, then two predictions.
-
-    predicted_* fields are "yes", "no" or "unknown"; "unknown" means no rule
-    with matching hypotheses applies.  The predictions follow the paper's
-    rules, stated in classify, from the generator's shape alone (plus, for
-    unit forms, whether the code's basis spans the all-ones word), including
-    the two rules the verification sweeps refute: that v- and (v+1)-shaped
-    generators give no reversible code at odd length or odd degree, and no
-    complement-closed code at all.  So a prediction can be wrong:
-    <v*x^2 + v*x + v> at n = 3 is predicted "no" twice, yet is reversible
-    and reverse-complement closed, as the *_on_basis decisions (the check
-    command) find exactly.
-    """
+    """A code's length, generator (an sp.Poly), the generator's FORM_* shape,
+    whether it is palindromic and theta-palindromic, and classify's two
+    predictions, "yes", "no" or "unknown", refuted rules too (see predict)."""
 
     __slots__ = ()
 
 
 def classify(code: SkewCyclicCode, basis) -> DnaClassification:
-    """The rules' predictions for code, from the form of its generator g, of
-    degree t, and the parities of n and t.  basis is its pivot table
-    (codes.span_basis); only the unit form reads it, for the all-ones word.
-
-    - unit form: the reversibility rule holds when g is palindromic if n
-      and t are both even, and otherwise when some unit multiple u*g is
-      theta-palindromic.  Reversible is then "yes"; else "no" at even n and
-      "unknown" at odd n, where the rule is sufficient only.
-      Reverse-complement is as reversible if the basis spans the all-ones
-      word, and "no" if not.
-    - v and v1 forms, the two refuted rules as the paper states them:
-      reversible is "yes" for a palindromic g at even n and even t, and "no"
-      otherwise; reverse-complement is always "no".
-    - any other form: "unknown" twice.
-
-    Two facts fold the paper's statements into these.  Reverse-complement
-    closure forces the all-ones word (it is the image of the zero word), and
-    with that word in the code it is reversibility, since theta_reverse
-    plus the all-ones word maps the code into itself exactly when
-    theta_reverse does; so at either parity the paper's reverse-complement
-    rules read "as reversible, if the all-ones word is in the code, else
-    no".  And at odd n the paper's rule is "g palindromic or some u*g
-    theta-palindromic", whose first clause implies the second: a unit-form
-    g is u*g1 with g1 monic over GF(4) (the odd-n argument in
-    codes.enumerate_right_divisors), theta fixes GF(4), and a unit scales
-    every coefficient injectively, so if g is palindromic, g1 = u^-1 * g is
-    theta-palindromic.
-    """
+    """predict's answers for a single-generator code at its generator's form.
+    Reverse-complement closure needs the all-ones word (the image of 0), and
+    with that word in C it is reversibility: theta_reverse plus the word maps
+    C into C iff theta_reverse does.  So it is "unknown" for other forms, and
+    "no" where complement is "no" or basis (codes.span_basis, read for unit
+    forms only) misses the all-ones word; else it is as reversible."""
     if len(code.generators) != 1:
         raise ValueError("classification covers single-generator codes")
     n, g = code.n, code.generators[0]
     form = classify_generator(n, g)
-    t = len(g) - 1
-    pal = sp.is_palindromic(g)
-    both_even = n % 2 == 0 and t % 2 == 0
-    if form == FORM_UNIT:
-        holds = pal if both_even else any(sp.is_theta_palindromic(sp.scale(u, g)) for u in UNITS)
-        rev = "yes" if holds else "no" if n % 2 == 0 else "unknown"
-        rc = rev if complement_on_basis(code, basis) else "no"
-    elif form in (FORM_V, FORM_V1):
-        rev = "yes" if pal and both_even else "no"
-        rc = "no"
-    else:
-        rev = rc = "unknown"
-    return DnaClassification(n, g, form, pal, sp.is_theta_palindromic(g), rev, rc)
+    rev, complement = predict(n, form, g)
+    rc = ("unknown" if form == FORM_OTHER else
+          "no" if complement == "no" or not complement_on_basis(code, basis) else rev)
+    return DnaClassification(n, g, form, sp.is_palindromic(g), sp.is_theta_palindromic(g),
+                             rev, rc)

@@ -3,10 +3,10 @@
 Each check re-derives one published rule or reference value from scratch and
 compares it against what this package computes.  Reference data (the
 16-element correspondence table, the 16-string DNA code of length 12) is
-frozen here as literals; structural rules are swept over the codes of every
+frozen here as literals; structural rules, among them (checks 6 to 9) the
+statement that build prints, dna.predict, are swept over the codes of every
 unit, v and v1 right divisor of x^n - 1 at n <= 6 (335 codes), each decided
-on its GF(2) basis, with no sampling except where a check says so
-explicitly.
+on its GF(2) basis, with no sampling except where a check says so.
 
 A check returns a CheckResult rather than raising, so the suite always runs
 to completion and reports everything at once; run_all times each check and
@@ -190,26 +190,26 @@ def check_sixteen_codeword_table() -> CheckResult:
 
 
 def check_even_length_even_degree_rule() -> CheckResult:
-    """Even n, even degree, every shape: reversible iff generator palindromic."""
+    """Even n, even degree, every shape: reversible iff dna.predict says "yes"."""
     swept = _sweep((n, t) for n in (2, 4, 6) for t in range(2, n, 2))
     bad = [_g_desc(n, shape, g) for n, shape, g, cs in swept
-           if dna.is_reversible(cs) != sp.is_palindromic(g)]
+           if dna.is_reversible(cs) != (dna.predict(n, shape, g)[0] == "yes")]
     return CheckResult("even-length-even-degree-rule", not bad,
                        f"{len(swept)} codes swept, {len(bad)} equivalence failures", bad)
 
 
 def check_even_length_odd_degree_rule() -> CheckResult:
-    """Even n, odd degree, unit-monic: reversible iff a0*g is theta-palindromic."""
+    """Even n, odd degree, unit-monic: reversible iff dna.predict says "yes"."""
     swept = _sweep([(n, t) for n in (4, 6) for t in range(1, n, 2)], shapes=("unit",))
     bad = [_g_desc(n, shape, g) + f": reversible={rev}" for n, shape, g, cs in swept
-           if (rev := dna.is_reversible(cs)) != sp.is_theta_palindromic(sp.scale(g[0], g))]
+           if (rev := dna.is_reversible(cs)) != (dna.predict(n, shape, g)[0] == "yes")]
     return CheckResult("even-length-odd-degree-rule", not bad,
                        f"{len(swept)} codes swept, {len(bad)} equivalence failures", bad)
 
 
 def check_odd_length_cyclic_and_impossibility() -> CheckResult:
-    """Odd n: every code is plain-cyclic; non-unit shapes: the claimed
-    impossibility of reversibility (odd n, or even n with odd degree).
+    """Odd n: every code is plain-cyclic; non-unit shapes: dna.predict's
+    claimed impossibility of reversibility (odd n, or even n with odd degree).
 
     The cyclicity half holds.  The impossibility half is false as stated:
     reducing x^n * (v*g1) modulo x^n - 1 lands on (v+1)*g1 when n is odd, so
@@ -223,7 +223,8 @@ def check_odd_length_cyclic_and_impossibility() -> CheckResult:
     nonunit = _sweep(odd + [(n, t) for n in (4, 6) for t in range(1, n, 2)],
                      shapes=("v", "v1"))
     bad_rev = [_g_desc(n, shape, g) + f" is reversible ({cs.size} words)"
-               for n, shape, g, cs in nonunit if dna.is_reversible(cs)]
+               for n, shape, g, cs in nonunit
+               if dna.predict(n, shape, g)[0] == "no" and dna.is_reversible(cs)]
 
     details = [f"plain-shift closure: {len(cyclic)} codes, {len(bad_cyclic)} failures",
                *bad_cyclic, f"claimed-impossible reversibility: {len(nonunit)} codes, "
@@ -242,7 +243,7 @@ def _rc_closed(cs: cd.CodeSet) -> bool:
 def check_reverse_complement_rules() -> CheckResult:
     """On the even-length sweeps: reverse-complement closed iff (reversible
     and all-ones word present); and the claim that no v/v1-shape code is
-    complement-closed.
+    complement-closed, dna.predict's complement "no".
 
     The equivalence holds by additivity, and the package's decision is built
     on it, so this check decides the closure another way and compares.  The
@@ -266,7 +267,7 @@ def check_reverse_complement_rules() -> CheckResult:
         ones = dna.is_complement_closed(cs)
         if _rc_closed(cs) != (dna.is_reversible(cs) and ones):
             bad_iff.append(_g_desc(n, shape, g))
-        if shape != "unit" and ones:
+        if ones and dna.predict(n, shape, g)[1] == "no":
             bad_comp.append(_g_desc(n, shape, g) + " is complement-closed")
     details = [f"{len(swept)} codes; equivalence failures: {len(bad_iff)}", *bad_iff,
                f"complement-closed non-unit codes: {len(bad_comp)}", *bad_comp]

@@ -501,6 +501,90 @@ def test_check_7_lists_each_reversible_code_of_a_non_theta_palindromic_generator
     assert r.summary == f"117 codes swept, {len(reversible)} equivalence failures"
 
 
+def _flip_clause(monkeypatch, clause, answer, flip):
+    """dna.predict with its answer (0 reversible, 1 complement) mapped by
+    flip where clause(n, form, t) holds: one of the paper's rules stated
+    the other way, which a check that reads predict must see."""
+    predict = dna.predict
+
+    def flipped(n, form, g):
+        answers = list(predict(n, form, g))
+        if clause(n, form, len(g) - 1):
+            answers[answer] = flip.get(answers[answer], answers[answer])
+        return tuple(answers)
+
+    monkeypatch.setattr(dna, "predict", flipped)
+
+
+YES_NO = {"yes": "no", "no": "yes"}
+
+
+@pytest.mark.parametrize("shapes", [("unit",), ("v", "v1")])
+def test_check_6_lists_each_code_of_a_flipped_palindrome_clause(shapes, monkeypatch):
+    spots = [(n, t) for n in (2, 4, 6) for t in range(2, n, 2)]
+    # flipped, the clause calls the code reversible exactly when g is not
+    # palindromic; the check lists each code where that is wrong
+    wrong = [_desc(n, shape, g) for n, shape, g, cs in _swept_codes(spots)
+             if shape in shapes and dna.is_reversible(cs) == sp.is_palindromic(g)]
+    _flip_clause(monkeypatch, lambda n, form, t: form in shapes and n % 2 == t % 2 == 0,
+                 0, YES_NO)
+    r = _failed(verify.check_even_length_even_degree_rule, monkeypatch)
+    assert r.details == wrong
+    assert r.summary == f"147 codes swept, {len(wrong)} equivalence failures"
+
+
+def test_check_7_lists_each_code_of_a_flipped_unit_multiple_clause(monkeypatch):
+    spots = [(n, t) for n in (4, 6) for t in range(1, n, 2)]
+    # flipped, the clause calls the code reversible exactly when no unit
+    # multiple u*g is theta-palindromic
+    wrong = [_desc(n, shape, g) + f": reversible={rev}"
+             for n, shape, g, cs in _swept_codes(spots, ("unit",))
+             if (rev := dna.is_reversible(cs)) ==
+             any(sp.is_theta_palindromic(sp.scale(u, g)) for u in verify.UNITS)]
+    _flip_clause(monkeypatch, lambda n, form, t: form == "unit" and n % 2 == 0 and t % 2,
+                 0, YES_NO)
+    r = _failed(verify.check_even_length_odd_degree_rule, monkeypatch)
+    assert r.details == wrong
+    assert r.summary == f"117 codes swept, {len(wrong)} equivalence failures"
+
+
+def test_check_8_refutes_the_impossibility_clause_only_as_predict_states_it(monkeypatch):
+    # flipped to "yes", the impossibility clause claims nothing, so the
+    # check that refutes it passes with no counterexample
+    odd = [(n, t) for n in (3, 5) for t in range(1, n)]
+    swept = len(list(_swept_codes(odd)))
+    nonunit = len(list(_swept_codes(odd + [(n, t) for n in (4, 6) for t in range(1, n, 2)],
+                                    ("v", "v1"))))
+    _flip_clause(monkeypatch, lambda n, form, t: form != "unit" and (n % 2 or t % 2),
+                 0, YES_NO)
+    r = verify.check_odd_length_cyclic_and_impossibility()
+    assert r.passed
+    assert r.details == [f"plain-shift closure: {swept} codes, 0 failures",
+                         f"claimed-impossible reversibility: {nonunit} codes, 0 reversible"]
+
+
+def test_check_9_reads_both_complement_clauses(monkeypatch):
+    spots = [(n, t) for n in (2, 4, 6) for t in range(1, n)]
+    closed = [(shape, _desc(n, shape, g) + " is complement-closed")
+              for n, shape, g, cs in _swept_codes(spots, limit=verify.MATERIALIZE_LIMIT)
+              if dna.is_complement_closed(cs)]
+    # the unit clause flipped from "unknown" to "no": every complement-closed
+    # code is a counterexample, the unit ones among the v and v1 ones
+    with monkeypatch.context() as m:
+        _flip_clause(m, lambda n, form, t: form == "unit", 1, {"unknown": "no"})
+        r = _failed(verify.check_reverse_complement_rules, m)
+    assert r.details == ["290 codes; equivalence failures: 0",
+                         f"complement-closed non-unit codes: {len(closed)}",
+                         *(line for _, line in closed)]
+    assert sum(shape == "unit" for shape, _ in closed) > 0
+    # the refuted v and v1 clause flipped to "unknown": nothing is refuted
+    _flip_clause(monkeypatch, lambda n, form, t: form != "unit", 1, {"no": "unknown"})
+    r = verify.check_reverse_complement_rules()
+    assert r.passed
+    assert r.details == ["290 codes; equivalence failures: 0",
+                         "complement-closed non-unit codes: 0"]
+
+
 def test_checks_8_9_and_12_list_each_code_their_broken_half_fails(monkeypatch):
     odd = [(n, t) for n in (3, 5) for t in range(1, n)]
     codes = [_desc(n, shape, g) for n, shape, g, _ in _swept_codes(odd)]

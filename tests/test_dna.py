@@ -352,6 +352,49 @@ def test_classify_is_frozen_on_every_unit_multiple_of_a_small_divisor():
         "30269b3dfe4aaf18deb6aeb946e2b710e7188949235ff49352ca51656dd16fe1")
 
 
+@st.composite
+def _unit_led_polys(draw):
+    """A polynomial of degree 0 to 8 with a unit leading coefficient and any
+    lower ones; half of them are made a unit times a theta-palindromic
+    polynomial, so that the rule holds on some."""
+    t = draw(st.integers(0, 8))
+    g = draw(st.lists(st.integers(0, 15), min_size=t, max_size=t)) + [draw(st.sampled_from(UNITS))]
+    if draw(st.booleans()):
+        for i in range((t + 1) // 2):
+            g[i] = g[t - i] ^ g[t - i] >> 2  # theta(a + b*v) = (a + b) + b*v
+        if t % 2 == 0:
+            g[t // 2] &= 3  # the middle one in GF(4), which theta fixes
+        g = sp.scale(draw(st.sampled_from(UNITS)), g)
+    return tuple(g)
+
+
+@given(_unit_led_polys())
+def test_predict_tests_one_unit_multiple_for_all_nine(g):
+    # the unit rule's search, at odd n (any degree t) or at even n and odd t,
+    # against trying every unit multiple; predict does not divide, so n only
+    # gives the parity
+    n = 4 if len(g) % 2 == 0 else 3
+    found = any(sp.is_theta_palindromic(sp.scale(u, g)) for u in UNITS)
+    expected = "yes" if found else "no" if n == 4 else "unknown"
+    assert dna.predict(n, cd.FORM_UNIT, g) == (expected, "unknown")
+
+
+def test_even_length_unit_rule_is_exact_on_every_unit_multiple():
+    # <u*g> = <g> for a unit u, so at even n, where the unit rule is stated
+    # as an equivalence, predict must say "yes" on u*g exactly when <g> is
+    # reversible, for every u and every unit divisor g of every degree
+    outcomes = collections.Counter()
+    for n in (4, 6, 8):
+        for t in range(1, n):
+            for g in cd.enumerate_right_divisors(n, t):
+                reversible = dna.is_reversible(cd.materialize(cd.code_from_generator(n, g)))
+                for u in UNITS:
+                    rev, _ = dna.predict(n, cd.FORM_UNIT, sp.scale(u, g))
+                    assert (rev == "yes") == reversible, (n, u, g)
+                    outcomes[rev] += 1
+    assert sum(outcomes.values()) == 5193 and 0 < outcomes["yes"] < 5193
+
+
 def test_classify_rejects_multiple_generators():
     code = cd.code_from_generators(3, [(4, 4), (1, 1, 1)])
     with pytest.raises(ValueError):
